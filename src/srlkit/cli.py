@@ -1,7 +1,8 @@
 """Command-line surface: machine-readable JSON reports on stdout.
 
 Exit codes: 0 = all verdicts pass (or the query answer is affirmative),
-1 = negative verdict, 2 = input or validation error.  Reports are
+1 = negative verdict, 2 = input or validation error, 3 = internal error
+(a failed self-check or any other unexpected exception).  Reports are
 deterministic except for the `timings` field.
 """
 
@@ -12,6 +13,7 @@ import json
 import re
 import sys
 import time
+import traceback
 from typing import Optional
 
 from . import catalog as catalog_mod
@@ -31,7 +33,7 @@ from .errors import (
     ValidationError,
     WrongSignature,
 )
-from .filters import all_deductive_filters, is_prime_filter
+from .filters import all_deductive_filters, is_prime_filter, prime_deductive_filters
 from .reflection import reflect
 from .varieties import (
     VarietySpec,
@@ -94,13 +96,7 @@ def _cmd_check(args, started) -> int:
 def _cmd_dual(args, started) -> int:
     algebra = _resolve(args.file)
     space = dual_space(algebra, args.mode)
-    primes = all_deductive_filters(algebra)
-    prime_members = [
-        sorted(f.members)
-        for f in primes
-        if is_prime_filter(algebra, f.members)
-        and (args.mode == "pointed" or not f.is_improper)
-    ]
+    prime_members = [sorted(f.members) for f in prime_deductive_filters(algebra, args.mode)]
     iso = canonical_iso(algebra, args.mode)
     out = {
         "command": "dual",
@@ -199,9 +195,7 @@ def _cmd_refute_epic(args, started) -> int:
             started,
         )
         return 1
-    from .varieties import epi_analysis
-
-    analysis = epi_analysis(algebra, sub)
+    analysis = cert.analysis
     quotient_map = cert.second_map
     retraction = [
         cert.first_map.mapping[quotient_map.mapping.index(u)]
@@ -385,7 +379,7 @@ _INPUT_ERRORS = (
     NotASubalgebra,
     NotBrouwerian,
     WrongSignature,
-    FileNotFoundError,
+    OSError,
     ValueError,
 )
 
@@ -398,7 +392,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     started = time.time()
     try:
         return args.func(args, started)
-    except _INPUT_ERRORS as exc:
+    except Exception as exc:
+        # anything but an input error is a bug, and must not read as a negative verdict
+        code = 2 if isinstance(exc, _INPUT_ERRORS) else 3
+        if code == 3:
+            traceback.print_exc()
         print(
             json.dumps(
                 {"command": args.command, "error": str(exc), "kind": type(exc).__name__},
@@ -406,7 +404,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 sort_keys=True,
             )
         )
-        return 2
+        return code
 
 
 if __name__ == "__main__":

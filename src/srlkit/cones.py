@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .core import FiniteAlgebra, Signature, is_homomorphism, is_subuniverse
+from .core import FiniteAlgebra, Signature, closed_sets, is_homomorphism
 from .errors import UnboundVariable, VerificationFailure
 from .filters import (
     DeductiveFilter,
@@ -114,42 +114,45 @@ class GeneratedSubalgebra:
         return self.witnesses[element]
 
 
+def _close(algebra: FiniteAlgebra, closed: frozenset[int], new: Iterable[int]) -> frozenset[int]:
+    """The subuniverse generated by a closed set and some new elements.
+
+    Each round forms only the products that involve an element added in the
+    round before, so pairs inside `closed` are never revisited."""
+    members = set(closed)
+    fresh = set(new) - members
+    tables = (algebra.meet, algebra.join, algebra.fusion, algebra.residual)
+    while fresh:
+        members |= fresh
+        listed = list(members)  # a list is faster to walk than a set
+        found = set()
+        if algebra.neg is not None:
+            for a in fresh:
+                if algebra.neg[a] not in members:
+                    found.add(algebra.neg[a])
+        for t in tables:
+            for a in fresh:
+                row = t[a]
+                for b in listed:
+                    if row[b] not in members:
+                        found.add(row[b])
+                    if t[b][a] not in members:
+                        found.add(t[b][a])
+        fresh = found
+    return frozenset(members)
+
+
 def subuniverse_closure(algebra: FiniteAlgebra, generators: Iterable[int]) -> frozenset[int]:
     """Closure of a set (plus constants) under all operations."""
-    current = set(generators)
-    current.add(algebra.e)
-    if algebra.bottom is not None:
-        current.add(algebra.bottom)
-    tables = (algebra.meet, algebra.join, algebra.fusion, algebra.residual)
-    changed = True
-    while changed:
-        changed = False
-        frozen = list(current)
-        if algebra.neg is not None:
-            for a in frozen:
-                if algebra.neg[a] not in current:
-                    current.add(algebra.neg[a])
-                    changed = True
-        for table in tables:
-            for a in frozen:
-                for b in frozen:
-                    if table[a][b] not in current:
-                        current.add(table[a][b])
-                        changed = True
-    return frozenset(current)
+    constants = (algebra.e,) if algebra.bottom is None else (algebra.e, algebra.bottom)
+    return _close(algebra, frozenset(), (*generators, *constants))
 
 
 def all_subuniverses(algebra: FiniteAlgebra) -> list[frozenset[int]]:
     """Every subuniverse, ordered by subset bitmask."""
-    n = algebra.size
-    out = []
-    for mask in range(1 << n):
-        members = [a for a in range(n) if mask >> a & 1]
-        if algebra.e not in members:
-            continue
-        if is_subuniverse(algebra, members):
-            out.append(frozenset(members))
-    return out
+    return closed_sets(
+        algebra.size, subuniverse_closure(algebra, ()), lambda s, a: _close(algebra, s, (a,))
+    )
 
 
 def generate_subalgebra(

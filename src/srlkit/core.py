@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import MalformedTable, NotASubalgebra, NotResiduated, WrongSignature
 
@@ -643,6 +643,27 @@ def is_subuniverse(algebra: FiniteAlgebra, members: Iterable[int]) -> bool:
                 if table[a][b] not in mask:
                     return False
     return True
+
+
+def closed_sets(
+    size: int, least: frozenset[int], extend: Callable[[frozenset[int], int], frozenset[int]]
+) -> list[frozenset[int]]:
+    """Every closed set of a closure system on 0..size-1, ordered by subset
+    bitmask.  `least` is the least closed set and `extend(s, a)` the least
+    closed set containing the closed set `s` and the element `a`.
+
+    Every closed set is reached from `least` by adding missing elements one
+    at a time, so the cost follows the number of closed sets, not 2^size."""
+    found = [least]
+    seen = {least}
+    for s in found:  # `found` grows while it is walked: a breadth-first search
+        for a in range(size):
+            if a not in s:
+                t = extend(s, a)
+                if t not in seen:
+                    seen.add(t)
+                    found.append(t)
+    return sorted(found, key=lambda s: sum(1 << a for a in s))
 
 
 def subalgebra(algebra: FiniteAlgebra, members: Iterable[int]) -> tuple[FiniteAlgebra, Homomorphism]:

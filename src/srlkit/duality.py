@@ -18,6 +18,7 @@ from .core import (
     Homomorphism,
     Signature,
     classify,
+    closed_sets,
     is_homomorphism,
 )
 from .errors import (
@@ -89,14 +90,9 @@ def poset_from_pairs(size: int, pairs, top: Optional[int] = None) -> PointedPose
 def all_up_sets(poset: PointedPoset, include_empty: bool) -> list[frozenset[int]]:
     """All up-sets, ordered by subset bitmask (deterministic)."""
     n = poset.size
-    out = []
-    for mask in range(1 << n):
-        members = frozenset(a for a in range(n) if mask >> a & 1)
-        if not members and not include_empty:
-            continue
-        if poset.up_set(members):
-            out.append(members)
-    return out
+    up = [frozenset(b for b in range(n) if poset.leq[a][b]) for a in range(n)]
+    ups = closed_sets(n, frozenset(), lambda s, a: s | up[a])
+    return ups if include_empty else ups[1:]  # the empty set sorts first
 
 
 @dataclass(frozen=True)

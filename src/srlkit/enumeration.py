@@ -15,7 +15,7 @@ import itertools
 from functools import lru_cache
 from typing import Iterable, Optional
 
-from .core import FiniteAlgebra, Signature, residual_from_fusion, validate
+from .core import FiniteAlgebra, Signature, closed_sets, residual_from_fusion, validate
 from .errors import BoundExceeded, NotResiduated
 
 DEFAULT_ENUMERATION_BOUND = 6
@@ -96,12 +96,8 @@ def canonical_poset_key(leq: LeqMatrix) -> tuple:
 
 def _down_sets(leq: LeqMatrix) -> list[frozenset[int]]:
     n = len(leq)
-    out = []
-    for mask in range(1 << n):
-        members = frozenset(a for a in range(n) if mask >> a & 1)
-        if all(leq[b][a] <= (b in members) for a in members for b in range(n)):
-            out.append(members)
-    return out
+    down = [frozenset(b for b in range(n) if leq[b][a]) for a in range(n)]
+    return closed_sets(n, frozenset(), lambda s, a: s | down[a])
 
 
 @lru_cache(maxsize=None)
@@ -233,9 +229,7 @@ def canonical_form(algebra: FiniteAlgebra) -> tuple:
 
 def _brouwerian_from_poset(leq: LeqMatrix, size_label: int) -> FiniteAlgebra:
     n = len(leq)
-    downs = sorted(
-        _down_sets(leq), key=lambda s: sum(1 << a for a in s)
-    )
+    downs = _down_sets(leq)
     index = {d: i for i, d in enumerate(downs)}
     k = len(downs)
     full = frozenset(range(n))

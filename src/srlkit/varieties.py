@@ -12,7 +12,7 @@ against the spectrum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
 from .cones import (
@@ -512,6 +512,7 @@ class EpiCertificate:
     first_map: Homomorphism
     second_map: Homomorphism
     witness: int
+    analysis: EpiAnalysis = field(compare=False)
 
 
 def refute_epic(algebra: FiniteAlgebra, members: Iterable[int]) -> EpiCertificate:
@@ -546,7 +547,9 @@ def refute_epic(algebra: FiniteAlgebra, members: Iterable[int]) -> EpiCertificat
     )
     if not ok:
         raise VerificationFailure("certificate construction failed its checks")
-    return EpiCertificate(target=quot, first_map=g, second_map=h, witness=witness)
+    return EpiCertificate(
+        target=quot, first_map=g, second_map=h, witness=witness, analysis=analysis
+    )
 
 
 def verify_certificate(cert: EpiCertificate, members: Iterable[int]) -> bool:

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from srlkit import cli
 from srlkit.cli import main
 from srlkit.documents import load
+from srlkit.errors import VerificationFailure
 
 
 def run(capsys, *argv):
@@ -43,6 +45,25 @@ def test_check_invalid_document(tmp_path, capsys):
 def test_check_missing_file(capsys):
     code, report = run_json(capsys, "check", "/nonexistent/file.json")
     assert code == 2
+
+
+def test_unreadable_input_is_an_input_error(tmp_path, capsys):
+    code, report = run_json(capsys, "depth", str(tmp_path))
+    assert code == 2 and report["kind"] == "IsADirectoryError"
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    def fail(algebra):
+        raise VerificationFailure("depth self-check failed")
+
+    monkeypatch.setattr(cli, "depth", fail)
+    code, report = run_json(capsys, "depth", "catalog:c4")
+    assert code == 3
+    assert report == {
+        "command": "depth",
+        "error": "depth self-check failed",
+        "kind": "VerificationFailure",
+    }
 
 
 def test_depth_c4(capsys):
