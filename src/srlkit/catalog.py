@@ -2,16 +2,18 @@
 
 The crystal lattice's fusion table was completed once by constraint search
 from its defining labels (the two self-negating incomparable elements whose
-product is the top) and frozen here; `crystal_completion_search` re-runs the
-search and is kept as the test oracle for uniqueness.
+product is the top) and frozen here; `crystal_completion_search` recovers it
+by filtering the enumerator's fusion-table search on the crystal lattice, and
+is kept as the test oracle for uniqueness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from .core import FiniteAlgebra, classify, validate
+from .enumeration import _fusion_search
 from .errors import BadParams, UnknownName
 
 
@@ -102,77 +104,27 @@ def crystal() -> FiniteAlgebra:
 
 
 def crystal_completion_search() -> list[tuple[tuple[int, ...], ...]]:
-    """Constraint search for every fusion table on the crystal order that,
-    with the fixed involution and labels a*a = a, b*b = b, a*b = top, yields
-    a valid De Morgan monoid.  The completion is unique; kept as the oracle
-    for the frozen table."""
+    """Every fusion table on the crystal order that, with the fixed involution
+    and labels a*a = a, b*b = b, a*b = top, yields a valid De Morgan monoid.
+    The completion is unique; kept as the oracle for the frozen table.
+
+    Every such table satisfies the constraints `_fusion_search` imposes
+    (residuation makes bottom absorbing, and square-increasing plus
+    subidempotent makes the cone below e idempotent), so filtering its
+    output loses none."""
     rng = range(6)
-    meet = _CRYSTAL_MEET
+    leq = lambda x, y: _CRYSTAL_MEET[x][y] == x
     neg = _CRYSTAL_NEG
-    leq = lambda x, y: meet[x][y] == x
-    e = 1
-
-    fixed: dict[tuple[int, int], int] = {}
-    for x in rng:
-        fixed[(e, x)] = x
-        fixed[(x, e)] = x
-    for (x, y, v) in ((2, 2, 2), (3, 3, 3), (2, 3, 5), (3, 2, 5)):
-        fixed[(x, y)] = v
-
-    free_cells = sorted(
-        {(min(x, y), max(x, y)) for x in rng for y in rng if (x, y) not in fixed}
-    )
-    table: list[list[Optional[int]]] = [[None] * 6 for _ in rng]
-    for (x, y), v in fixed.items():
-        table[x][y] = v
     results = []
-
-    def consistent() -> bool:
-        for x in rng:
-            for y in rng:
-                v = table[x][y]
-                if v is None:
-                    continue
-                # square-increasing diagonal
-                if x == y and not leq(x, v):
-                    return False
-                # isotone against every assigned comparable cell
-                for z in rng:
-                    w = table[x][z]
-                    if w is None:
-                        continue
-                    if leq(z, y) and not leq(w, v):
-                        return False
-                    if leq(y, z) and not leq(v, w):
-                        return False
-                # associativity on fully assigned triples
-                for z in rng:
-                    if table[v][z] is not None and table[y][z] is not None:
-                        inner = table[y][z]
-                        if table[x][inner] is not None and table[v][z] != table[x][inner]:
-                            return False
-        return True
-
-    def fill(idx: int) -> None:
-        if idx == len(free_cells):
-            fusion = tuple(tuple(row) for row in table)
-            residual = tuple(
-                tuple(neg[fusion[a][neg[b]]] for b in rng) for a in rng
-            )
-            candidate = FiniteAlgebra.build(
-                6, meet, _CRYSTAL_JOIN, fusion, residual, e, neg=neg
-            )
-            if validate(candidate).ok and classify(candidate).de_morgan_monoid:
-                results.append(fusion)
-            return
-        x, y = free_cells[idx]
-        for v in rng:
-            table[x][y] = table[y][x] = v
-            if consistent():
-                fill(idx + 1)
-        table[x][y] = table[y][x] = None
-
-    fill(0)
+    for fusion in _fusion_search(_CRYSTAL_MEET, _CRYSTAL_JOIN, leq, 6, 1):
+        if (fusion[2][2], fusion[3][3], fusion[2][3]) != (2, 3, 5):
+            continue
+        residual = [[neg[fusion[a][neg[b]]] for b in rng] for a in rng]
+        candidate = FiniteAlgebra.build(
+            6, _CRYSTAL_MEET, _CRYSTAL_JOIN, fusion, residual, 1, neg=neg
+        )
+        if validate(candidate).ok and classify(candidate).de_morgan_monoid:
+            results.append(fusion)
     return results
 
 
@@ -220,46 +172,16 @@ class CatalogEntry:
     name: str
     arity: int                       # number of integer parameters
     constructor: Callable[..., FiniteAlgebra]
-    expected_flags: Callable[..., dict[str, bool]]
-    expected_depth: Callable[..., int]
 
 
 CATALOG: dict[str, CatalogEntry] = {
-    "trivial": CatalogEntry(
-        "trivial", 0, trivial,
-        lambda: {"brouwerian": True, "idempotent": True, "dunn_monoid": True},
-        lambda: 0,
-    ),
-    "brouwerian_chain": CatalogEntry(
-        "brouwerian_chain", 1, brouwerian_chain,
-        lambda n: {"brouwerian": True, "idempotent": True, "distributive": True},
-        lambda n: n - 1,
-    ),
-    "brouwerian_diamond": CatalogEntry(
-        "brouwerian_diamond", 0, brouwerian_diamond,
-        lambda: {"brouwerian": True, "distributive": True},
-        lambda: 1,
-    ),
-    "c4": CatalogEntry(
-        "c4", 0, c4,
-        lambda: {"de_morgan_monoid": True, "idempotent": False, "integral": False},
-        lambda: 1,
-    ),
-    "crystal": CatalogEntry(
-        "crystal", 0, crystal,
-        lambda: {"de_morgan_monoid": True, "idempotent": False, "sugihara_monoid": False},
-        lambda: 1,
-    ),
-    "sugihara": CatalogEntry(
-        "sugihara", 1, sugihara,
-        lambda n: {"sugihara_monoid": True, "de_morgan_monoid": True, "idempotent": True},
-        lambda n: n // 2,
-    ),
-    "heyting_chain": CatalogEntry(
-        "heyting_chain", 1, heyting_chain,
-        lambda n: {"heyting": True, "brouwerian": True},
-        lambda n: n - 1,
-    ),
+    "trivial": CatalogEntry("trivial", 0, trivial),
+    "brouwerian_chain": CatalogEntry("brouwerian_chain", 1, brouwerian_chain),
+    "brouwerian_diamond": CatalogEntry("brouwerian_diamond", 0, brouwerian_diamond),
+    "c4": CatalogEntry("c4", 0, c4),
+    "crystal": CatalogEntry("crystal", 0, crystal),
+    "sugihara": CatalogEntry("sugihara", 1, sugihara),
+    "heyting_chain": CatalogEntry("heyting_chain", 1, heyting_chain),
 }
 
 

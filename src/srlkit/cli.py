@@ -43,16 +43,23 @@ from .varieties import (
     refute_epic,
 )
 
-_CATALOG_URI = re.compile(r"^catalog:([a-z_0-9]+)(?:\((\d+)\))?$")
+_CATALOG_NAME = re.compile(r"(?:catalog:)?([a-z_0-9]+)(?:\((\d+)\))?")
+
+
+def _catalog_algebra(name: str) -> FiniteAlgebra:
+    """The catalog algebra `name` or `name(n)`, with or without the
+    `catalog:` prefix."""
+    m = _CATALOG_NAME.fullmatch(name)
+    if m is None:
+        raise UnknownName(f"cannot parse catalog name {name!r}")
+    params = () if m.group(2) is None else (int(m.group(2)),)
+    return catalog_mod.builtin(m.group(1), *params)
 
 
 def _resolve(token: str) -> FiniteAlgebra:
     """A `catalog:` URI or a document path."""
-    m = _CATALOG_URI.match(token)
-    if m:
-        name, arg = m.group(1), m.group(2)
-        params = () if arg is None else (int(arg),)
-        return catalog_mod.builtin(name, *params)
+    if token.startswith("catalog:"):
+        return _catalog_algebra(token)
     with open(token, "r", encoding="utf-8") as fh:
         return load(fh.read())
 
@@ -283,17 +290,7 @@ def _cmd_enumerate(args, started) -> int:
 
 
 def _cmd_catalog(args, started) -> int:
-    m = _CATALOG_URI.match(args.name)
-    if m:
-        name, arg = m.group(1), m.group(2)
-        params = () if arg is None else (int(arg),)
-    else:
-        inner = re.fullmatch(r"([a-z_0-9]+)(?:\((\d+)\))?", args.name)
-        if inner is None:
-            raise UnknownName(f"cannot parse catalog name {args.name!r}")
-        name, arg = inner.group(1), inner.group(2)
-        params = () if arg is None else (int(arg),)
-    sys.stdout.write(save(catalog_mod.builtin(name, *params)))
+    sys.stdout.write(save(_catalog_algebra(args.name)))
     return 0
 
 
@@ -301,14 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="srlkit",
         description="Finite-model workbench for subidempotent residuated lattices.",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="upper bound on worker parallelism; the current engine is "
-        "sequential, so any value >= 1 is honored",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -385,10 +374,7 @@ _INPUT_ERRORS = (
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("--jobs must be at least 1")
+    args = build_parser().parse_args(argv)
     started = time.time()
     try:
         return args.func(args, started)

@@ -78,19 +78,6 @@ class FiniteAlgebra:
         """The negative cone carrier: all elements <= e, ascending."""
         return tuple(a for a in self.elements if self.leq(a, self.e))
 
-    def greatest(self) -> Optional[int]:
-        """The greatest element, if one exists."""
-        for a in self.elements:
-            if all(self.leq(b, a) for b in self.elements):
-                return a
-        return None
-
-    def least(self) -> Optional[int]:
-        for a in self.elements:
-            if all(self.leq(a, b) for b in self.elements):
-                return a
-        return None
-
     def top(self) -> int:
         """In bounded mode the greatest element is bottom -> bottom; it is
         computed, never stored."""
@@ -182,6 +169,13 @@ class Homomorphism:
 
     def image(self) -> frozenset[int]:
         return frozenset(self.mapping)
+
+
+def _covers(leq: Callable[[int, int], bool], elements: Iterable[int], a: int, b: int) -> bool:
+    """b covers a under `leq`: a < b with no element strictly between."""
+    return a != b and leq(a, b) and not any(
+        z != a and z != b and leq(a, z) and leq(z, b) for z in elements
+    )
 
 
 def _check_shape(algebra: FiniteAlgebra) -> None:
@@ -526,6 +520,33 @@ def _partial_consistent(source, target, mapping) -> bool:
     return True
 
 
+def _map_search(source, target, pins, candidates, injective):
+    """Every map source -> target that sends each pinned element to its pin,
+    each other element a to a value in `candidates[a]` (no value used twice
+    when `injective`), and preserves every operation, in lexicographic order
+    by map array."""
+    mapping = [-1] * source.size
+    for k, v in pins.items():
+        mapping[k] = v
+
+    def extend(a: int):
+        while a < source.size and mapping[a] >= 0:
+            a += 1
+        if a == source.size:
+            yield Homomorphism(source, target, tuple(mapping))
+            return
+        for v in candidates[a]:
+            if injective and v in mapping:
+                continue
+            mapping[a] = v
+            if _partial_consistent(source, target, mapping):
+                yield from extend(a + 1)
+            mapping[a] = -1
+
+    if _partial_consistent(source, target, mapping):
+        yield from extend(0)
+
+
 def homomorphisms(
     source: FiniteAlgebra,
     target: FiniteAlgebra,
@@ -536,7 +557,6 @@ def homomorphisms(
     map array.  Backtracking prunes on every operation table."""
     if source.signature != target.signature:
         raise WrongSignature("homomorphism search requires a common signature")
-    mapping = [-1] * source.size
     pins = {source.e: target.e}
     if source.bottom is not None:
         pins[source.bottom] = target.bottom
@@ -547,30 +567,8 @@ def homomorphisms(
     for k, v in pins.items():
         if not (0 <= k < source.size and 0 <= v < target.size):
             return []
-        if mapping[k] not in (-1, v):
-            return []
-        mapping[k] = v
-    if not _partial_consistent(source, target, mapping):
-        return []
-
-    results: list[Homomorphism] = []
-
-    def extend(idx: int) -> None:
-        while idx < source.size and mapping[idx] >= 0:
-            idx += 1
-        if idx == source.size:
-            results.append(Homomorphism(source, target, tuple(mapping)))
-            return
-        for v in target.elements:
-            if injective and v in mapping:
-                continue
-            mapping[idx] = v
-            if _partial_consistent(source, target, mapping):
-                extend(idx + 1)
-            mapping[idx] = -1
-
-    extend(0)
-    return results
+    candidates = [target.elements] * source.size
+    return list(_map_search(source, target, pins, candidates, injective))
 
 
 def _iso_invariant(algebra: FiniteAlgebra, a: int) -> tuple:
@@ -600,30 +598,11 @@ def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra) -> Optional[Homomorphis
     inv_b = [_iso_invariant(b, x) for x in b.elements]
     if sorted(inv_a) != sorted(inv_b):
         return None
-    mapping = [-1] * a.size
-    mapping[a.e] = b.e
+    pins = {a.e: b.e}
     if a.bottom is not None:
-        mapping[a.bottom] = b.bottom
-    if not _partial_consistent(a, b, mapping):
-        return None
-
-    def extend(idx: int) -> Optional[Homomorphism]:
-        while idx < a.size and mapping[idx] >= 0:
-            idx += 1
-        if idx == a.size:
-            return Homomorphism(a, b, tuple(mapping))
-        for v in b.elements:
-            if v in mapping or inv_a[idx] != inv_b[v]:
-                continue
-            mapping[idx] = v
-            if _partial_consistent(a, b, mapping):
-                found = extend(idx + 1)
-                if found is not None:
-                    return found
-            mapping[idx] = -1
-        return None
-
-    return extend(0)
+        pins[a.bottom] = b.bottom
+    candidates = [[v for v in b.elements if inv_b[v] == inv_a[x]] for x in a.elements]
+    return next(_map_search(a, b, pins, candidates, injective=True), None)
 
 
 def is_subuniverse(algebra: FiniteAlgebra, members: Iterable[int]) -> bool:

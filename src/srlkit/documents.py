@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import json
 
-from .core import AxiomReport, AxiomVerdict, FiniteAlgebra, residual_from_fusion, validate
+from .core import (
+    AxiomReport, AxiomVerdict, FiniteAlgebra, _covers, residual_from_fusion, validate,
+)
 from .errors import MalformedTable, NotResiduated, ParseError, ValidationError
 
 
@@ -95,18 +97,6 @@ def load(text: str) -> FiniteAlgebra:
     return algebra
 
 
-def _cover_pairs(size: int, leq) -> list[tuple[int, int]]:
-    covers = []
-    for a in range(size):
-        for b in range(size):
-            if a == b or not leq(a, b):
-                continue
-            if any(z not in (a, b) and leq(a, z) and leq(z, b) for z in range(size)):
-                continue
-            covers.append((a, b))
-    return covers
-
-
 def export_dot(obj) -> str:
     """Deterministic Hasse-diagram text (cover edges only) for an algebra's
     order or a poset.  Node labels carry the distinguished elements."""
@@ -134,7 +124,9 @@ def export_dot(obj) -> str:
             lines.append(f'  n{a} [label="{a}{tag}"];')
     else:
         raise TypeError(f"cannot export {type(obj).__name__}")
-    for a, b in _cover_pairs(size, leq):
-        lines.append(f"  n{a} -> n{b};")
+    for a in range(size):
+        for b in range(size):
+            if _covers(leq, range(size), a, b):
+                lines.append(f"  n{a} -> n{b};")
     lines.append("}")
     return "\n".join(lines) + "\n"

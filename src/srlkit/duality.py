@@ -43,49 +43,6 @@ class PointedPoset:
     leq: tuple[tuple[bool, ...], ...]
     top: Optional[int] = None
 
-    def covers(self, a: int, b: int) -> bool:
-        """b covers a."""
-        if a == b or not self.leq[a][b]:
-            return False
-        return not any(
-            z != a and z != b and self.leq[a][z] and self.leq[z][b]
-            for z in range(self.size)
-        )
-
-    def up_set(self, members) -> bool:
-        mask = frozenset(members)
-        return all(
-            b in mask
-            for a in mask
-            for b in range(self.size)
-            if self.leq[a][b]
-        )
-
-
-def check_poset(poset: PointedPoset) -> None:
-    """Reflexive, antisymmetric, transitive; pointed top greatest if set."""
-    n = poset.size
-    leq = poset.leq
-    for a in range(n):
-        if not leq[a][a]:
-            raise VerificationFailure(f"not reflexive at {a}")
-        for b in range(n):
-            if a != b and leq[a][b] and leq[b][a]:
-                raise VerificationFailure(f"not antisymmetric at ({a}, {b})")
-            for c in range(n):
-                if leq[a][b] and leq[b][c] and not leq[a][c]:
-                    raise VerificationFailure(f"not transitive at ({a}, {b}, {c})")
-    if poset.top is not None and not all(leq[a][poset.top] for a in range(n)):
-        raise VerificationFailure("designated point is not greatest")
-
-
-def poset_from_pairs(size: int, pairs, top: Optional[int] = None) -> PointedPoset:
-    rel = frozenset(pairs)
-    leq = tuple(
-        tuple(a == b or (a, b) in rel for b in range(size)) for a in range(size)
-    )
-    return PointedPoset(size, leq, top)
-
 
 def all_up_sets(poset: PointedPoset, include_empty: bool) -> list[frozenset[int]]:
     """All up-sets, ordered by subset bitmask (deterministic)."""

@@ -15,7 +15,9 @@ import itertools
 from functools import lru_cache
 from typing import Iterable, Optional
 
-from .core import FiniteAlgebra, Signature, closed_sets, residual_from_fusion, validate
+from .core import (
+    FiniteAlgebra, Signature, _iso_invariant, closed_sets, residual_from_fusion, validate,
+)
 from .errors import BoundExceeded, NotResiduated
 
 DEFAULT_ENUMERATION_BOUND = 6
@@ -125,16 +127,6 @@ def enumerate_posets(size: int, down_set_cap: Optional[int] = None) -> tuple[Leq
     return tuple(seen[k] for k in sorted(seen))
 
 
-def posets_with_top(size: int) -> tuple[LeqMatrix, ...]:
-    """Posets with a greatest element; every one is a smaller poset plus a
-    new top."""
-    return tuple(
-        leq
-        for leq in enumerate_posets(size)
-        if any(all(leq[a][t] for a in range(size)) for t in range(size))
-    )
-
-
 def is_lattice(leq: LeqMatrix) -> bool:
     n = len(leq)
     for a in range(n):
@@ -175,30 +167,11 @@ def _lattice_tables(leq: LeqMatrix) -> tuple[tuple, tuple]:
 # canonical forms for algebras
 
 
-def _algebra_invariants(algebra: FiniteAlgebra) -> list:
-    n = algebra.size
-    inv = []
-    for a in range(n):
-        below = sum(algebra.leq(b, a) for b in range(n))
-        above = sum(algebra.leq(a, b) for b in range(n))
-        inv.append(
-            (
-                a == algebra.e,
-                algebra.bottom is not None and a == algebra.bottom,
-                below,
-                above,
-                algebra.fusion[a][a] == a,
-                algebra.neg is not None and algebra.neg[a] == a,
-            )
-        )
-    return inv
-
-
 def canonical_form(algebra: FiniteAlgebra) -> tuple:
     """A permutation-invariant key: isomorphic algebras of the same
     signature get equal keys, non-isomorphic ones distinct keys."""
     n = algebra.size
-    inv = _algebra_invariants(algebra)
+    inv = [_iso_invariant(algebra, a) for a in algebra.elements]
     tables = [algebra.meet, algebra.join, algebra.fusion, algebra.residual]
 
     def key_of(perm: tuple[int, ...]) -> tuple:

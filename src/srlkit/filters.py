@@ -144,15 +144,6 @@ def prime_deductive_filters(algebra: FiniteAlgebra, mode: str) -> list[Deductive
     return primes
 
 
-def lattice_filters(algebra: FiniteAlgebra) -> list[frozenset[int]]:
-    """All filters of the lattice reduct (principal up-sets), deterministic."""
-    out = []
-    for c in algebra.elements:
-        out.append(frozenset(b for b in algebra.elements if algebra.leq(c, b)))
-    out.sort(key=sorted)
-    return out
-
-
 def leibniz_congruence(flt: DeductiveFilter) -> Congruence:
     """The congruence identifying a and b exactly when (a->b) meet (b->a)
     lies in the filter."""

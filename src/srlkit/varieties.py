@@ -26,6 +26,7 @@ from .cones import (
 from .core import (
     FiniteAlgebra,
     Homomorphism,
+    _covers,
     brouwerian_reduct,
     compose,
     find_isomorphism,
@@ -337,8 +338,7 @@ def epi_analysis(algebra: FiniteAlgebra, members: Iterable[int]) -> EpiAnalysis:
         e_q = quot.e
         if u == e_q or not quot.leq(u, e_q):
             raise VerificationFailure("missing element is not strictly below the identity")
-        if any(z != u and z != e_q and quot.leq(u, z) and quot.leq(z, e_q)
-               for z in quot.elements):
+        if not _covers(quot.leq, quot.elements, u, e_q):
             raise VerificationFailure("missing element is not covered by the identity")
 
     _verify_retract_square(
@@ -475,8 +475,7 @@ def separating_retraction(
     e = algebra.e
     if coatom == e or not algebra.leq(coatom, e):
         raise HypothesesNotMet("distinguished element is not strictly below the identity")
-    if any(z != coatom and z != e and algebra.leq(coatom, z) and algebra.leq(z, e)
-           for z in algebra.elements):
+    if not _covers(algebra.leq, algebra.elements, coatom, e):
         raise HypothesesNotMet("distinguished element is not covered by the identity")
     sub_neg = frozenset(x for x in sub_mask if algebra.leq(x, e))
     if subuniverse_closure(algebra, sub_neg) != sub_mask:

@@ -1,11 +1,17 @@
 """Brute-force reference implementations that the library's fast paths are
-checked against.  Each tests every subset of the carrier by bitmask, so the
-results come out in bitmask order by construction."""
+checked against, and helpers that only tests use.  Each scan tests every
+subset of the carrier by bitmask, so its results come out in bitmask order by
+construction."""
 
 from __future__ import annotations
 
+import random
+from typing import Optional
+
 from srlkit.core import FiniteAlgebra, is_subuniverse
 from srlkit.duality import PointedPoset
+from srlkit.enumeration import LeqMatrix, enumerate_posets
+from srlkit.errors import VerificationFailure
 
 
 def scan_subuniverses(algebra: FiniteAlgebra) -> list[frozenset[int]]:
@@ -29,7 +35,7 @@ def scan_up_sets(poset: PointedPoset, include_empty: bool) -> list[frozenset[int
         members = frozenset(a for a in range(n) if mask >> a & 1)
         if not members and not include_empty:
             continue
-        if poset.up_set(members):
+        if is_up_set(poset, members):
             out.append(members)
     return out
 
@@ -44,3 +50,96 @@ def scan_down_sets(leq) -> list[frozenset[int]]:
         if all(leq[b][a] <= (b in members) for a in members for b in range(n)):
             out.append(members)
     return out
+
+
+def is_up_set(poset: PointedPoset, members) -> bool:
+    mask = frozenset(members)
+    return all(
+        b in mask
+        for a in mask
+        for b in range(poset.size)
+        if poset.leq[a][b]
+    )
+
+
+def check_poset(poset: PointedPoset) -> None:
+    """Reflexive, antisymmetric, transitive; pointed top greatest if set."""
+    n = poset.size
+    leq = poset.leq
+    for a in range(n):
+        if not leq[a][a]:
+            raise VerificationFailure(f"not reflexive at {a}")
+        for b in range(n):
+            if a != b and leq[a][b] and leq[b][a]:
+                raise VerificationFailure(f"not antisymmetric at ({a}, {b})")
+            for c in range(n):
+                if leq[a][b] and leq[b][c] and not leq[a][c]:
+                    raise VerificationFailure(f"not transitive at ({a}, {b}, {c})")
+    if poset.top is not None and not all(leq[a][poset.top] for a in range(n)):
+        raise VerificationFailure("designated point is not greatest")
+
+
+def poset_from_pairs(size: int, pairs, top: Optional[int] = None) -> PointedPoset:
+    rel = frozenset(pairs)
+    leq = tuple(
+        tuple(a == b or (a, b) in rel for b in range(size)) for a in range(size)
+    )
+    return PointedPoset(size, leq, top)
+
+
+def posets_with_top(size: int) -> tuple[LeqMatrix, ...]:
+    """Posets with a greatest element; every one is a smaller poset plus a
+    new top."""
+    return tuple(
+        leq
+        for leq in enumerate_posets(size)
+        if any(all(leq[a][t] for a in range(size)) for t in range(size))
+    )
+
+
+def lattice_filters(algebra: FiniteAlgebra) -> list[frozenset[int]]:
+    """All filters of the lattice reduct (principal up-sets), deterministic."""
+    out = []
+    for c in algebra.elements:
+        out.append(frozenset(b for b in algebra.elements if algebra.leq(c, b)))
+    out.sort(key=sorted)
+    return out
+
+
+def greatest(algebra: FiniteAlgebra) -> Optional[int]:
+    """The greatest element, if one exists."""
+    for a in algebra.elements:
+        if all(algebra.leq(b, a) for b in algebra.elements):
+            return a
+    return None
+
+
+def least(algebra: FiniteAlgebra) -> Optional[int]:
+    for a in algebra.elements:
+        if all(algebra.leq(a, b) for b in algebra.elements):
+            return a
+    return None
+
+
+def relabel(algebra: FiniteAlgebra, rng: random.Random) -> FiniteAlgebra:
+    """The algebra carried over a random permutation of its carrier."""
+    n = algebra.size
+    perm = list(range(n))
+    rng.shuffle(perm)
+    inv = [0] * n
+    for a, b in enumerate(perm):
+        inv[b] = a
+    table = lambda t: tuple(
+        tuple(perm[t[inv[x]][inv[y]]] for y in range(n)) for x in range(n)
+    )
+    return FiniteAlgebra(
+        size=n,
+        meet=table(algebra.meet),
+        join=table(algebra.join),
+        fusion=table(algebra.fusion),
+        residual=table(algebra.residual),
+        e=perm[algebra.e],
+        neg=None if algebra.neg is None else tuple(perm[algebra.neg[inv[x]]] for x in range(n)),
+        bottom=None if algebra.bottom is None else perm[algebra.bottom],
+        signature=algebra.signature,
+    )

@@ -9,12 +9,13 @@ and criterion 8 sweeps pairs over algebras to size 6.
 import time
 
 import pytest
+from oracles import posets_with_top
 
 from srlkit.catalog import c4, crystal, trivial
 from srlkit.cones import all_subuniverses, is_negatively_generated
 from srlkit.core import classify, derived_laws, find_isomorphism, subalgebra, validate
 from srlkit.duality import PointedPoset, canonical_iso, depth, poset_round_trip
-from srlkit.enumeration import enumerate_models, posets_with_top
+from srlkit.enumeration import enumerate_models
 from srlkit.filters import (
     all_deductive_filters,
     enumerate_congruences_bruteforce,

@@ -1,7 +1,5 @@
 import json
 
-import pytest
-
 from srlkit import cli
 from srlkit.cli import main
 from srlkit.documents import load
@@ -237,16 +235,11 @@ def test_catalog_command_emits_loadable_document(capsys):
 def test_catalog_unknown(capsys):
     code, report = run_json(capsys, "catalog", "unknown_thing")
     assert code == 2 and report["kind"] == "UnknownName"
+    code, report = run_json(capsys, "depth", "catalog:Not-A-Name")
+    assert code == 2 and report["kind"] == "UnknownName"
 
 
 def test_reports_are_deterministic(capsys):
     _, first = run_json(capsys, "es-decide", "--variety", "catalog:crystal")
     _, second = run_json(capsys, "es-decide", "--variety", "catalog:crystal")
     assert strip_timings(first) == strip_timings(second)
-
-
-def test_jobs_flag(capsys):
-    code, report = run_json(capsys, "--jobs", "4", "depth", "catalog:c4")
-    assert code == 0 and report["depth"] == 1
-    with pytest.raises(SystemExit):
-        main(["--jobs", "0", "depth", "catalog:c4"])

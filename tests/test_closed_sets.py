@@ -1,37 +1,13 @@
 import random
 
-from oracles import scan_down_sets, scan_subuniverses, scan_up_sets
+from oracles import relabel, scan_down_sets, scan_subuniverses, scan_up_sets
 
 from srlkit.catalog import c4, crystal
 from srlkit.cones import all_subuniverses
-from srlkit.core import FiniteAlgebra, classify, closed_sets, direct_product
+from srlkit.core import classify, closed_sets, direct_product
 from srlkit.duality import all_up_sets, dual_space
 from srlkit.enumeration import _down_sets, enumerate_posets
 from srlkit.varieties import VarietySpec, decide_es
-
-
-def relabel(algebra: FiniteAlgebra, rng: random.Random) -> FiniteAlgebra:
-    """The algebra carried over a random permutation of its carrier."""
-    n = algebra.size
-    perm = list(range(n))
-    rng.shuffle(perm)
-    inv = [0] * n
-    for a, b in enumerate(perm):
-        inv[b] = a
-    table = lambda t: tuple(
-        tuple(perm[t[inv[x]][inv[y]]] for y in range(n)) for x in range(n)
-    )
-    return FiniteAlgebra(
-        size=n,
-        meet=table(algebra.meet),
-        join=table(algebra.join),
-        fusion=table(algebra.fusion),
-        residual=table(algebra.residual),
-        e=perm[algebra.e],
-        neg=None if algebra.neg is None else tuple(perm[algebra.neg[inv[x]]] for x in range(n)),
-        bottom=None if algebra.bottom is None else perm[algebra.bottom],
-        signature=algebra.signature,
-    )
 
 
 def test_closed_sets_of_a_chain_are_its_up_sets():

@@ -1,4 +1,5 @@
 import pytest
+from oracles import lattice_filters
 
 from srlkit.catalog import brouwerian_chain, c4, crystal, sugihara, trivial
 from srlkit.cones import (
@@ -19,7 +20,6 @@ from srlkit.errors import UnboundVariable
 from srlkit.filters import (
     all_deductive_filters,
     deductive_filter,
-    lattice_filters,
     quotient,
 )
 

@@ -1,6 +1,8 @@
 import itertools
+import random
 
 import pytest
+from oracles import greatest, least, relabel
 
 from srlkit.catalog import brouwerian_chain, c4, crystal, trivial
 from srlkit.core import (
@@ -276,6 +278,20 @@ def test_find_isomorphism_bruteforce_all_size5(srl5, sirl5, brouwerian6):
                     assert fast.mapping == slow
 
 
+def test_injective_search_and_relabelled_isomorphism(suite):
+    # the injective and the invariant-filtered searches share one driver with
+    # the plain homomorphism search; check both against it
+    from srlkit.cones import all_subuniverses
+
+    rng = random.Random(20190215)
+    for algebra in suite:
+        for mask in all_subuniverses(algebra):
+            sub, _ = subalgebra(algebra, mask)
+            injective = homomorphisms(sub, algebra, injective=True)
+            assert injective == [h for h in homomorphisms(sub, algebra) if h.is_injective]
+        assert find_isomorphism(algebra, relabel(algebra, rng)) is not None
+
+
 def test_subalgebra_restriction_roundtrip():
     algebra = crystal()
     sub, inclusion = subalgebra(algebra, [0, 1, 4, 5])
@@ -298,13 +314,13 @@ def test_distinguished_element_accessors():
 
     algebra = c4()
     assert algebra.f() == 2
-    assert algebra.greatest() == 3 and algebra.least() == 0
+    assert greatest(algebra) == 3 and least(algebra) == 0
     with pytest.raises(WrongSignature):
         algebra.top()  # no marked bottom in this signature
     bounded = heyting_chain(4)
     assert bounded.top() == 3  # computed from the marked bottom, not stored
     with pytest.raises(WrongSignature):
         bounded.f()
-    assert crystal().greatest() == 5
+    assert greatest(crystal()) == 5
     square = direct_product(brouwerian_chain(2), brouwerian_chain(2))
-    assert square.greatest() == 3 and square.least() == 0
+    assert greatest(square) == 3 and least(square) == 0

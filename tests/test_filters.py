@@ -1,4 +1,5 @@
 import pytest
+from oracles import lattice_filters
 
 from srlkit.catalog import brouwerian_chain, brouwerian_diamond, c4, trivial
 from srlkit.core import direct_product, find_isomorphism, is_homomorphism
@@ -14,7 +15,6 @@ from srlkit.filters import (
     is_deductive_filter,
     is_fsi,
     is_prime_filter,
-    lattice_filters,
     leibniz_congruence,
     prime_deductive_filters,
     quotient,
