@@ -19,7 +19,7 @@ from typing import Optional
 from . import catalog as catalog_mod
 from .core import FiniteAlgebra, classify, derived_laws, homomorphisms, validate
 from .documents import export_dot, load, save
-from .duality import canonical_iso, depth, dual_space
+from .duality import _prime_space, canonical_iso, depth
 from .enumeration import enumerate_models
 from .errors import (
     BadParams,
@@ -33,7 +33,7 @@ from .errors import (
     ValidationError,
     WrongSignature,
 )
-from .filters import all_deductive_filters, is_prime_filter, prime_deductive_filters
+from .filters import all_deductive_filters, is_prime_filter
 from .reflection import reflect
 from .varieties import (
     VarietySpec,
@@ -102,14 +102,13 @@ def _cmd_check(args, started) -> int:
 
 def _cmd_dual(args, started) -> int:
     algebra = _resolve(args.file)
-    space = dual_space(algebra, args.mode)
-    prime_members = [sorted(f.members) for f in prime_deductive_filters(algebra, args.mode)]
+    primes, space = _prime_space(algebra, args.mode)
     iso = canonical_iso(algebra, args.mode)
     out = {
         "command": "dual",
         "input": args.file,
         "mode": args.mode,
-        "points": prime_members,
+        "points": [sorted(f.members) for f in primes],
         "top": space.top,
         "verdicts": {"round_trip": iso.is_bijective},
     }

@@ -567,6 +567,8 @@ def homomorphisms(
     for k, v in pins.items():
         if not (0 <= k < source.size and 0 <= v < target.size):
             return []
+    if injective and len(set(pins.values())) < len(pins):
+        return []
     candidates = [target.elements] * source.size
     return list(_map_search(source, target, pins, candidates, injective))
 

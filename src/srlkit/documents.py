@@ -41,11 +41,20 @@ def save(algebra: FiniteAlgebra) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _integer(value, field: str) -> int:
+    """`value` when it is a JSON integer; anything else, booleans included,
+    is a ParseError naming the field."""
+    if type(value) is not int:
+        raise ParseError(f"{field} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def load(text: str) -> FiniteAlgebra:
     """Parse, derive a missing residual table, and validate.
 
-    Raises ParseError for structural problems and ValidationError (carrying
-    the axiom report) when the described algebra breaks an axiom.
+    Raises ParseError for structural problems, including a size, e, bottom,
+    neg entry or table entry that is not a JSON integer, and ValidationError
+    (carrying the axiom report) when the described algebra breaks an axiom.
     """
     try:
         doc = json.loads(text)
@@ -54,17 +63,26 @@ def load(text: str) -> FiniteAlgebra:
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object")
     try:
-        size = int(doc["size"])
-        e = int(doc["e"])
+        size = _integer(doc["size"], "size")
+        e = _integer(doc["e"], "e")
         tables = doc["tables"]
         meet = tables["meet"]
         join = tables["join"]
         fusion = tables["fusion"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"missing or malformed field: {exc}") from exc
     residual = tables.get("residual")
     neg = doc.get("neg")
     bottom = doc.get("bottom")
+    for label in ("meet", "join", "fusion", "residual"):
+        rows = tables.get(label)
+        for r, row in enumerate(rows if isinstance(rows, list) else ()):
+            for c, x in enumerate(row if isinstance(row, list) else ()):
+                _integer(x, f"tables.{label} row {r} column {c}")
+    for i, x in enumerate(neg if isinstance(neg, list) else ()):
+        _integer(x, f"neg entry {i}")
+    if bottom is not None:
+        _integer(bottom, "bottom")
     sig = doc.get("signature", {})
     if sig and (sig.get("involution", False) != (neg is not None)
                 or sig.get("bottom", False) != (bottom is not None)):

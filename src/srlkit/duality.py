@@ -94,25 +94,30 @@ def _require_mode(algebra: FiniteAlgebra, mode: str) -> None:
         raise NotBrouwerian("proper-mode duality needs a Heyting algebra")
 
 
-def dual_space(algebra: FiniteAlgebra, mode: str = "pointed") -> PointedPoset:
-    """The poset of prime filters under inclusion.  Point i is the i-th
-    entry of `prime_deductive_filters(algebra, mode)`; pointed mode includes
-    the improper filter as the designated top."""
+def _prime_space(
+    algebra: FiniteAlgebra, mode: str
+) -> tuple[list[DeductiveFilter], PointedPoset]:
+    """The prime filters and the poset they form under inclusion.  Point i
+    is the i-th entry of `prime_deductive_filters(algebra, mode)`; pointed
+    mode includes the improper filter as the designated top (proper mode
+    has no improper filter, and so no top)."""
     _require_mode(algebra, mode)
     primes = prime_deductive_filters(algebra, mode)
-    leq = tuple(
-        tuple(f.members <= g.members for g in primes) for f in primes
-    )
-    top = None
-    if mode == "pointed":
-        top = next(i for i, f in enumerate(primes) if f.is_improper)
-    return PointedPoset(len(primes), leq, top)
+    leq = tuple(tuple(f.members <= g.members for g in primes) for f in primes)
+    top = next((i for i, f in enumerate(primes) if f.is_improper), None)
+    return primes, PointedPoset(len(primes), leq, top)
 
 
-def dual_algebra(poset: PointedPoset, mode: str = "pointed") -> FiniteAlgebra:
-    """The algebra of up-sets: non-empty ones in pointed mode, all of them
-    (with empty as bottom) in proper mode.  The residual of U, V is the
-    complement of the down-set of U minus V."""
+def dual_space(algebra: FiniteAlgebra, mode: str = "pointed") -> PointedPoset:
+    """The poset of prime filters under inclusion."""
+    return _prime_space(algebra, mode)[1]
+
+
+def _up_set_algebra(
+    poset: PointedPoset, mode: str
+) -> tuple[FiniteAlgebra, dict[frozenset[int], int]]:
+    """`dual_algebra`, with the element index of each up-set (keys in
+    `all_up_sets` order)."""
     if mode not in ("pointed", "proper"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "pointed" and poset.top is None:
@@ -134,7 +139,7 @@ def dual_algebra(poset: PointedPoset, mode: str = "pointed") -> FiniteAlgebra:
     residual = tuple(
         tuple(index[arrow(ups[i], ups[j])] for j in range(k)) for i in range(k)
     )
-    return FiniteAlgebra(
+    algebra = FiniteAlgebra(
         size=k,
         meet=meet,
         join=join,
@@ -145,19 +150,23 @@ def dual_algebra(poset: PointedPoset, mode: str = "pointed") -> FiniteAlgebra:
         bottom=index[frozenset()] if mode == "proper" else None,
         signature=Signature(False, mode == "proper"),
     )
+    return algebra, index
+
+
+def dual_algebra(poset: PointedPoset, mode: str = "pointed") -> FiniteAlgebra:
+    """The algebra of up-sets: non-empty ones in pointed mode, all of them
+    (with empty as bottom) in proper mode.  The residual of U, V is the
+    complement of the down-set of U minus V."""
+    return _up_set_algebra(poset, mode)[0]
 
 
 def canonical_iso(algebra: FiniteAlgebra, mode: str = "pointed") -> Homomorphism:
     """The map sending a to the set of prime filters containing it, verified
     to be an isomorphism onto the double dual."""
-    _require_mode(algebra, mode)
+    primes, space = _prime_space(algebra, mode)
     if mode == "pointed" and algebra.signature.has_bottom:
         raise NotBrouwerian("pointed-mode round trip needs an unbounded algebra")
-    primes = prime_deductive_filters(algebra, mode)
-    space = dual_space(algebra, mode)
-    double = dual_algebra(space, mode)
-    ups = all_up_sets(space, include_empty=(mode == "proper"))
-    index = {u: i for i, u in enumerate(ups)}
+    double, index = _up_set_algebra(space, mode)
     mapping = []
     for a in algebra.elements:
         image = frozenset(i for i, f in enumerate(primes) if a in f.members)
@@ -173,8 +182,8 @@ def canonical_iso(algebra: FiniteAlgebra, mode: str = "pointed") -> Homomorphism
 def dualize_morphism(hom: Homomorphism, mode: str = "pointed") -> EsakiaMorphism:
     """The preimage map on prime filters, from the dual of the target to the
     dual of the source; verified to satisfy the morphism condition."""
-    source_primes = prime_deductive_filters(hom.source, mode)
-    target_primes = prime_deductive_filters(hom.target, mode)
+    source_primes, source_space = _prime_space(hom.source, mode)
+    target_primes, target_space = _prime_space(hom.target, mode)
     source_index = {f.members: i for i, f in enumerate(source_primes)}
     mapping = []
     for f in target_primes:
@@ -182,9 +191,7 @@ def dualize_morphism(hom: Homomorphism, mode: str = "pointed") -> EsakiaMorphism
         if preimage not in source_index:
             raise VerificationFailure("preimage of a prime filter is not prime")
         mapping.append(source_index[preimage])
-    morphism = EsakiaMorphism(
-        dual_space(hom.target, mode), dual_space(hom.source, mode), tuple(mapping)
-    )
+    morphism = EsakiaMorphism(target_space, source_space, tuple(mapping))
     if not is_esakia_morphism(
         morphism.source, morphism.target, morphism.mapping, pointed=(mode == "pointed")
     ):
@@ -217,26 +224,20 @@ def e_subspace(
     subspace inclusion equals the isomorphism after the quotient map) is
     always verified; when `chain_filter` extends `flt`, the tower square for
     the two quotients is verified as well."""
-    if classify(algebra).heyting:
+    # only a bounded algebra can be Heyting; `_prime_space` classifies the rest
+    if algebra.signature.has_bottom and classify(algebra).heyting:
         raise NotBrouwerian(
             "e_subspace works in pointed mode; pass the unbounded reduct"
         )
-    _require_mode(algebra, "pointed")
+    primes, space = _prime_space(algebra, "pointed")
     if not is_deductive_filter(algebra, flt.members):
         raise NotAFilter("e_subspace needs a deductive filter")
-    primes = prime_deductive_filters(algebra, "pointed")
     parent_ids = tuple(
         i for i, f in enumerate(primes) if flt.members <= f.members
     )
     local = {p: i for i, p in enumerate(parent_ids)}
-    leq = tuple(
-        tuple(primes[p].members <= primes[q].members for q in parent_ids)
-        for p in parent_ids
-    )
-    top = next(
-        i for i, p in enumerate(parent_ids) if primes[p].is_improper
-    )
-    sub_poset = PointedPoset(len(parent_ids), leq, top)
+    leq = tuple(tuple(space.leq[p][q] for q in parent_ids) for p in parent_ids)
+    sub_poset = PointedPoset(len(parent_ids), leq, local[space.top])
 
     q_algebra, q_map = quotient(algebra, flt)
     point_sets = []
@@ -246,15 +247,13 @@ def e_subspace(
             frozenset(p for p in parent_ids if a in primes[p].members)
         )
 
-    ups = all_up_sets(sub_poset, include_empty=False)
-    index = {u: i for i, u in enumerate(ups)}
+    upset_algebra, index = _up_set_algebra(sub_poset, "pointed")
     mapping = []
     for cls in q_algebra.elements:
         local_set = frozenset(local[p] for p in point_sets[cls])
         if local_set not in index:
             raise VerificationFailure("quotient image is not a non-empty up-set")
         mapping.append(index[local_set])
-    upset_algebra = dual_algebra(sub_poset, "pointed")
     iso = Homomorphism(q_algebra, upset_algebra, tuple(mapping))
     if not (iso.is_bijective and is_homomorphism(q_algebra, upset_algebra, iso.mapping)):
         raise VerificationFailure("subspace map is not an isomorphism")
@@ -274,10 +273,9 @@ def e_subspace(
             raise NotAFilter("tower verification needs a filter extending the first")
         upper = e_subspace(algebra, chain_filter)
         upper_set = frozenset(upper.points)
-        g_algebra, g_map = quotient(algebra, chain_filter)
         for a in algebra.elements:
             lower_image = point_sets[q_map.mapping[a]]
-            upper_image = upper.point_sets[g_map.mapping[a]]
+            upper_image = upper.point_sets[upper.quotient_map.mapping[a]]
             if lower_image & upper_set != upper_image:
                 raise VerificationFailure("tower square does not commute")
 
@@ -291,10 +289,9 @@ def e_subspace(
     )
 
 
-def depth_of_point(poset: PointedPoset, x: int) -> int:
-    """Longest chain from x up to the designated top, counted in steps."""
-    if poset.top is None:
-        raise NoTop("point depth needs a designated top")
+def _point_depths(poset: PointedPoset) -> list[int]:
+    """The longest chain up from each point: counted in steps to the top
+    when the poset has a designated one, in points when it has none."""
     memo: dict[int, int] = {}
 
     def rec(a: int) -> int:
@@ -307,28 +304,21 @@ def depth_of_point(poset: PointedPoset, x: int) -> int:
             )
         return memo[a]
 
-    return rec(x)
+    return [rec(x) for x in range(poset.size)]
+
+
+def depth_of_point(poset: PointedPoset, x: int) -> int:
+    """Longest chain from x up to the designated top, counted in steps."""
+    if poset.top is None:
+        raise NoTop("point depth needs a designated top")
+    return _point_depths(poset)[x]
 
 
 def depth_of_poset(poset: PointedPoset) -> int:
     """With a top: longest chain to it in steps.  Without one (proper-mode
     spaces): longest chain counted in points, which keeps a bounded algebra
     and its unbounded reduct at the same depth."""
-    if poset.size == 0:
-        return 0
-    if poset.top is not None:
-        return max(depth_of_point(poset, x) for x in range(poset.size))
-    memo: dict[int, int] = {}
-
-    def chain_from(a: int) -> int:
-        if a not in memo:
-            memo[a] = 1 + max(
-                (chain_from(b) for b in range(poset.size) if b != a and poset.leq[a][b]),
-                default=0,
-            )
-        return memo[a]
-
-    return max(chain_from(x) for x in range(poset.size))
+    return max(_point_depths(poset), default=0)
 
 
 def depth(target, point: Optional[int] = None) -> int:
@@ -354,13 +344,12 @@ def poset_round_trip(poset: PointedPoset, mode: str = "pointed") -> tuple[int, .
     """Verify the point-side round trip: x maps to the set of up-sets
     containing it, which is a prime filter of the up-set algebra; the map is
     an order isomorphism onto the double dual's points."""
-    upset_algebra = dual_algebra(poset, mode)
-    ups = all_up_sets(poset, include_empty=(mode == "proper"))
-    primes = prime_deductive_filters(upset_algebra, mode)
+    upset_algebra, index = _up_set_algebra(poset, mode)
+    primes, double = _prime_space(upset_algebra, mode)
     prime_index = {f.members: i for i, f in enumerate(primes)}
     mapping = []
     for x in range(poset.size):
-        flt = frozenset(i for i, u in enumerate(ups) if x in u)
+        flt = frozenset(i for u, i in index.items() if x in u)
         if flt not in prime_index:
             raise VerificationFailure("point image is not a prime filter")
         mapping.append(prime_index[flt])
@@ -368,12 +357,8 @@ def poset_round_trip(poset: PointedPoset, mode: str = "pointed") -> tuple[int, .
         raise VerificationFailure("point round trip is not bijective")
     for x in range(poset.size):
         for y in range(poset.size):
-            le_points = poset.leq[x][y]
-            le_filters = primes[mapping[x]].members <= primes[mapping[y]].members
-            if le_points != le_filters:
+            if poset.leq[x][y] != double.leq[mapping[x]][mapping[y]]:
                 raise VerificationFailure("point round trip is not an order isomorphism")
-    if mode == "pointed" and poset.top is not None:
-        target_top = next(i for i, f in enumerate(primes) if f.is_improper)
-        if mapping[poset.top] != target_top:
-            raise VerificationFailure("point round trip moves the top")
+    if double.top is not None and mapping[poset.top] != double.top:
+        raise VerificationFailure("point round trip moves the top")
     return tuple(mapping)

@@ -12,12 +12,15 @@ table tuples over carrier permutations that respect order-rank invariants.
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from functools import lru_cache
 from typing import Iterable, Optional
 
 from .core import (
-    FiniteAlgebra, Signature, _iso_invariant, closed_sets, residual_from_fusion, validate,
+    FiniteAlgebra, Signature, _iso_invariant, brouwerian_reduct, closed_sets,
+    residual_from_fusion, validate,
 )
+from .duality import PointedPoset, dual_algebra
 from .errors import BoundExceeded, NotResiduated
 
 DEFAULT_ENUMERATION_BOUND = 6
@@ -201,25 +204,11 @@ def canonical_form(algebra: FiniteAlgebra) -> tuple:
 
 
 def _brouwerian_from_poset(leq: LeqMatrix, size_label: int) -> FiniteAlgebra:
-    n = len(leq)
-    downs = _down_sets(leq)
-    index = {d: i for i, d in enumerate(downs)}
-    k = len(downs)
-    full = frozenset(range(n))
-
-    def up_closure(s: frozenset[int]) -> frozenset[int]:
-        return frozenset(a for a in range(n) if any(leq[b][a] for b in s))
-
-    meet = tuple(tuple(index[downs[i] & downs[j]] for j in range(k)) for i in range(k))
-    join = tuple(tuple(index[downs[i] | downs[j]] for j in range(k)) for i in range(k))
-    residual = tuple(
-        tuple(index[full - up_closure(downs[i] - downs[j])] for j in range(k))
-        for i in range(k)
-    )
-    return FiniteAlgebra(
-        size=k, meet=meet, join=join, fusion=meet, residual=residual,
-        e=index[full], name=f"brouwerian#{size_label}",
-    )
+    """The down-set algebra of the poset: the up-set algebra of its
+    opposite, without the empty set's bottom marker."""
+    opposite = PointedPoset(len(leq), tuple(zip(*leq)))
+    algebra = brouwerian_reduct(dual_algebra(opposite, "proper"))
+    return replace(algebra, name=f"brouwerian#{size_label}")
 
 
 def _enumerate_brouwerian(max_size: int) -> list[FiniteAlgebra]:

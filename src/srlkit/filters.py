@@ -11,6 +11,7 @@ oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable
 
 from .core import FiniteAlgebra, Homomorphism, subalgebra
@@ -94,23 +95,12 @@ def deductive_filter(algebra: FiniteAlgebra, members: Iterable[int]) -> Deductiv
 
 
 def generated_filter(algebra: FiniteAlgebra, elements: Iterable[int]) -> DeductiveFilter:
-    """Smallest deductive filter containing the given set: fixpoint of
-    up-closure and binary meets over the set plus the identity."""
-    current = set(elements) | {algebra.e}
-    changed = True
-    while changed:
-        changed = False
-        for a in list(current):
-            for b in algebra.elements:
-                if algebra.leq(a, b) and b not in current:
-                    current.add(b)
-                    changed = True
-            for b in list(current):
-                m = algebra.meet[a][b]
-                if m not in current:
-                    current.add(m)
-                    changed = True
-    return DeductiveFilter(algebra, frozenset(current))
+    """Smallest deductive filter containing the given set: the principal
+    up-set of the meet of the set and the identity."""
+    least = reduce(lambda a, b: algebra.meet[a][b], elements, algebra.e)
+    return DeductiveFilter(
+        algebra, frozenset(b for b in algebra.elements if algebra.leq(least, b))
+    )
 
 
 def all_deductive_filters(algebra: FiniteAlgebra) -> list[DeductiveFilter]:

@@ -13,6 +13,7 @@ against the spectrum.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import permutations
 from typing import Iterable, Optional
 
 from .cones import (
@@ -37,7 +38,7 @@ from .core import (
     subalgebra,
     validate,
 )
-from .duality import depth, depth_of_point, dual_space, e_subspace
+from .duality import _point_depths, _prime_space, depth, e_subspace
 from .errors import (
     HypothesesNotMet,
     NotASubalgebra,
@@ -52,7 +53,6 @@ from .filters import (
     generated_filter,
     is_fsi,
     leibniz_congruence,
-    prime_deductive_filters,
     quotient,
     restrict_quotient_embedding,
 )
@@ -230,13 +230,13 @@ class EpiAnalysis:
 
 
 def _cone_prime_data(algebra: FiniteAlgebra):
-    """The unbounded cone, its carrier injection, and its prime filters as
-    sets of parent indices (in dual-space point order)."""
+    """The unbounded cone, its carrier injection, its prime filters as sets
+    of parent indices (in dual-space point order), and its dual space."""
     cone, carrier = negative_cone(algebra)
     cone = brouwerian_reduct(cone)
-    primes_local = prime_deductive_filters(cone, "pointed")
+    primes_local, space = _prime_space(cone, "pointed")
     primes = [frozenset(carrier[i] for i in f.members) for f in primes_local]
-    return cone, carrier, primes
+    return cone, carrier, primes, space
 
 
 def epi_analysis(algebra: FiniteAlgebra, members: Iterable[int]) -> EpiAnalysis:
@@ -253,43 +253,27 @@ def epi_analysis(algebra: FiniteAlgebra, members: Iterable[int]) -> EpiAnalysis:
         raise HypothesesNotMet("A is not FSI")
     if not is_negatively_generated(algebra):
         raise HypothesesNotMet("A is not negatively generated")
-    sub_alg, inclusion = subalgebra(algebra, sub_mask)
-    if not is_negatively_generated(sub_alg):
+    sub_neg = frozenset(x for x in algebra.below_e if x in sub_mask)
+    if subuniverse_closure(algebra, sub_neg) != sub_mask:
         raise HypothesesNotMet("B is not negatively generated")
 
-    cone, carrier, primes = _cone_prime_data(algebra)
+    cone, carrier, primes, space = _cone_prime_data(algebra)
     cone_local = {x: i for i, x in enumerate(carrier)}
-    space = dual_space(cone, "pointed")
-    depths = [depth_of_point(space, i) for i in range(space.size)]
-    sub_neg = frozenset(x for x in carrier if x in sub_mask)
+    depths = _point_depths(space)
 
-    collisions = tuple(
-        (primes[i], primes[j])
-        for i in range(len(primes))
-        for j in range(len(primes))
-        if i != j and primes[i] & sub_neg == primes[j] & sub_neg
-    )
+    traces = [p & sub_neg for p in primes]
+    pairs = [
+        (i, j) for i, j in permutations(range(len(primes)), 2) if traces[i] == traces[j]
+    ]
+    collisions = tuple((primes[i], primes[j]) for i, j in pairs)
     if not collisions:
         raise HypothesesNotMet("no colliding prime-filter pair (cones coincide)")
 
     def select(candidates: list[int]) -> int:
         return min(candidates, key=lambda i: (depths[i], tuple(sorted(primes[i]))))
 
-    participants = sorted(
-        {
-            i
-            for i in range(len(primes))
-            for j in range(len(primes))
-            if i != j and primes[i] & sub_neg == primes[j] & sub_neg
-        }
-    )
-    first_idx = select(participants)
-    partners = [
-        j
-        for j in range(len(primes))
-        if j != first_idx and primes[j] & sub_neg == primes[first_idx] & sub_neg
-    ]
-    second_idx = select(partners)
+    first_idx = select(sorted({i for i, _ in pairs}))
+    second_idx = select([j for i, j in pairs if i == first_idx])
     first, second = primes[first_idx], primes[second_idx]
 
     if first < second:
@@ -341,10 +325,7 @@ def epi_analysis(algebra: FiniteAlgebra, members: Iterable[int]) -> EpiAnalysis:
         if not _covers(quot.leq, quot.elements, u, e_q):
             raise VerificationFailure("missing element is not covered by the identity")
 
-    _verify_retract_square(
-        algebra, sub_mask, cone, carrier, cone_local, primes,
-        first, second, qe,
-    )
+    _verify_retract_square(cone, cone_local, traces, kernel, first, qe)
 
     return EpiAnalysis(
         algebra=algebra,
@@ -365,27 +346,40 @@ def epi_analysis(algebra: FiniteAlgebra, members: Iterable[int]) -> EpiAnalysis:
     )
 
 
-def _verify_retract_square(
-    algebra, sub_mask, cone, carrier, cone_local, primes, first, second, qe
-):
+def _identify_cones(quotient_map, cone_local, space, not_onto, not_hom):
+    """The map from the cone of `quotient_map`'s target onto the cone
+    quotient of `space`, sending u to the class of (a meet e) for any a in
+    u.  A map that is not a bijection raises `not_onto`, one that is not a
+    homomorphism `not_hom`.  Returns it, by cone element, with the cone's
+    carrier."""
+    source = quotient_map.source
+    q_cone, q_carrier = negative_cone(quotient_map.target)
+    q_cone = brouwerian_reduct(q_cone)
+    ident = {}
+    for u in q_carrier:
+        a = quotient_map.mapping.index(u)
+        m = source.meet[a][source.e]
+        ident[u] = space.quotient_map.mapping[cone_local[m]]
+    vec = [ident[u] for u in q_carrier]
+    if len(set(vec)) != len(vec) or set(vec) != set(range(space.quotient.size)):
+        raise VerificationFailure(not_onto)
+    if not is_homomorphism(q_cone, space.quotient, vec):
+        raise VerificationFailure(not_hom)
+    return ident, q_carrier
+
+
+def _verify_retract_square(cone, cone_local, traces, kernel, first, qe):
     """Compose the retract square elementwise: going through the subalgebra
     quotient, its cone quotient, and the subspace isomorphisms agrees with
     going through the full quotient."""
-    kernel = first & second
     kernel_local = frozenset(cone_local[x] for x in kernel)
     first_local = frozenset(cone_local[x] for x in first)
     sub_x = e_subspace(cone, DeductiveFilter(cone, kernel_local))
     sub_y = e_subspace(cone, DeductiveFilter(cone, first_local))
 
-    sub_alg, inclusion = qe.sub_algebra, qe.inclusion
-    b_cone, b_carrier = negative_cone(sub_alg)
-    b_cone = brouwerian_reduct(b_cone)
-    b_primes_local = prime_deductive_filters(b_cone, "pointed")
-    b_primes = [
-        frozenset(inclusion.mapping[b_carrier[i]] for i in f.members)
-        for f in b_primes_local
-    ]
-    sub_neg = frozenset(x for x in carrier if x in sub_mask)
+    inclusion = qe.inclusion
+    b_cone, b_carrier, b_primes_sub, _ = _cone_prime_data(qe.sub_algebra)
+    b_primes = [frozenset(inclusion.mapping[x] for x in p) for p in b_primes_sub]
     trace_local = frozenset(
         i for i, x in enumerate(b_carrier)
         if inclusion.mapping[x] in first
@@ -394,8 +388,7 @@ def _verify_retract_square(
 
     # i_* on dual points: intersect with the subalgebra's cone
     istar = []
-    for p in range(len(primes)):
-        image = primes[p] & sub_neg
+    for image in traces:
         matches = [i for i, bp in enumerate(b_primes) if bp == image]
         if len(matches) != 1:
             raise VerificationFailure("prime trace is not a unique prime of the subcone")
@@ -408,32 +401,17 @@ def _verify_retract_square(
         raise VerificationFailure("trace map is not a bijection on the subspace")
 
     # the two cone identifications on the quotient sides
-    q_cone, q_carrier = negative_cone(qe.quotient)
-    q_cone = brouwerian_reduct(q_cone)
-    i1 = {}
-    for u in q_carrier:
-        a = qe.quotient_map.mapping.index(u)
-        m = qe.quotient_map.source.meet[a][qe.quotient_map.source.e]
-        i1[u] = sub_x.quotient_map.mapping[cone_local[m]]
-    i1_vec = [i1[u] for u in q_carrier]
-    if len(set(i1_vec)) != len(i1_vec) or set(i1_vec) != set(range(sub_x.quotient.size)):
-        raise VerificationFailure("cone of the quotient does not match the cone quotient")
-    if not is_homomorphism(q_cone, sub_x.quotient, i1_vec):
-        raise VerificationFailure("cone identification is not a homomorphism")
-
-    bq_cone, bq_carrier = negative_cone(qe.sub_quotient)
-    bq_cone = brouwerian_reduct(bq_cone)
+    i1, _ = _identify_cones(
+        qe.quotient_map, cone_local, sub_x,
+        "cone of the quotient does not match the cone quotient",
+        "cone identification is not a homomorphism",
+    )
     b_local = {x: i for i, x in enumerate(b_carrier)}
-    i2 = {}
-    for u in bq_carrier:
-        s = qe.sub_quotient_map.mapping.index(u)
-        m = sub_alg.meet[s][sub_alg.e]
-        i2[u] = sub_z.quotient_map.mapping[b_local[m]]
-    i2_vec = [i2[u] for u in bq_carrier]
-    if len(set(i2_vec)) != len(i2_vec) or set(i2_vec) != set(range(sub_z.quotient.size)):
-        raise VerificationFailure("subcone of the quotient does not match its cone quotient")
-    if not is_homomorphism(bq_cone, sub_z.quotient, i2_vec):
-        raise VerificationFailure("subcone identification is not a homomorphism")
+    i2, bq_carrier = _identify_cones(
+        qe.sub_quotient_map, b_local, sub_z,
+        "subcone of the quotient does not match its cone quotient",
+        "subcone identification is not a homomorphism",
+    )
 
     # the connecting quotient map between the two cone quotients
     arrow = {}

@@ -123,6 +123,14 @@ def least(algebra: FiniteAlgebra) -> Optional[int]:
 
 def relabel(algebra: FiniteAlgebra, rng: random.Random) -> FiniteAlgebra:
     """The algebra carried over a random permutation of its carrier."""
+    return relabelling(algebra, rng)[0]
+
+
+def relabelling(
+    algebra: FiniteAlgebra, rng: random.Random
+) -> tuple[FiniteAlgebra, tuple[int, ...]]:
+    """`relabel`, together with the permutation: element a of the algebra is
+    element perm[a] of the relabelled one."""
     n = algebra.size
     perm = list(range(n))
     rng.shuffle(perm)
@@ -132,7 +140,7 @@ def relabel(algebra: FiniteAlgebra, rng: random.Random) -> FiniteAlgebra:
     table = lambda t: tuple(
         tuple(perm[t[inv[x]][inv[y]]] for y in range(n)) for x in range(n)
     )
-    return FiniteAlgebra(
+    relabelled = FiniteAlgebra(
         size=n,
         meet=table(algebra.meet),
         join=table(algebra.join),
@@ -143,3 +151,4 @@ def relabel(algebra: FiniteAlgebra, rng: random.Random) -> FiniteAlgebra:
         bottom=None if algebra.bottom is None else perm[algebra.bottom],
         signature=algebra.signature,
     )
+    return relabelled, tuple(perm)

@@ -10,6 +10,7 @@ from srlkit.catalog import (
     c4,
     crystal,
     crystal_completion_search,
+    heyting_chain,
     sugihara,
 )
 from srlkit.core import classify, find_isomorphism, validate
@@ -128,6 +129,37 @@ def test_document_load_rejects_bad_json():
         load("[1, 2]")
     with pytest.raises(ParseError):
         load('{"size": 2}')
+
+
+def _set_path(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+@pytest.mark.parametrize(
+    "algebra, path, value, message",
+    [
+        (brouwerian_chain(2), ("size",), "2", 'size must be an integer, got "2"'),
+        (c4(), ("e",), "1", 'e must be an integer, got "1"'),
+        (
+            c4(), ("tables", "meet", 0, 0), 0.7,
+            "tables.meet row 0 column 0 must be an integer, got 0.7",
+        ),
+        (heyting_chain(2), ("bottom",), False, "bottom must be an integer, got false"),
+    ],
+    ids=["size-string", "e-string", "entry-float", "bottom-bool"],
+)
+def test_document_load_rejects_coercible_values(algebra, path, value, message):
+    # each value would coerce to the field's own integer; strict loading
+    # refuses it and names the field
+    import json
+
+    doc = json.loads(save(algebra))
+    _set_path(doc, path, value)
+    with pytest.raises(ParseError) as exc:
+        load(json.dumps(doc))
+    assert str(exc.value) == message
 
 
 def test_document_load_rejects_invalid_algebra():

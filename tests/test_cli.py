@@ -40,6 +40,16 @@ def test_check_invalid_document(tmp_path, capsys):
     assert report["kind"] == "ValidationError"
 
 
+def test_check_rejects_non_integer_entry(tmp_path, capsys):
+    doc = tmp_path / "float.json"
+    text = json.loads(run(capsys, "catalog", "c4")[1])
+    text["tables"]["join"][1][2] = 2.0
+    doc.write_text(json.dumps(text))
+    code, report = run_json(capsys, "check", str(doc))
+    assert code == 2 and report["kind"] == "ParseError"
+    assert report["error"] == "tables.join row 1 column 2 must be an integer, got 2.0"
+
+
 def test_check_missing_file(capsys):
     code, report = run_json(capsys, "check", "/nonexistent/file.json")
     assert code == 2

@@ -292,6 +292,13 @@ def test_injective_search_and_relabelled_isomorphism(suite):
         assert find_isomorphism(algebra, relabel(algebra, rng)) is not None
 
 
+def test_injective_search_rejects_colliding_pins():
+    # the pin 1 -> 3 collides with the identity's image 3, so no map is injective
+    three, four = brouwerian_chain(3), brouwerian_chain(4)
+    assert homomorphisms(three, four, partial={1: 3}, injective=True) == []
+    assert homomorphisms(three, four, partial={1: 3}) != []
+
+
 def test_subalgebra_restriction_roundtrip():
     algebra = crystal()
     sub, inclusion = subalgebra(algebra, [0, 1, 4, 5])

@@ -1,5 +1,7 @@
+import random
+
 import pytest
-from oracles import check_poset, is_up_set, poset_from_pairs, posets_with_top
+from oracles import check_poset, is_up_set, poset_from_pairs, posets_with_top, relabelling
 
 from srlkit.catalog import (
     brouwerian_chain,
@@ -9,6 +11,7 @@ from srlkit.catalog import (
     trivial,
 )
 from srlkit.core import (
+    Homomorphism,
     brouwerian_reduct,
     classify,
     find_isomorphism,
@@ -18,6 +21,7 @@ from srlkit.core import (
 )
 from srlkit.duality import (
     PointedPoset,
+    _point_depths,
     all_up_sets,
     canonical_iso,
     depth,
@@ -31,7 +35,12 @@ from srlkit.duality import (
     poset_round_trip,
 )
 from srlkit.errors import NoTop, NotAFilter, NotBrouwerian
-from srlkit.filters import all_deductive_filters, deductive_filter, quotient
+from srlkit.filters import (
+    all_deductive_filters,
+    deductive_filter,
+    prime_deductive_filters,
+    quotient,
+)
 
 
 def psets_with_top(n):
@@ -283,3 +292,26 @@ def test_e_subspace_on_bounded_input_requires_reduct():
     reduct = brouwerian_reduct(heyting_chain(3))
     es = e_subspace(reduct, deductive_filter(reduct, {1, 2}))
     assert es.quotient.size == 2
+
+
+def test_duality_is_relabelling_invariant(suite):
+    # depth, the dual space's depths, the prime count and both round trips
+    # must not depend on how the carrier is labelled
+    rng = random.Random(20190214)
+    for algebra in suite:
+        flags = classify(algebra)
+        if not flags.brouwerian:
+            continue
+        mode = "proper" if flags.heyting else "pointed"
+        relabelled, perm = relabelling(algebra, rng)
+        assert depth(relabelled) == depth(algebra)
+        assert sorted(_point_depths(dual_space(relabelled, mode))) == sorted(
+            _point_depths(dual_space(algebra, mode))
+        )
+        assert len(prime_deductive_filters(relabelled, mode)) == len(
+            prime_deductive_filters(algebra, mode)
+        )
+        assert canonical_iso(relabelled, mode).is_bijective
+        assert canonical_iso(algebra, mode).is_bijective
+        dual = dualize_morphism(Homomorphism(algebra, relabelled, perm), mode)
+        assert sorted(dual.mapping) == list(range(dual.target.size))
