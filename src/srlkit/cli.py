@@ -17,7 +17,7 @@ import traceback
 from typing import Optional
 
 from . import catalog as catalog_mod
-from .core import FiniteAlgebra, classify, derived_laws, homomorphisms, validate
+from .core import FiniteAlgebra, _homomorphism_search, classify, derived_laws, validate
 from .documents import export_dot, load, save
 from .duality import _prime_space, canonical_iso, depth
 from .enumeration import enumerate_models
@@ -69,10 +69,10 @@ def _resolve_sub(algebra: FiniteAlgebra, token: str) -> frozenset[int]:
     if re.fullmatch(r"\d+(,\d+)*", token):
         return frozenset(int(x) for x in token.split(","))
     sub = _resolve(token)
-    embeddings = homomorphisms(sub, algebra, injective=True)
-    if not embeddings:
+    embedding = next(_homomorphism_search(sub, algebra, injective=True), None)
+    if embedding is None:
         raise NotASubalgebra(f"{token} does not embed into the main algebra")
-    return embeddings[0].image()
+    return embedding.image()
 
 
 def _algebra_summary(algebra: FiniteAlgebra) -> dict:

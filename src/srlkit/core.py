@@ -78,6 +78,18 @@ class FiniteAlgebra:
         """The negative cone carrier: all elements <= e, ascending."""
         return tuple(a for a in self.elements if self.leq(a, self.e))
 
+    @cached_property
+    def _schedules(self) -> dict:
+        """`_constraint_schedule` results of maps out of this algebra, by
+        pinned set."""
+        return {}
+
+    @cached_property
+    def _iso_invariants(self) -> tuple[list[tuple], list[tuple]]:
+        """`_iso_invariant` of every element, and the same list sorted."""
+        invariants = [_iso_invariant(self, a) for a in self.elements]
+        return invariants, sorted(invariants)
+
     def top(self) -> int:
         """In bounded mode the greatest element is bottom -> bottom; it is
         computed, never stored."""
@@ -497,54 +509,119 @@ def compose(outer: Homomorphism, inner: Homomorphism) -> Homomorphism:
     )
 
 
-def _partial_consistent(source, target, mapping) -> bool:
-    """Check all fully-assigned constraints of a partial map (-1 = unset)."""
+def _constraint_schedule(source: FiniteAlgebra, pinned: frozenset[int]) -> tuple:
+    """The constraints of a map out of `source`, filed for `_map_search`.
+
+    A constraint is `(t, a, b, r)` with `r = table_t[a][b]` for each of the
+    four binary tables (t indexes `_binary_tables`), or `(a, neg[a])` for the
+    involution.  Each is filed under the largest unpinned element it
+    mentions, or in the pre-check when all of its elements are pinned.
+    Returns `(pre, slots)`: `pre` and each `slots[x]` is a pair (table
+    constraints, involution constraints).  Built once per pinned set and
+    kept on the source."""
+    schedule = source._schedules.get(pinned)
+    if schedule is not None:
+        return schedule
+    n = source.size
+    rank = [-1 if y in pinned else y for y in range(n)]
+    checks = [[] for _ in range(n + 1)]  # index -1, the last, is the pre-check
+    negs = [[] for _ in range(n + 1)]
+    tables = _binary_tables(source)
+    for t in (3, 2, 1, 0):  # residual first: it rejects a partial map most often
+        table = tables[t]
+        for a in range(n):
+            row, rank_a = table[a], rank[a]
+            for b in range(n):
+                r = row[b]
+                checks[max(rank_a, rank[b], rank[r])].append((t, a, b, r))
     if source.neg is not None:
-        for a in source.elements:
-            v = mapping[a]
-            if v < 0:
-                continue
-            w = mapping[source.neg[a]]
-            if w >= 0 and w != target.neg[v]:
-                return False
-    for s_table, t_table in zip(_binary_tables(source), _binary_tables(target)):
-        for a in source.elements:
-            if mapping[a] < 0:
-                continue
-            for b in source.elements:
-                if mapping[b] < 0:
-                    continue
-                r = mapping[s_table[a][b]]
-                if r >= 0 and t_table[mapping[a]][mapping[b]] != r:
-                    return False
-    return True
+        for a, na in enumerate(source.neg):
+            negs[max(rank[a], rank[na])].append((a, na))
+    slots = [(tuple(c), tuple(v)) for c, v in zip(checks, negs)]
+    schedule = source._schedules[pinned] = (slots.pop(), slots)
+    return schedule
 
 
 def _map_search(source, target, pins, candidates, injective):
     """Every map source -> target that sends each pinned element to its pin,
     each other element a to a value in `candidates[a]` (no value used twice
     when `injective`), and preserves every operation, in lexicographic order
-    by map array."""
+    by map array.
+
+    The unpinned elements are assigned in ascending order, so every
+    constraint becomes fully assigned at one known element: the largest
+    unpinned element it mentions.  `_constraint_schedule` files each
+    constraint there, and a search node checks only the constraints of the
+    element it has just assigned.  Constraints among pinned elements alone
+    are checked once, before the search.  Every constraint is thus checked
+    exactly once on every path, as soon as all of its elements have values."""
     mapping = [-1] * source.size
     for k, v in pins.items():
         mapping[k] = v
+    pre, slots = _constraint_schedule(source, frozenset(pins))
+    tables = _binary_tables(target)
+    tneg = target.neg
+    free = [a for a in source.elements if mapping[a] < 0]
 
-    def extend(a: int):
-        while a < source.size and mapping[a] >= 0:
-            a += 1
-        if a == source.size:
-            yield Homomorphism(source, target, tuple(mapping))
-            return
-        for v in candidates[a]:
+    def holds(slot) -> bool:
+        checks, negs = slot
+        for t, a, b, r in checks:
+            if tables[t][mapping[a]][mapping[b]] != mapping[r]:
+                return False
+        for a, na in negs:
+            if tneg[mapping[a]] != mapping[na]:
+                return False
+        return True
+
+    if not holds(pre):
+        return
+    if not free:
+        yield Homomorphism(source, target, tuple(mapping))
+        return
+    # Depth-first, one candidate iterator per assigned level.  A loop, not
+    # recursion: a self-referencing closure would be a reference cycle that
+    # keeps the source, and its schedules, alive until the next collection.
+    levels = [iter(candidates[free[0]])]
+    while levels:
+        i = len(levels) - 1
+        x = free[i]
+        for v in levels[i]:
             if injective and v in mapping:
                 continue
-            mapping[a] = v
-            if _partial_consistent(source, target, mapping):
-                yield from extend(a + 1)
-            mapping[a] = -1
+            mapping[x] = v
+            if holds(slots[x]):
+                break
+            mapping[x] = -1
+        else:  # level i is exhausted: go on with level i - 1's next candidate
+            levels.pop()
+            if i:
+                mapping[free[i - 1]] = -1
+            continue
+        if i + 1 < len(free):
+            levels.append(iter(candidates[free[i + 1]]))
+        else:
+            yield Homomorphism(source, target, tuple(mapping))
+            mapping[x] = -1
 
-    if _partial_consistent(source, target, mapping):
-        yield from extend(0)
+
+def _homomorphism_search(source, target, partial=None, injective=False):
+    """The maps of `homomorphisms`, lazily, in the same order."""
+    if source.signature != target.signature:
+        raise WrongSignature("homomorphism search requires a common signature")
+    pins = {source.e: target.e}
+    if source.bottom is not None:
+        pins[source.bottom] = target.bottom
+    for k, v in (partial or {}).items():
+        if pins.get(k, v) != v:
+            return
+        pins[k] = v
+    for k, v in pins.items():
+        if not (0 <= k < source.size and 0 <= v < target.size):
+            return
+    if injective and len(set(pins.values())) < len(pins):
+        return
+    candidates = [target.elements] * source.size
+    yield from _map_search(source, target, pins, candidates, injective)
 
 
 def homomorphisms(
@@ -555,22 +632,7 @@ def homomorphisms(
 ) -> list[Homomorphism]:
     """All total homomorphisms extending `partial`, in lexicographic order by
     map array.  Backtracking prunes on every operation table."""
-    if source.signature != target.signature:
-        raise WrongSignature("homomorphism search requires a common signature")
-    pins = {source.e: target.e}
-    if source.bottom is not None:
-        pins[source.bottom] = target.bottom
-    for k, v in (partial or {}).items():
-        if pins.get(k, v) != v:
-            return []
-        pins[k] = v
-    for k, v in pins.items():
-        if not (0 <= k < source.size and 0 <= v < target.size):
-            return []
-    if injective and len(set(pins.values())) < len(pins):
-        return []
-    candidates = [target.elements] * source.size
-    return list(_map_search(source, target, pins, candidates, injective))
+    return list(_homomorphism_search(source, target, partial, injective))
 
 
 def _iso_invariant(algebra: FiniteAlgebra, a: int) -> tuple:
@@ -596,9 +658,9 @@ def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra) -> Optional[Homomorphis
         raise WrongSignature("isomorphism search requires a common signature")
     if a.size != b.size:
         return None
-    inv_a = [_iso_invariant(a, x) for x in a.elements]
-    inv_b = [_iso_invariant(b, x) for x in b.elements]
-    if sorted(inv_a) != sorted(inv_b):
+    inv_a, sorted_a = a._iso_invariants
+    inv_b, sorted_b = b._iso_invariants
+    if sorted_a != sorted_b:
         return None
     pins = {a.e: b.e}
     if a.bottom is not None:

@@ -13,6 +13,7 @@ against the spectrum.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import permutations
 from typing import Iterable, Optional
 
@@ -79,6 +80,12 @@ class VarietySpec:
     def signature(self):
         return self.generators[0].signature
 
+    @cached_property
+    def _fsi_members(self) -> tuple[FiniteAlgebra, ...]:
+        # the members only: a cached FsiSpectrum would point back at the spec,
+        # a reference cycle that outlives the spec until the next collection
+        return _build_spectrum_members(self)
+
 
 @dataclass(frozen=True)
 class FsiSpectrum:
@@ -90,7 +97,12 @@ class FsiSpectrum:
 
 def fsi_spectrum(spec: VarietySpec) -> FsiSpectrum:
     """Quotients of subalgebras of generators, filtered to the FSI ones and
-    deduplicated up to isomorphism, in deterministic order."""
+    deduplicated up to isomorphism, in deterministic order.  Built once per
+    spec and kept on it."""
+    return FsiSpectrum(spec=spec, algebras=spec._fsi_members)
+
+
+def _build_spectrum_members(spec: VarietySpec) -> tuple[FiniteAlgebra, ...]:
     members: list[FiniteAlgebra] = []
     for gen in spec.generators:
         for mask in all_subuniverses(gen):
@@ -99,10 +111,11 @@ def fsi_spectrum(spec: VarietySpec) -> FsiSpectrum:
                 candidate, _ = quotient(sub, flt)
                 if not is_fsi(candidate):
                     continue
-                if any(find_isomorphism(candidate, m) is not None for m in members):
+                # the member is the source, so its cached search schedule is reused
+                if any(find_isomorphism(m, candidate) is not None for m in members):
                     continue
                 members.append(replace(candidate, name=f"fsi{len(members)}"))
-    return FsiSpectrum(spec=spec, algebras=tuple(members))
+    return tuple(members)
 
 
 def variety_depth(spec: VarietySpec) -> int:
@@ -166,12 +179,11 @@ def is_epic_subalgebra(
         seen: dict[tuple[int, ...], Homomorphism] = {}
         for hom in homomorphisms(algebra, codomain):
             key = tuple(hom.mapping[b] for b in mask)
-            other = seen.get(key)
-            if other is not None and other.mapping != hom.mapping:
+            other = seen.setdefault(key, hom)
+            if other is not hom:
                 if refutation is not None:
                     refutation.append((codomain, other, hom))
                 return False
-            seen.setdefault(key, hom)
     return True
 
 

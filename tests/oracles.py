@@ -8,7 +8,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from srlkit.core import FiniteAlgebra, is_subuniverse
+from srlkit.core import FiniteAlgebra, Homomorphism, _binary_tables, is_subuniverse
 from srlkit.duality import PointedPoset
 from srlkit.enumeration import LeqMatrix, enumerate_posets
 from srlkit.errors import VerificationFailure
@@ -25,6 +25,55 @@ def scan_subuniverses(algebra: FiniteAlgebra) -> list[frozenset[int]]:
         if is_subuniverse(algebra, members):
             out.append(frozenset(members))
     return out
+
+
+def _partial_consistent(source, target, mapping) -> bool:
+    """Check all fully-assigned constraints of a partial map (-1 = unset)."""
+    if source.neg is not None:
+        for a in source.elements:
+            v = mapping[a]
+            if v < 0:
+                continue
+            w = mapping[source.neg[a]]
+            if w >= 0 and w != target.neg[v]:
+                return False
+    for s_table, t_table in zip(_binary_tables(source), _binary_tables(target)):
+        for a in source.elements:
+            if mapping[a] < 0:
+                continue
+            for b in source.elements:
+                if mapping[b] < 0:
+                    continue
+                r = mapping[s_table[a][b]]
+                if r >= 0 and t_table[mapping[a]][mapping[b]] != r:
+                    return False
+    return True
+
+
+def scan_homomorphisms(source, target, pins, candidates, injective) -> list[Homomorphism]:
+    """`core._map_search` as a list, by rescanning every assigned table cell
+    at every search node."""
+    mapping = [-1] * source.size
+    for k, v in pins.items():
+        mapping[k] = v
+
+    def extend(a: int):
+        while a < source.size and mapping[a] >= 0:
+            a += 1
+        if a == source.size:
+            yield Homomorphism(source, target, tuple(mapping))
+            return
+        for v in candidates[a]:
+            if injective and v in mapping:
+                continue
+            mapping[a] = v
+            if _partial_consistent(source, target, mapping):
+                yield from extend(a + 1)
+            mapping[a] = -1
+
+    if _partial_consistent(source, target, mapping):
+        return list(extend(0))
+    return []
 
 
 def scan_up_sets(poset: PointedPoset, include_empty: bool) -> list[frozenset[int]]:

@@ -1,10 +1,23 @@
-import pytest
+import random
 
+import pytest
+from oracles import relabelling
+
+from srlkit import varieties
 from srlkit.catalog import brouwerian_chain, c4, crystal, sugihara, trivial
 from srlkit.cones import all_subuniverses, is_negatively_generated
-from srlkit.core import FiniteAlgebra, find_isomorphism, subalgebra
+from srlkit.core import (
+    FiniteAlgebra,
+    classify,
+    find_isomorphism,
+    homomorphisms,
+    subalgebra,
+    validate,
+)
+from srlkit.duality import depth
+from srlkit.enumeration import canonical_form
 from srlkit.errors import HypothesesNotMet
-from srlkit.filters import all_deductive_filters, is_fsi, quotient
+from srlkit.filters import all_congruences, all_deductive_filters, is_fsi, quotient
 from srlkit.varieties import (
     VarietySpec,
     decide_es,
@@ -309,3 +322,53 @@ def test_bounded_involutive_variety():
     spec = spec_of(bounded)
     assert hypotheses_gate(spec).passed
     assert decide_es(spec).surjective
+
+
+def test_spectrum_is_built_once_per_spec(monkeypatch):
+    built = []
+    real = varieties.quotient
+    monkeypatch.setattr(varieties, "quotient", lambda *args: built.append(1) or real(*args))
+    spec = spec_of(crystal())
+    gate = hypotheses_gate(spec)
+    one_build = len(built)
+    decision = decide_es(spec)
+    assert one_build > 0 and len(built) == one_build
+    assert fsi_spectrum(spec).algebras is fsi_spectrum(spec).algebras is decision.spectrum.algebras
+    assert fsi_spectrum(spec) == decision.spectrum
+    assert variety_depth(spec) == max(entry.depth for entry in gate.entries)
+    least = all_subuniverses(crystal())[0]
+    assert is_epic_subalgebra(crystal(), least, spec) == is_epic_subalgebra(
+        crystal(), least, spec, spectrum=decision.spectrum
+    )
+    assert len(built) == one_build
+    assert len(gate.entries) == len(decision.spectrum.algebras)
+    # a new spec builds anew
+    assert fsi_spectrum(spec_of(crystal())).algebras is not decision.spectrum.algebras
+    assert len(built) == 2 * one_build
+
+
+def test_queries_are_relabelling_invariant(suite):
+    # every query must give the same answer after the carrier is relabelled;
+    # hom sets must transport along the permutation
+    rng = random.Random(20190216)
+    targets = [c4(), crystal(), sugihara(3), brouwerian_chain(3)]
+    for algebra in suite:
+        relabelled, perm = relabelling(algebra, rng)
+        assert validate(relabelled).ok == validate(algebra).ok
+        assert classify(relabelled) == classify(algebra)
+        assert is_fsi(relabelled) == is_fsi(algebra)
+        assert depth(relabelled) == depth(algebra)
+        assert canonical_form(relabelled) == canonical_form(algebra)
+        assert len(all_deductive_filters(relabelled)) == len(all_deductive_filters(algebra))
+        assert len(all_congruences(relabelled)) == len(all_congruences(algebra))
+        spec, spec_r = spec_of(algebra), spec_of(relabelled)
+        assert len(fsi_spectrum(spec_r).algebras) == len(fsi_spectrum(spec).algebras)
+        assert decide_es(spec_r).surjective == decide_es(spec).surjective
+        for target in targets:
+            if target.signature != algebra.signature:
+                continue
+            moved = {
+                tuple(h.mapping[perm[a]] for a in algebra.elements)
+                for h in homomorphisms(relabelled, target)
+            }
+            assert moved == {h.mapping for h in homomorphisms(algebra, target)}
