@@ -715,6 +715,12 @@ def subalgebra(algebra: FiniteAlgebra, members: Iterable[int]) -> tuple[FiniteAl
     carrier = sorted(set(members))
     if not is_subuniverse(algebra, carrier):
         raise NotASubalgebra(f"{carrier} is not a subuniverse")
+    return _subalgebra(algebra, carrier)
+
+
+def _subalgebra(algebra: FiniteAlgebra, carrier: list[int]) -> tuple[FiniteAlgebra, Homomorphism]:
+    """`subalgebra` on an ascending carrier already known to be a
+    subuniverse, such as a mask from `closed_sets`: no closure check."""
     back = {x: i for i, x in enumerate(carrier)}
     restrict = lambda t: tuple(
         tuple(back[t[a][b]] for b in carrier) for a in carrier

@@ -230,6 +230,18 @@ def e_subspace(
             "e_subspace works in pointed mode; pass the unbounded reduct"
         )
     primes, space = _prime_space(algebra, "pointed")
+    return _e_subspace(algebra, primes, space, flt, chain_filter)
+
+
+def _e_subspace(
+    algebra: FiniteAlgebra,
+    primes: list[DeductiveFilter],
+    space: PointedPoset,
+    flt: DeductiveFilter,
+    chain_filter: Optional[DeductiveFilter] = None,
+) -> ESubspace:
+    """`e_subspace` on a Brouwerian algebra whose prime filters and dual
+    space `_prime_space(algebra, "pointed")` has already derived."""
     if not is_deductive_filter(algebra, flt.members):
         raise NotAFilter("e_subspace needs a deductive filter")
     parent_ids = tuple(
@@ -271,7 +283,7 @@ def e_subspace(
             raise NotAFilter("tower verification needs a deductive filter")
         if not flt.members <= chain_filter.members:
             raise NotAFilter("tower verification needs a filter extending the first")
-        upper = e_subspace(algebra, chain_filter)
+        upper = _e_subspace(algebra, primes, space, chain_filter)
         upper_set = frozenset(upper.points)
         for a in algebra.elements:
             lower_image = point_sets[q_map.mapping[a]]

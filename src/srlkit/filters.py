@@ -3,9 +3,9 @@ generation, prime filters, quotients, and the FSI test.
 
 Filters are stored as frozensets of element indices.  In a finite algebra
 every deductive filter is the principal up-set of its minimum, which lies in
-the negative cone; the production enumeration exploits this while the
-brute-force partition enumeration stays available as the congruence-side
-oracle.
+the negative cone; the production enumeration exploits this.  The
+brute-force partition enumeration that checks it is a test oracle
+(`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -185,27 +185,6 @@ def is_congruence(algebra: FiniteAlgebra, blocks: tuple[int, ...]) -> bool:
 def all_congruences(algebra: FiniteAlgebra) -> list[Congruence]:
     """Production enumeration through the filter correspondence."""
     return [leibniz_congruence(f) for f in all_deductive_filters(algebra)]
-
-
-def enumerate_congruences_bruteforce(algebra: FiniteAlgebra) -> list[Congruence]:
-    """Oracle: scan every partition (restricted growth strings) and keep the
-    ones compatible with all operations."""
-    n = algebra.size
-    found = []
-
-    def grow(prefix: list[int], used: int) -> None:
-        if len(prefix) == n:
-            blocks = tuple(prefix)
-            if is_congruence(algebra, blocks):
-                found.append(Congruence(algebra, blocks))
-            return
-        for b in range(used + 1):
-            prefix.append(b)
-            grow(prefix, max(used, b + 1))
-            prefix.pop()
-
-    grow([0], 1)
-    return found
 
 
 def quotient_by_congruence(

@@ -29,6 +29,7 @@ from .core import (
     FiniteAlgebra,
     Homomorphism,
     _covers,
+    _subalgebra,
     brouwerian_reduct,
     compose,
     find_isomorphism,
@@ -36,10 +37,9 @@ from .core import (
     identity_homomorphism,
     is_homomorphism,
     is_subuniverse,
-    subalgebra,
     validate,
 )
-from .duality import _point_depths, _prime_space, depth, e_subspace
+from .duality import _e_subspace, _point_depths, _prime_space, depth
 from .errors import (
     HypothesesNotMet,
     NotASubalgebra,
@@ -106,7 +106,7 @@ def _build_spectrum_members(spec: VarietySpec) -> tuple[FiniteAlgebra, ...]:
     members: list[FiniteAlgebra] = []
     for gen in spec.generators:
         for mask in all_subuniverses(gen):
-            sub, _ = subalgebra(gen, mask)
+            sub, _ = _subalgebra(gen, sorted(mask))
             for flt in all_deductive_filters(sub):
                 candidate, _ = quotient(sub, flt)
                 if not is_fsi(candidate):
@@ -159,6 +159,18 @@ def hypotheses_gate(spec: VarietySpec) -> GateReport:
     return GateReport(entries)
 
 
+def _collision(maps: list[tuple[int, ...]], mask: list[int]) -> Optional[tuple[int, int]]:
+    """Indices (i, j), i < j, of the first map j that agrees on every element
+    of `mask` with an earlier map i, or None when the maps restrict to
+    `mask` pairwise differently."""
+    seen: dict[tuple[int, ...], int] = {}
+    for j, mapping in enumerate(maps):
+        i = seen.setdefault(tuple(mapping[b] for b in mask), j)
+        if i != j:
+            return i, j
+    return None
+
+
 def is_epic_subalgebra(
     algebra: FiniteAlgebra,
     members: Iterable[int],
@@ -176,14 +188,12 @@ def is_epic_subalgebra(
     if spectrum is None:
         spectrum = fsi_spectrum(spec)
     for codomain in spectrum.algebras:
-        seen: dict[tuple[int, ...], Homomorphism] = {}
-        for hom in homomorphisms(algebra, codomain):
-            key = tuple(hom.mapping[b] for b in mask)
-            other = seen.setdefault(key, hom)
-            if other is not hom:
-                if refutation is not None:
-                    refutation.append((codomain, other, hom))
-                return False
+        homs = homomorphisms(algebra, codomain)
+        pair = _collision([h.mapping for h in homs], mask)
+        if pair is not None:
+            if refutation is not None:
+                refutation.append((codomain, homs[pair[0]], homs[pair[1]]))
+            return False
     return True
 
 
@@ -199,16 +209,55 @@ class EsDecision:
 
 def decide_es(spec: VarietySpec) -> EsDecision:
     """Epimorphisms in the variety are surjective iff no FSI spectrum member
-    has an epic proper subalgebra."""
+    has an epic proper subalgebra.
+
+    Epicity is upward closed: if B is inside B' and B is epic, so is B',
+    because maps that agree on B' agree on B (Isbell, "Epimorphisms and
+    dominions", 1966).  So a member has an epic proper subuniverse exactly
+    when one of its maximal proper subuniverses is epic; those are tested
+    first, and a member with no epic maximal one is done.  The witness is
+    the first member, in spectrum order, that has an epic proper
+    subuniverse, with its first epic one in `all_subuniverses` (bitmask)
+    order.  Only a mask inside an epic maximal one can be epic, so only
+    such masks are tested on the way to it."""
     spectrum = fsi_spectrum(spec)
     for member in spectrum.algebras:
-        full = frozenset(member.elements)
-        for mask in all_subuniverses(member):
-            if mask == full:
-                continue
-            if is_epic_subalgebra(member, mask, spec, spectrum=spectrum):
-                return EsDecision(False, (member, mask), spectrum)
+        mask = _first_epic_subuniverse(member, spectrum.algebras)
+        if mask is not None:
+            return EsDecision(False, (member, mask), spectrum)
     return EsDecision(True, None, spectrum)
+
+
+def _first_epic_subuniverse(
+    member: FiniteAlgebra, codomains: tuple[FiniteAlgebra, ...]
+) -> Optional[frozenset[int]]:
+    """The first epic proper subuniverse of `member` in bitmask order, or
+    None.  Hom(member, C) is searched at most once per codomain C, when a
+    mask first needs it; the masks come from `all_subuniverses`, so they are
+    not checked for closure again."""
+    hom_sets: list[list[tuple[int, ...]]] = []
+
+    def epic(mask: frozenset[int]) -> bool:
+        keys = sorted(mask)
+        for k, codomain in enumerate(codomains):
+            if k == len(hom_sets):
+                hom_sets.append([h.mapping for h in homomorphisms(member, codomain)])
+            if _collision(hom_sets[k], keys) is not None:
+                return False
+        return True
+
+    full = frozenset(member.elements)
+    proper = [s for s in all_subuniverses(member) if s != full]
+    maximal: list[frozenset[int]] = []
+    # largest first: a mask inside a larger proper one is inside a maximal
+    # one that is already listed
+    for s in sorted(proper, key=len, reverse=True):
+        if not any(s < m for m in maximal):
+            maximal.append(s)
+    epic_maximal = [s for s in maximal if epic(s)]
+    if not epic_maximal:
+        return None
+    return next(s for s in proper if any(s <= m for m in epic_maximal) and epic(s))
 
 
 @dataclass
@@ -242,13 +291,14 @@ class EpiAnalysis:
 
 
 def _cone_prime_data(algebra: FiniteAlgebra):
-    """The unbounded cone, its carrier injection, its prime filters as sets
-    of parent indices (in dual-space point order), and its dual space."""
+    """The unbounded cone, its carrier injection, its prime filters (in
+    dual-space point order) both as filters of the cone and as sets of
+    parent indices, and its dual space."""
     cone, carrier = negative_cone(algebra)
     cone = brouwerian_reduct(cone)
-    primes_local, space = _prime_space(cone, "pointed")
-    primes = [frozenset(carrier[i] for i in f.members) for f in primes_local]
-    return cone, carrier, primes, space
+    cone_primes, space = _prime_space(cone, "pointed")
+    primes = [frozenset(carrier[i] for i in f.members) for f in cone_primes]
+    return cone, carrier, cone_primes, primes, space
 
 
 def epi_analysis(algebra: FiniteAlgebra, members: Iterable[int]) -> EpiAnalysis:
@@ -269,7 +319,7 @@ def epi_analysis(algebra: FiniteAlgebra, members: Iterable[int]) -> EpiAnalysis:
     if subuniverse_closure(algebra, sub_neg) != sub_mask:
         raise HypothesesNotMet("B is not negatively generated")
 
-    cone, carrier, primes, space = _cone_prime_data(algebra)
+    cone, carrier, cone_primes, primes, space = _cone_prime_data(algebra)
     cone_local = {x: i for i, x in enumerate(carrier)}
     depths = _point_depths(space)
 
@@ -337,7 +387,7 @@ def epi_analysis(algebra: FiniteAlgebra, members: Iterable[int]) -> EpiAnalysis:
         if not _covers(quot.leq, quot.elements, u, e_q):
             raise VerificationFailure("missing element is not covered by the identity")
 
-    _verify_retract_square(cone, cone_local, traces, kernel, first, qe)
+    _verify_retract_square(cone, cone_local, cone_primes, space, traces, kernel, first, qe)
 
     return EpiAnalysis(
         algebra=algebra,
@@ -380,23 +430,23 @@ def _identify_cones(quotient_map, cone_local, space, not_onto, not_hom):
     return ident, q_carrier
 
 
-def _verify_retract_square(cone, cone_local, traces, kernel, first, qe):
+def _verify_retract_square(cone, cone_local, cone_primes, space, traces, kernel, first, qe):
     """Compose the retract square elementwise: going through the subalgebra
     quotient, its cone quotient, and the subspace isomorphisms agrees with
     going through the full quotient."""
     kernel_local = frozenset(cone_local[x] for x in kernel)
     first_local = frozenset(cone_local[x] for x in first)
-    sub_x = e_subspace(cone, DeductiveFilter(cone, kernel_local))
-    sub_y = e_subspace(cone, DeductiveFilter(cone, first_local))
+    sub_x = _e_subspace(cone, cone_primes, space, DeductiveFilter(cone, kernel_local))
+    sub_y = _e_subspace(cone, cone_primes, space, DeductiveFilter(cone, first_local))
 
     inclusion = qe.inclusion
-    b_cone, b_carrier, b_primes_sub, _ = _cone_prime_data(qe.sub_algebra)
+    b_cone, b_carrier, b_cone_primes, b_primes_sub, b_space = _cone_prime_data(qe.sub_algebra)
     b_primes = [frozenset(inclusion.mapping[x] for x in p) for p in b_primes_sub]
     trace_local = frozenset(
         i for i, x in enumerate(b_carrier)
         if inclusion.mapping[x] in first
     )
-    sub_z = e_subspace(b_cone, DeductiveFilter(b_cone, trace_local))
+    sub_z = _e_subspace(b_cone, b_cone_primes, b_space, DeductiveFilter(b_cone, trace_local))
 
     # i_* on dual points: intersect with the subalgebra's cone
     istar = []

@@ -8,10 +8,19 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from srlkit.core import FiniteAlgebra, Homomorphism, _binary_tables, is_subuniverse
+from srlkit.cones import all_subuniverses
+from srlkit.core import (
+    FiniteAlgebra,
+    Homomorphism,
+    _binary_tables,
+    homomorphisms,
+    is_subuniverse,
+)
 from srlkit.duality import PointedPoset
 from srlkit.enumeration import LeqMatrix, enumerate_posets
 from srlkit.errors import VerificationFailure
+from srlkit.filters import Congruence, is_congruence
+from srlkit.varieties import EsDecision, FsiSpectrum, VarietySpec, fsi_spectrum
 
 
 def scan_subuniverses(algebra: FiniteAlgebra) -> list[frozenset[int]]:
@@ -201,3 +210,50 @@ def relabelling(
         signature=algebra.signature,
     )
     return relabelled, tuple(perm)
+
+
+def enumerate_congruences_bruteforce(algebra: FiniteAlgebra) -> list[Congruence]:
+    """Oracle: scan every partition (restricted growth strings) and keep the
+    ones compatible with all operations."""
+    n = algebra.size
+    found = []
+
+    def grow(prefix: list[int], used: int) -> None:
+        if len(prefix) == n:
+            blocks = tuple(prefix)
+            if is_congruence(algebra, blocks):
+                found.append(Congruence(algebra, blocks))
+            return
+        for b in range(used + 1):
+            prefix.append(b)
+            grow(prefix, max(used, b + 1))
+            prefix.pop()
+
+    grow([0], 1)
+    return found
+
+
+def decide_es_per_mask(spec: VarietySpec) -> EsDecision:
+    """`varieties.decide_es` by testing every proper subuniverse of every
+    spectrum member in turn, each against every codomain's hom set searched
+    afresh."""
+    spectrum = fsi_spectrum(spec)
+    for member in spectrum.algebras:
+        full = frozenset(member.elements)
+        for mask in all_subuniverses(member):
+            if mask == full:
+                continue
+            if _is_epic_per_codomain(member, mask, spectrum):
+                return EsDecision(False, (member, mask), spectrum)
+    return EsDecision(True, None, spectrum)
+
+
+def _is_epic_per_codomain(algebra: FiniteAlgebra, mask, spectrum: FsiSpectrum) -> bool:
+    mask = sorted(mask)
+    for codomain in spectrum.algebras:
+        seen: dict[tuple[int, ...], Homomorphism] = {}
+        for hom in homomorphisms(algebra, codomain):
+            key = tuple(hom.mapping[b] for b in mask)
+            if seen.setdefault(key, hom) is not hom:
+                return False
+    return True

@@ -9,7 +9,7 @@ and criterion 8 sweeps pairs over algebras to size 6.
 import time
 
 import pytest
-from oracles import posets_with_top
+from oracles import enumerate_congruences_bruteforce, posets_with_top
 
 from srlkit.catalog import c4, crystal, trivial
 from srlkit.cones import all_subuniverses, is_negatively_generated
@@ -18,7 +18,6 @@ from srlkit.duality import PointedPoset, canonical_iso, depth, poset_round_trip
 from srlkit.enumeration import enumerate_models
 from srlkit.filters import (
     all_deductive_filters,
-    enumerate_congruences_bruteforce,
     is_fsi,
     leibniz_congruence,
 )

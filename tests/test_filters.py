@@ -1,5 +1,5 @@
 import pytest
-from oracles import lattice_filters
+from oracles import enumerate_congruences_bruteforce, lattice_filters
 
 from srlkit.catalog import brouwerian_chain, brouwerian_diamond, c4, trivial
 from srlkit.core import direct_product, find_isomorphism, is_homomorphism
@@ -10,7 +10,6 @@ from srlkit.filters import (
     all_deductive_filters,
     congruence_filter,
     deductive_filter,
-    enumerate_congruences_bruteforce,
     generated_filter,
     is_deductive_filter,
     is_fsi,

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from oracles import relabelling
+from oracles import decide_es_per_mask, relabel, relabelling
 
 from srlkit import varieties
 from srlkit.catalog import brouwerian_chain, c4, crystal, sugihara, trivial
@@ -345,6 +345,37 @@ def test_spectrum_is_built_once_per_spec(monkeypatch):
     # a new spec builds anew
     assert fsi_spectrum(spec_of(crystal())).algebras is not decision.spectrum.algebras
     assert len(built) == 2 * one_build
+
+
+def test_decide_es_matches_per_mask_oracle(suite):
+    # maximal subuniverses first, shared hom sets: same verdict and witness
+    # as testing every proper subuniverse in bitmask order
+    rng = random.Random(20260418)
+    outcome = lambda d: (d.surjective, d.witness and (d.witness[0].name, d.witness[1]))
+    for algebra in suite:
+        for generator in (algebra, relabel(algebra, rng)):
+            spec = spec_of(generator)
+            assert outcome(decide_es(spec)) == outcome(decide_es_per_mask(spec))
+
+
+@pytest.mark.parametrize("algebra", [crystal(), brouwerian_chain(6)], ids=["crystal", "chain6"])
+def test_decide_es_searches_each_hom_set_once(monkeypatch, algebra):
+    searched, closure_checks = [], []
+    real_homs, real_check = varieties.homomorphisms, varieties.is_subuniverse
+    monkeypatch.setattr(
+        varieties,
+        "homomorphisms",
+        lambda a, b, *args: searched.append((id(a), id(b))) or real_homs(a, b, *args),
+    )
+    monkeypatch.setattr(
+        varieties, "is_subuniverse", lambda *args: closure_checks.append(1) or real_check(*args)
+    )
+    decision = decide_es(spec_of(algebra))
+    assert searched
+    assert len(searched) == len(set(searched))  # one search per (member, codomain)
+    members = {id(m) for m in decision.spectrum.algebras}
+    assert all(a in members and b in members for a, b in searched)
+    assert not closure_checks
 
 
 def test_queries_are_relabelling_invariant(suite):
