@@ -67,7 +67,11 @@ def _resolve(token: str) -> FiniteAlgebra:
 def _resolve_sub(algebra: FiniteAlgebra, token: str) -> frozenset[int]:
     """Comma-separated element indices, or an algebra to embed."""
     if re.fullmatch(r"\d+(,\d+)*", token):
-        return frozenset(int(x) for x in token.split(","))
+        indices = [int(x) for x in token.split(",")]
+        for i in indices:
+            if i >= algebra.size:
+                raise NotASubalgebra(f"element {i} is outside 0..{algebra.size - 1} (size {algebra.size})")
+        return frozenset(indices)
     sub = _resolve(token)
     embedding = next(_homomorphism_search(sub, algebra, injective=True), None)
     if embedding is None:

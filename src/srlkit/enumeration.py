@@ -5,16 +5,16 @@ lattices), so the enumeration is complete by the finite representation
 theorem for distributive lattices.  General subidempotent algebras come from
 a backtracking fusion-table search over all small lattices; involutive ones
 expand each result by every involution (which is always the residual into
-the negation of the identity).  Canonical forms are minimal lexicographic
-table tuples over carrier permutations that respect order-rank invariants.
+the negation of the identity).  Canonical forms are the least relabelled
+tables over the leaves of one colour-refinement and individualisation
+search, shared by algebras and posets.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import replace
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Optional
 
 from .core import (
     FiniteAlgebra, Signature, _iso_invariant, brouwerian_reduct, closed_sets,
@@ -29,74 +29,87 @@ LeqMatrix = tuple[tuple[bool, ...], ...]
 
 
 # ---------------------------------------------------------------------------
-# posets
+# canonical labelling
 
 
-def _poset_invariants(leq: LeqMatrix) -> tuple:
-    n = len(leq)
-    inv = [
-        (sum(leq[b][a] for b in range(n)), sum(leq[a][b] for b in range(n)))
-        for a in range(n)
-    ]
-    for _ in range(2):
-        inv = [
-            (
-                inv[a],
-                tuple(sorted(inv[b] for b in range(n) if b != a and leq[b][a])),
-                tuple(sorted(inv[b] for b in range(n) if b != a and leq[a][b])),
-            )
-            for a in range(n)
-        ]
-    return tuple(inv)
+def _canonical_labelling(colours: list, signature, key_of) -> tuple:
+    """The least `key_of(perm)` over the discrete colourings, `perm[a]`
+    being a's colour, at the leaves of a refine-and-individualise search
+    (McKay & Piperno, "Practical graph isomorphism, II", J. Symbolic
+    Computation 60, 2014).  Colours are re-ranked by `(colour,
+    signature(colour, a))` until no class splits; then each element of the
+    first class with several elements gets a colour of its own in turn.
+    Every step is label-free, so isomorphic inputs get equal keys.  A leaf
+    whose key equals the best differs from it by an automorphism, which
+    maps the best leaf's finished branch onto the branch where their paths
+    part, so the rest of that branch is dropped.
+    """
+    n = len(colours)
 
+    def rank(values: list) -> list[int]:
+        index = {v: i for i, v in enumerate(sorted(set(values)))}
+        return [index[v] for v in values]
 
-def _min_relabelled(n: int, perms: Iterable[tuple[int, ...]], key_of) -> tuple:
-    best = None
-    for perm in perms:
-        cand = key_of(perm)
-        if best is None or cand < best:
-            best = cand
+    def refine(colour: list[int]) -> list[int]:
+        while len(set(colour)) < n:
+            refined = rank([(colour[a], signature(colour, a)) for a in range(n)])
+            if refined == colour:  # no class split
+                break
+            colour = refined
+        return colour
+
+    best: Optional[tuple] = None
+    best_path: list[int] = []
+    path: list[int] = []
+
+    def search(colour: list[int]) -> int:
+        """Search below the node at `path`; return the depth of the node
+        whose branching continues."""
+        nonlocal best, best_path
+        depth = len(path)
+        colour = refine(colour)
+        split = min((c for c in set(colour) if colour.count(c) > 1), default=None)
+        if split is None:
+            key = key_of(tuple(colour))
+            if best is None or key < best:
+                best, best_path = key, list(path)
+            elif key == best:
+                return next(i for i, (a, b) in enumerate(zip(path, best_path)) if a != b)
+            return depth - 1
+        for a in (x for x in range(n) if colour[x] == split):
+            path.append(a)
+            back = search([
+                c + (c > split or (c == split and x != a))
+                for x, c in enumerate(colour)
+            ])
+            path.pop()
+            if back < depth:
+                return back
+        return depth - 1
+
+    search(rank(colours))
     return best
 
 
-def _invariant_respecting_perms(invariants: list) -> Iterable[tuple[int, ...]]:
-    """Permutations mapping each invariant class onto the slots the sorted
-    class order assigns to it."""
-    n = len(invariants)
-    order = sorted(range(n), key=lambda a: repr(invariants[a]))
-    groups: list[list[int]] = []
-    for a in order:
-        if groups and invariants[groups[-1][0]] == invariants[a]:
-            groups[-1].append(a)
-        else:
-            groups.append([a])
-    slot = 0
-    slots_per_group = []
-    for g in groups:
-        slots_per_group.append(list(range(slot, slot + len(g))))
-        slot += len(g)
-    for arrangement in itertools.product(
-        *[itertools.permutations(g) for g in groups]
-    ):
-        perm = [0] * n
-        for g_slots, g_elems in zip(slots_per_group, arrangement):
-            for s, a in zip(g_slots, g_elems):
-                perm[a] = s
-        yield tuple(perm)
+# ---------------------------------------------------------------------------
+# posets
 
 
 def canonical_poset_key(leq: LeqMatrix) -> tuple:
     n = len(leq)
-    inv = list(_poset_invariants(leq))
+    counts = [
+        (sum(leq[b][a] for b in range(n)), sum(leq[a][b] for b in range(n)))
+        for a in range(n)
+    ]
+
+    def signature(colour: list[int], a: int) -> tuple:
+        return tuple(sorted((colour[b], leq[a][b], leq[b][a]) for b in range(n)))
 
     def key_of(perm: tuple[int, ...]) -> tuple:
-        out = [[False] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(n):
-                out[perm[a]][perm[b]] = leq[a][b]
-        return tuple(x for row in out for x in row)
+        at = sorted(range(n), key=perm.__getitem__)  # the point labelled i
+        return tuple([leq[a][b] for a in at for b in at])
 
-    return (n, _min_relabelled(n, _invariant_respecting_perms(inv), key_of))
+    return (n, _canonical_labelling(counts, signature, key_of))
 
 
 def _down_sets(leq: LeqMatrix) -> list[frozenset[int]]:
@@ -112,8 +125,6 @@ def enumerate_posets(size: int, down_set_cap: Optional[int] = None) -> tuple[Leq
     at most `down_set_cap` down-sets."""
     if size == 0:
         return ((),)  # the empty poset
-    if size == 1:
-        return (((True,),),)
     smaller = enumerate_posets(size - 1, down_set_cap)
     seen: dict[tuple, LeqMatrix] = {}
     for leq in smaller:
@@ -131,38 +142,24 @@ def enumerate_posets(size: int, down_set_cap: Optional[int] = None) -> tuple[Leq
 
 
 def is_lattice(leq: LeqMatrix) -> bool:
-    n = len(leq)
-    for a in range(n):
-        for b in range(n):
-            uppers = [c for c in range(n) if leq[a][c] and leq[b][c]]
-            if not _unique_extreme(leq, uppers, lower=True):
-                return False
-            lowers = [c for c in range(n) if leq[c][a] and leq[c][b]]
-            if not _unique_extreme(leq, lowers, lower=False):
-                return False
-    return True
+    return _lattice_tables(leq) is not None
 
 
-def _unique_extreme(leq: LeqMatrix, candidates: list[int], lower: bool) -> bool:
-    """lower=True: a least element among candidates; else a greatest."""
-    for u in candidates:
-        if lower and all(leq[u][v] for v in candidates):
-            return True
-        if not lower and all(leq[v][u] for v in candidates):
-            return True
-    return False
-
-
-def _lattice_tables(leq: LeqMatrix) -> tuple[tuple, tuple]:
+def _lattice_tables(leq: LeqMatrix) -> Optional[tuple[tuple, tuple]]:
+    """The meet and join tables, or None when some pair has no meet or no
+    join."""
     n = len(leq)
     meet = [[0] * n for _ in range(n)]
     join = [[0] * n for _ in range(n)]
     for a in range(n):
         for b in range(n):
             lowers = [c for c in range(n) if leq[c][a] and leq[c][b]]
-            meet[a][b] = next(u for u in lowers if all(leq[v][u] for v in lowers))
+            greatest = next((u for u in lowers if all(leq[v][u] for v in lowers)), None)
             uppers = [c for c in range(n) if leq[a][c] and leq[b][c]]
-            join[a][b] = next(u for u in uppers if all(leq[u][v] for v in uppers))
+            least = next((u for u in uppers if all(leq[u][v] for v in uppers)), None)
+            if greatest is None or least is None:
+                return None
+            meet[a][b], join[a][b] = greatest, least
     return tuple(tuple(r) for r in meet), tuple(tuple(r) for r in join)
 
 
@@ -174,28 +171,29 @@ def canonical_form(algebra: FiniteAlgebra) -> tuple:
     """A permutation-invariant key: isomorphic algebras of the same
     signature get equal keys, non-isomorphic ones distinct keys."""
     n = algebra.size
-    inv = [_iso_invariant(algebra, a) for a in algebra.elements]
-    tables = [algebra.meet, algebra.join, algebra.fusion, algebra.residual]
+    meet, fusion, neg = algebra.meet, algebra.fusion, algebra.neg
+    tables = [meet, algebra.join, fusion, algebra.residual]
+
+    def signature(colour: list[int], a: int) -> tuple:
+        # order and fusion determine join and residual
+        row = tuple(sorted(
+            (colour[b], meet[a][b] == a, meet[a][b] == b, colour[fusion[a][b]])
+            for b in range(n)
+        ))
+        return row if neg is None else (colour[neg[a]], row)
 
     def key_of(perm: tuple[int, ...]) -> tuple:
-        parts = []
-        for t in tables:
-            out = [[0] * n for _ in range(n)]
-            for a in range(n):
-                for b in range(n):
-                    out[perm[a]][perm[b]] = perm[t[a][b]]
-            parts.append(tuple(x for row in out for x in row))
-        if algebra.neg is not None:
-            out_n = [0] * n
-            for a in range(n):
-                out_n[perm[a]] = perm[algebra.neg[a]]
-            parts.append(tuple(out_n))
+        at = sorted(range(n), key=perm.__getitem__)  # the element labelled i
+        parts = [tuple([perm[t[a][b]] for a in at for b in at]) for t in tables]
+        if neg is not None:
+            parts.append(tuple(perm[neg[a]] for a in at))
         parts.append((perm[algebra.e],))
         if algebra.bottom is not None:
             parts.append((perm[algebra.bottom],))
         return tuple(parts)
 
-    best = _min_relabelled(n, _invariant_respecting_perms(inv), key_of)
+    inv = [_iso_invariant(algebra, a) for a in algebra.elements]
+    best = _canonical_labelling(inv, signature, key_of)
     return (n, algebra.signature.has_involution, algebra.signature.has_bottom, best)
 
 
@@ -215,14 +213,8 @@ def _enumerate_brouwerian(max_size: int) -> list[FiniteAlgebra]:
     found: dict[tuple, FiniteAlgebra] = {}
     # a poset with more points than max_size-1 has too many down-sets already
     for pts in range(0, max_size):
-        if pts == 0:
-            algebras = [_brouwerian_from_poset(tuple(), 0)] if max_size >= 1 else []
-        else:
-            algebras = [
-                _brouwerian_from_poset(leq, pts)
-                for leq in enumerate_posets(pts, down_set_cap=max_size)
-            ]
-        for algebra in algebras:
+        for leq in enumerate_posets(pts, down_set_cap=max_size):
+            algebra = _brouwerian_from_poset(leq, pts)
             if algebra.size <= max_size:
                 found.setdefault(canonical_form(algebra), algebra)
     return [found[k] for k in sorted(found)]
@@ -313,9 +305,10 @@ def _enumerate_srl(max_size: int) -> list[FiniteAlgebra]:
     found: dict[tuple, FiniteAlgebra] = {}
     for n in range(1, max_size + 1):
         for leq in enumerate_posets(n):
-            if not is_lattice(leq):
+            tables = _lattice_tables(leq)
+            if tables is None:
                 continue
-            meet, join = _lattice_tables(leq)
+            meet, join = tables
             leq_fn = lambda a, b: leq[a][b]
             for e in range(n):
                 for fusion in _fusion_search(meet, join, leq_fn, n, e):
@@ -334,7 +327,7 @@ def _enumerate_srl(max_size: int) -> list[FiniteAlgebra]:
 
 def _enumerate_sirl(max_size: int) -> list[FiniteAlgebra]:
     found: dict[tuple, FiniteAlgebra] = {}
-    for base in _enumerate_srl(max_size):
+    for base in _enumerate_cached("srl", max_size):
         n = base.size
         for f0 in range(n):
             neg = tuple(base.residual[x][f0] for x in range(n))

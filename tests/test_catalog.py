@@ -423,6 +423,75 @@ def test_canonical_poset_key_is_relabelling_invariant():
         assert canonical_poset_key(relabelled) == canonical_poset_key(leq)
 
 
+def test_canonical_form_on_symmetric_products():
+    import random
+
+    from oracles import relabel
+
+    from srlkit.catalog import brouwerian_diamond
+    from srlkit.core import direct_product
+    from srlkit.enumeration import canonical_poset_key
+
+    diamond, chain3 = brouwerian_diamond(), brouwerian_chain(3)
+    diamond2 = direct_product(diamond, diamond)
+    key = canonical_form(diamond2)
+    for seed in (1, 2, 3):
+        assert canonical_form(relabel(diamond2, random.Random(seed))) == key
+    assert canonical_form(direct_product(diamond, chain3)) == canonical_form(
+        direct_product(chain3, diamond)
+    )
+    chain4 = brouwerian_chain(4)
+    assert canonical_form(direct_product(chain4, chain4)) != key
+
+    rng = random.Random(11)
+    antichain = tuple(tuple(a == b for b in range(8)) for a in range(8))
+    # four points below each of four others
+    two_level = tuple(tuple(a == b or (a < 4 <= b) for b in range(8)) for a in range(8))
+    for leq in (antichain, two_level):
+        perm = list(range(8))
+        rng.shuffle(perm)
+        relabelled = tuple(
+            tuple(leq[perm.index(i)][perm.index(j)] for j in range(8)) for i in range(8)
+        )
+        assert canonical_poset_key(relabelled) == canonical_poset_key(leq)
+    assert canonical_poset_key(antichain) != canonical_poset_key(two_level)
+
+    def incidence(cycle_lengths):
+        # the vertices of disjoint cycles below their edges
+        edges, start = [], 0
+        for k in cycle_lengths:
+            edges += [(start + i, start + (i + 1) % k) for i in range(k)]
+            start += k
+        n = start + len(edges)
+        return tuple(
+            tuple(a == b or (b >= start and a in edges[b - start]) for b in range(n))
+            for a in range(n)
+        )
+
+    # refinement leaves all vertices in one class, across two orbits, so the
+    # key must not depend on which vertex is individualised first
+    assert canonical_poset_key(incidence((3, 4))) == canonical_poset_key(incidence((4, 3)))
+
+
+def test_sirl_enumeration_reuses_the_cached_srl_list(monkeypatch):
+    from srlkit import enumeration
+
+    enumerate_models("srl", 4)
+    calls = []
+    original = enumeration._enumerate_srl
+    monkeypatch.setattr(
+        enumeration, "_enumerate_srl", lambda n: calls.append(n) or original(n)
+    )
+    enumeration._enumerate_sirl(4)
+    assert calls == []
+
+
+def test_brouwerian_enumeration_at_sizes_0_and_1():
+    assert enumerate_models("brouwerian", 0) == []
+    [single] = enumerate_models("brouwerian", 1)
+    assert single.size == 1 and validate(single).ok
+
+
 def test_canonical_form_identifies_isomorphs():
     algebra = c4()
     # relabel by a permutation and compare canonical forms

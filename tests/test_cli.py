@@ -191,6 +191,17 @@ def test_refute_epic_hypotheses_not_met(capsys):
     assert "negatively generated" in report["reason"]
 
 
+def test_sub_index_outside_the_carrier_is_an_input_error(capsys):
+    for argv in (
+        ("epic", "catalog:brouwerian_chain(4)", "--sub", "0,3,99",
+         "--variety", "catalog:brouwerian_chain(4)"),
+        ("refute-epic", "catalog:brouwerian_chain(4)", "--sub", "0,3,99"),
+    ):
+        code, report = run_json(capsys, *argv)
+        assert code == 2 and report["kind"] == "NotASubalgebra"
+        assert report["error"] == "element 99 is outside 0..3 (size 4)"
+
+
 def test_es_decide_commands(capsys):
     code, report = run_json(capsys, "es-decide", "--variety", "catalog:c4")
     assert code == 0 and report["verdicts"]["es"] is True
