@@ -636,13 +636,12 @@ def homomorphisms(
 
 
 def _iso_invariant(algebra: FiniteAlgebra, a: int) -> tuple:
-    below = sum(1 for b in algebra.elements if algebra.leq(b, a))
-    above = sum(1 for b in algebra.elements if algebra.leq(a, b))
+    row = algebra.meet[a]
     return (
         a == algebra.e,
         algebra.bottom is not None and a == algebra.bottom,
-        below,
-        above,
+        sum(1 for b, m in enumerate(row) if m == b),  # elements below a
+        row.count(a),  # elements above a
         algebra.fusion[a][a] == a,
         algebra.neg is not None and algebra.neg[a] == a,
     )

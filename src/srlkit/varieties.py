@@ -8,12 +8,31 @@ exactly the FSI quotients of subalgebras of generators; and two
 homomorphisms into any member stay distinct after projecting onto some
 subdirectly irreducible (hence FSI) factor, so epicity only needs checking
 against the spectrum.
+
+The spectrum build rests on two more facts.
+
+- Isomorphic subalgebras have isomorphic quotients.  An isomorphism
+  h: B -> B' carries each filter ↑c of B onto the filter ↑h(c) of B', and
+  the congruences they determine correspond under h, so h induces
+  B/↑c ≅ B'/↑h(c).  Only the first subalgebra of each isomorphism type needs
+  its quotients taken.
+- A/↑c is FSI iff c is join-irreducible in the negative cone A⁻.  Negative
+  elements are idempotent, so ↑d is closed under fusion for every d in A⁻;
+  and a filter of a finite algebra is the up-set of its least element, which
+  lies below e.  So the filters are the ↑d with d in A⁻, and those that
+  contain ↑c are the ↑d with d ≤ c.  By the correspondence theorem they
+  match the congruences of A/↑c, which is FSI when its least congruence is
+  not the intersection of two larger ones: when ↑c is meet-irreducible
+  among the ↑d with d ≤ c.  As ↑a ∩ ↑b = ↑(a∨b), with a∨b in A⁻, ↑c is the
+  intersection of two larger such filters exactly when c = a∨b for some
+  a, b < c.  The least element of A, whose quotient is trivial, is the
+  empty join and so not join-irreducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import permutations
 from typing import Iterable, Optional
 
@@ -32,7 +51,6 @@ from .core import (
     _subalgebra,
     brouwerian_reduct,
     compose,
-    find_isomorphism,
     homomorphisms,
     identity_homomorphism,
     is_homomorphism,
@@ -40,6 +58,7 @@ from .core import (
     validate,
 )
 from .duality import _e_subspace, _point_depths, _prime_space, depth
+from .enumeration import canonical_form
 from .errors import (
     HypothesesNotMet,
     NotASubalgebra,
@@ -97,25 +116,63 @@ class FsiSpectrum:
 
 def fsi_spectrum(spec: VarietySpec) -> FsiSpectrum:
     """Quotients of subalgebras of generators, filtered to the FSI ones and
-    deduplicated up to isomorphism, in deterministic order.  Built once per
-    spec and kept on it."""
+    deduplicated up to isomorphism, in deterministic order: generators in
+    turn, subuniverses in bitmask order, filters in `all_deductive_filters`
+    order.  The first quotient of each isomorphism type is the member, named
+    `fsi0`, `fsi1`, ... in that order.  Built once per spec and kept on it.
+
+    Two facts (proved in the module docstring) cut the work without changing
+    the members.  Isomorphic subalgebras have isomorphic quotients, since an
+    isomorphism h carries ↑c to ↑h(c); so a subalgebra isomorphic to an
+    earlier one, of any generator, is skipped.  B/↑c is FSI iff c is
+    join-irreducible in B⁻, since the filters above ↑c are the ↑d with
+    d ≤ c and ↑a ∩ ↑b = ↑(a∨b); so only those quotients are built.
+    Both dedupes compare `canonical_form` keys; neither searches for an
+    isomorphism."""
     return FsiSpectrum(spec=spec, algebras=spec._fsi_members)
 
 
 def _build_spectrum_members(spec: VarietySpec) -> tuple[FiniteAlgebra, ...]:
     members: list[FiniteAlgebra] = []
+    seen_subs: set[tuple] = set()
+    seen_members: set[tuple] = set()
     for gen in spec.generators:
         for mask in all_subuniverses(gen):
             sub, _ = _subalgebra(gen, sorted(mask))
+            key = canonical_form(sub)
+            if key in seen_subs:
+                continue
+            seen_subs.add(key)
+            irreducible = _cone_join_irreducibles(sub)
             for flt in all_deductive_filters(sub):
+                c = reduce(lambda a, b: sub.meet[a][b], flt.members)
+                if c not in irreducible:
+                    continue
                 candidate, _ = quotient(sub, flt)
                 if not is_fsi(candidate):
+                    raise VerificationFailure(
+                        f"quotient by ↑{c} of a {sub.size}-element subalgebra is not FSI, "
+                        f"though {c} is join-irreducible in the negative cone"
+                    )
+                key = canonical_form(candidate)
+                if key in seen_members:
                     continue
-                # the member is the source, so its cached search schedule is reused
-                if any(find_isomorphism(m, candidate) is not None for m in members):
-                    continue
+                seen_members.add(key)
                 members.append(replace(candidate, name=f"fsi{len(members)}"))
     return tuple(members)
+
+
+def _cone_join_irreducibles(algebra: FiniteAlgebra) -> set[int]:
+    """The join-irreducible elements of the negative cone: those with some
+    cone element strictly below, whose join is still strictly below."""
+    meet, join = algebra.meet, algebra.join
+    cone = algebra.below_e
+    out = set()
+    for c in cone:
+        below = [a for a in cone if a != c and meet[a][c] == a]
+        if below and reduce(lambda a, b: join[a][b], below) != c:
+            out.add(c)
+    return out
 
 
 def variety_depth(spec: VarietySpec) -> int:

@@ -6,6 +6,7 @@ construction."""
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from typing import Optional
 
 from srlkit.cones import all_subuniverses
@@ -13,13 +14,15 @@ from srlkit.core import (
     FiniteAlgebra,
     Homomorphism,
     _binary_tables,
+    find_isomorphism,
     homomorphisms,
     is_subuniverse,
+    subalgebra,
 )
 from srlkit.duality import PointedPoset
 from srlkit.enumeration import LeqMatrix, enumerate_posets
 from srlkit.errors import VerificationFailure
-from srlkit.filters import Congruence, is_congruence
+from srlkit.filters import Congruence, all_deductive_filters, is_congruence, is_fsi, quotient
 from srlkit.varieties import EsDecision, FsiSpectrum, VarietySpec, fsi_spectrum
 
 
@@ -257,3 +260,21 @@ def _is_epic_per_codomain(algebra: FiniteAlgebra, mask, spectrum: FsiSpectrum) -
             if seen.setdefault(key, hom) is not hom:
                 return False
     return True
+
+
+def fsi_spectrum_pairwise(spec: VarietySpec) -> tuple[FiniteAlgebra, ...]:
+    """`varieties.fsi_spectrum`'s members, by quotienting every subalgebra of
+    every generator by every filter, keeping the FSI quotients, and dropping
+    each one isomorphic to an earlier member by pairwise `find_isomorphism`."""
+    members: list[FiniteAlgebra] = []
+    for gen in spec.generators:
+        for mask in all_subuniverses(gen):
+            sub, _ = subalgebra(gen, mask)
+            for flt in all_deductive_filters(sub):
+                candidate, _ = quotient(sub, flt)
+                if not is_fsi(candidate):
+                    continue
+                if any(find_isomorphism(m, candidate) is not None for m in members):
+                    continue
+                members.append(replace(candidate, name=f"fsi{len(members)}"))
+    return tuple(members)

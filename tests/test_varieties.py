@@ -1,10 +1,11 @@
 import random
+import sys
 
 import pytest
-from oracles import decide_es_per_mask, relabel, relabelling
+from oracles import decide_es_per_mask, fsi_spectrum_pairwise, relabel, relabelling
 
 from srlkit import varieties
-from srlkit.catalog import brouwerian_chain, c4, crystal, sugihara, trivial
+from srlkit.catalog import brouwerian_chain, brouwerian_diamond, c4, crystal, sugihara, trivial
 from srlkit.cones import all_subuniverses, is_negatively_generated
 from srlkit.core import (
     FiniteAlgebra,
@@ -17,7 +18,13 @@ from srlkit.core import (
 from srlkit.duality import depth
 from srlkit.enumeration import canonical_form
 from srlkit.errors import HypothesesNotMet
-from srlkit.filters import all_congruences, all_deductive_filters, is_fsi, quotient
+from srlkit.filters import (
+    all_congruences,
+    all_deductive_filters,
+    generated_filter,
+    is_fsi,
+    quotient,
+)
 from srlkit.varieties import (
     VarietySpec,
     decide_es,
@@ -67,6 +74,51 @@ def test_fsi_spectrum_members_pairwise_non_isomorphic(suite):
             assert is_fsi(members[i])
             for j in range(i + 1, len(members)):
                 assert find_isomorphism(members[i], members[j]) is None
+
+
+def test_fsi_spectrum_matches_pairwise_oracle(suite):
+    # same members, tables, names and order as quotienting by every filter
+    # and deduplicating by pairwise isomorphism search; the two-generator
+    # specs share one subalgebra key set across generators
+    rng = random.Random(20261018)
+    specs = [spec_of(g) for algebra in suite for g in (algebra, relabel(algebra, rng))]
+    specs += [
+        spec_of(c4(), sugihara(7)),
+        spec_of(crystal(), c4()),
+        spec_of(crystal(), sugihara(5)),
+        spec_of(brouwerian_chain(4), brouwerian_diamond()),
+    ]
+    for spec in specs:
+        members, expected = fsi_spectrum(spec).algebras, fsi_spectrum_pairwise(spec)
+        assert members == expected
+        assert [m.name for m in members] == [m.name for m in expected]
+
+
+def test_quotient_is_fsi_iff_cone_join_irreducible(suite):
+    # A/↑c is FSI exactly when c has one lower cover in the negative cone
+    for algebra in suite:
+        cone = algebra.below_e
+        below = lambda a, c: a != c and algebra.leq(a, c)
+        for c in cone:
+            covers = [
+                a for a in cone
+                if below(a, c) and not any(below(a, b) and below(b, c) for b in cone)
+            ]
+            flt = generated_filter(algebra, [c])
+            assert is_fsi(quotient(algebra, flt)[0]) == (len(covers) == 1), (algebra.name, c)
+
+
+def test_spectrum_build_makes_no_isomorphism_search(monkeypatch):
+    spec = spec_of(crystal(), c4())
+    expected = fsi_spectrum_pairwise(spec)
+
+    def refuse(*args):
+        raise AssertionError("the spectrum build searched for an isomorphism")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("srlkit") and hasattr(module, "find_isomorphism"):
+            monkeypatch.setattr(module, "find_isomorphism", refuse)
+    assert fsi_spectrum(spec).algebras == expected
 
 
 def test_spectrum_closure_soundness(suite):
