@@ -2,9 +2,10 @@
 
 The crystal lattice's fusion table was completed once by constraint search
 from its defining labels (the two self-negating incomparable elements whose
-product is the top) and frozen here; `crystal_completion_search` recovers it
-by filtering the enumerator's fusion-table search on the crystal lattice, and
-is kept as the test oracle for uniqueness.
+product is the top) and frozen here.  The test oracle
+`tests/oracles.py::crystal_completion_search` recovers it, and shows it is
+the only completion, by filtering the enumerator's fusion-table search on
+the crystal lattice.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import FiniteAlgebra, classify, validate
-from .enumeration import _fusion_search
+from .core import FiniteAlgebra
 from .errors import BadParams, UnknownName
 
 
@@ -101,31 +101,6 @@ def crystal() -> FiniteAlgebra:
         6, _CRYSTAL_MEET, _CRYSTAL_JOIN, _CRYSTAL_FUSION, residual, 1,
         neg=_CRYSTAL_NEG, name="crystal",
     )
-
-
-def crystal_completion_search() -> list[tuple[tuple[int, ...], ...]]:
-    """Every fusion table on the crystal order that, with the fixed involution
-    and labels a*a = a, b*b = b, a*b = top, yields a valid De Morgan monoid.
-    The completion is unique; kept as the oracle for the frozen table.
-
-    Every such table satisfies the constraints `_fusion_search` imposes
-    (residuation makes bottom absorbing, and square-increasing plus
-    subidempotent makes the cone below e idempotent), so filtering its
-    output loses none."""
-    rng = range(6)
-    leq = lambda x, y: _CRYSTAL_MEET[x][y] == x
-    neg = _CRYSTAL_NEG
-    results = []
-    for fusion in _fusion_search(_CRYSTAL_MEET, _CRYSTAL_JOIN, leq, 6, 1):
-        if (fusion[2][2], fusion[3][3], fusion[2][3]) != (2, 3, 5):
-            continue
-        residual = [[neg[fusion[a][neg[b]]] for b in rng] for a in rng]
-        candidate = FiniteAlgebra.build(
-            6, _CRYSTAL_MEET, _CRYSTAL_JOIN, fusion, residual, 1, neg=neg
-        )
-        if validate(candidate).ok and classify(candidate).de_morgan_monoid:
-            results.append(fusion)
-    return results
 
 
 def sugihara(n: int) -> FiniteAlgebra:

@@ -1,5 +1,6 @@
 """Negative cones, subalgebra generation with witness terms, and the
-cone/quotient isomorphism.
+cone/quotient isomorphism, whose map `_identify_cones` builds and checks
+for `cone_quotient_iso` and for the retract square of `epi_analysis`.
 
 Witness terms are minimal-size and first-found in a deterministic closure
 order; ties break by operation order meet < join < fusion < residual < neg.
@@ -11,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .core import FiniteAlgebra, Signature, closed_sets, is_homomorphism
-from .errors import UnboundVariable, VerificationFailure
+from .core import FiniteAlgebra, Signature, brouwerian_reduct, closed_sets, is_homomorphism
+from .errors import NotASubalgebra, UnboundVariable, VerificationFailure
 from .filters import (
     DeductiveFilter,
     deductive_filter,
@@ -144,6 +145,10 @@ def _close(algebra: FiniteAlgebra, closed: frozenset[int], new: Iterable[int]) -
 
 def subuniverse_closure(algebra: FiniteAlgebra, generators: Iterable[int]) -> frozenset[int]:
     """Closure of a set (plus constants) under all operations."""
+    generators = list(generators)
+    for a in generators:
+        if not 0 <= a < algebra.size:
+            raise NotASubalgebra(f"element {a} is outside 0..{algebra.size - 1} (size {algebra.size})")
     constants = (algebra.e,) if algebra.bottom is None else (algebra.e, algebra.bottom)
     return _close(algebra, frozenset(), (*generators, *constants))
 
@@ -296,36 +301,45 @@ def cone_quotient_iso(algebra: FiniteAlgebra, flt: DeductiveFilter) -> ConeQuoti
     if frozenset(back[x] for x in regenerated.members if x in back) != trace:
         raise VerificationFailure("cone trace of the generated filter changed")
 
-    quotient_algebra, q = quotient(algebra, flt)
+    _, q = quotient(algebra, flt)
     cone_q, cone_q_map = quotient(cone, cone_filter)
-
-    q_cone, q_carrier = negative_cone(quotient_algebra)
+    failed = "cone/quotient isomorphism check failed"
+    q_cone, q_carrier, forward = _identify_cones(q, back, cone_q_map, failed, failed)
     q_back = {x: i for i, x in enumerate(q_carrier)}
-
-    forward = [-1] * q_cone.size
-    for a in algebra.elements:
-        cls = q.mapping[a]
-        if cls in q_back:
-            m = algebra.meet[a][algebra.e]
-            forward[q_back[cls]] = cone_q_map.mapping[back[m]]
     backward = [-1] * cone_q.size
     for i, x in enumerate(carrier):
         backward[cone_q_map.mapping[i]] = q_back[q.mapping[x]]
-
-    ok = (
-        all(v >= 0 for v in forward)
-        and all(v >= 0 for v in backward)
-        and is_homomorphism(q_cone, cone_q, forward)
-        and is_homomorphism(cone_q, q_cone, backward)
-        and all(backward[forward[i]] == i for i in range(q_cone.size))
-        and all(forward[backward[i]] == i for i in range(cone_q.size))
-    )
-    if not ok:
-        raise VerificationFailure("cone/quotient isomorphism check failed")
+    # `forward` is a bijective homomorphism, so this makes `backward` its
+    # inverse, and a homomorphism too
+    if any(backward[v] != u for u, v in enumerate(forward)):
+        raise VerificationFailure(failed)
     return ConeQuotientIso(
         quotient_cone=q_cone,
         quotient_cone_carrier=q_carrier,
         cone_quotient=cone_q,
-        forward=tuple(forward),
+        forward=forward,
         backward=tuple(backward),
     )
+
+
+def _identify_cones(quotient_map, cone_local, cone_quotient_map, not_onto, not_hom):
+    """The map (A/F)^- -> A^-/(A^- ∩ F) sending the class u to the class of
+    (a meet e) for any a in u, by (A/F)^- index, with (A/F)^- and its
+    carrier in A/F.  `quotient_map` is A -> A/F, `cone_quotient_map` is
+    A^- -> A^-/(A^- ∩ F), and `cone_local` indexes A^- by element of A.  A
+    map that is not a bijection raises `not_onto`, one that is not a
+    homomorphism `not_hom`; the bottom counts when the cone quotient has one."""
+    meet, e = quotient_map.source.meet, quotient_map.source.e
+    target = cone_quotient_map.target
+    q_cone, q_carrier = negative_cone(quotient_map.target)
+    if target.bottom is None:
+        q_cone = brouwerian_reduct(q_cone)
+    forward = tuple(
+        cone_quotient_map.mapping[cone_local[meet[quotient_map.mapping.index(u)][e]]]
+        for u in q_carrier
+    )
+    if sorted(forward) != list(target.elements):
+        raise VerificationFailure(not_onto)
+    if not is_homomorphism(q_cone, target, forward):
+        raise VerificationFailure(not_hom)
+    return q_cone, q_carrier, forward

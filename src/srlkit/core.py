@@ -720,23 +720,28 @@ def subalgebra(algebra: FiniteAlgebra, members: Iterable[int]) -> tuple[FiniteAl
 def _subalgebra(algebra: FiniteAlgebra, carrier: list[int]) -> tuple[FiniteAlgebra, Homomorphism]:
     """`subalgebra` on an ascending carrier already known to be a
     subuniverse, such as a mask from `closed_sets`: no closure check."""
-    back = {x: i for i, x in enumerate(carrier)}
-    restrict = lambda t: tuple(
-        tuple(back[t[a][b]] for b in carrier) for a in carrier
-    )
-    sub = FiniteAlgebra(
-        size=len(carrier),
-        meet=restrict(algebra.meet),
-        join=restrict(algebra.join),
-        fusion=restrict(algebra.fusion),
-        residual=restrict(algebra.residual),
-        e=back[algebra.e],
-        neg=None if algebra.neg is None else tuple(back[algebra.neg[a]] for a in carrier),
-        bottom=None if algebra.bottom is None else back[algebra.bottom],
-        signature=algebra.signature,
-        name=None if algebra.name is None else f"{algebra.name}|{carrier}",
-    )
+    sub = _induced(algebra, carrier, {x: i for i, x in enumerate(carrier)}, f"|{carrier}")
     return sub, Homomorphism(sub, algebra, tuple(carrier))
+
+
+def _induced(algebra: FiniteAlgebra, reps: Sequence[int], cls, suffix: str) -> FiniteAlgebra:
+    """The algebra on `reps`, whose element i stands for `reps[i]` and each
+    operation's value x for `cls[x]`: a subalgebra when `cls` gives positions
+    in a subuniverse, a quotient when `reps` holds one element per block and
+    `cls` the blocks.  Named by `suffix` after the parent, if that is named."""
+    table = lambda t: tuple(tuple(cls[t[a][b]] for b in reps) for a in reps)
+    return FiniteAlgebra(
+        size=len(reps),
+        meet=table(algebra.meet),
+        join=table(algebra.join),
+        fusion=table(algebra.fusion),
+        residual=table(algebra.residual),
+        e=cls[algebra.e],
+        neg=None if algebra.neg is None else tuple(cls[algebra.neg[a]] for a in reps),
+        bottom=None if algebra.bottom is None else cls[algebra.bottom],
+        signature=algebra.signature,
+        name=None if algebra.name is None else algebra.name + suffix,
+    )
 
 
 def direct_product(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:

@@ -13,10 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .cones import negative_cone
 from .core import (
     FiniteAlgebra,
     Homomorphism,
     Signature,
+    brouwerian_reduct,
     classify,
     closed_sets,
     is_homomorphism,
@@ -344,9 +346,6 @@ def depth(target, point: Optional[int] = None) -> int:
             return depth_of_point(target, point)
         return depth_of_poset(target)
     if isinstance(target, FiniteAlgebra):
-        from .core import brouwerian_reduct
-        from .cones import negative_cone
-
         cone, _ = negative_cone(target)
         return depth_of_poset(dual_space(brouwerian_reduct(cone), "pointed"))
     raise TypeError(f"cannot take the depth of {type(target).__name__}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable
 
-from .core import FiniteAlgebra, Homomorphism, subalgebra
+from .core import FiniteAlgebra, Homomorphism, _induced, subalgebra
 from .errors import NotAFilter, VerificationFailure
 
 
@@ -75,7 +75,7 @@ def _normalize_blocks(raw: Iterable[int]) -> tuple[int, ...]:
 
 def is_deductive_filter(algebra: FiniteAlgebra, members: Iterable[int]) -> bool:
     mask = frozenset(members)
-    if algebra.e not in mask:
+    if algebra.e not in mask or any(not 0 <= a < algebra.size for a in mask):
         return False
     for a in mask:
         for b in algebra.elements:
@@ -97,6 +97,10 @@ def deductive_filter(algebra: FiniteAlgebra, members: Iterable[int]) -> Deductiv
 def generated_filter(algebra: FiniteAlgebra, elements: Iterable[int]) -> DeductiveFilter:
     """Smallest deductive filter containing the given set: the principal
     up-set of the meet of the set and the identity."""
+    elements = list(elements)
+    for a in elements:
+        if not 0 <= a < algebra.size:
+            raise NotAFilter(f"element {a} is outside 0..{algebra.size - 1} (size {algebra.size})")
     least = reduce(lambda a, b: algebra.meet[a][b], elements, algebra.e)
     return DeductiveFilter(
         algebra, frozenset(b for b in algebra.elements if algebra.leq(least, b))
@@ -191,28 +195,9 @@ def quotient_by_congruence(
     algebra: FiniteAlgebra, congruence: Congruence
 ) -> tuple[FiniteAlgebra, Homomorphism]:
     """The quotient algebra and the canonical surjection."""
-    blocks = congruence.blocks
-    k = congruence.block_count
-    reps = [None] * k
-    for a in algebra.elements:
-        if reps[blocks[a]] is None:
-            reps[blocks[a]] = a
-    table = lambda t: tuple(
-        tuple(blocks[t[reps[i]][reps[j]]] for j in range(k)) for i in range(k)
-    )
-    quotient = FiniteAlgebra(
-        size=k,
-        meet=table(algebra.meet),
-        join=table(algebra.join),
-        fusion=table(algebra.fusion),
-        residual=table(algebra.residual),
-        e=blocks[algebra.e],
-        neg=None if algebra.neg is None else tuple(blocks[algebra.neg[reps[i]]] for i in range(k)),
-        bottom=None if algebra.bottom is None else blocks[algebra.bottom],
-        signature=algebra.signature,
-        name=None if algebra.name is None else f"{algebra.name}/θ",
-    )
-    return quotient, Homomorphism(algebra, quotient, blocks)
+    reps = [members[0] for members in congruence.classes()]
+    quotient = _induced(algebra, reps, congruence.blocks, "/θ")
+    return quotient, Homomorphism(algebra, quotient, congruence.blocks)
 
 
 def quotient(

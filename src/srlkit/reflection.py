@@ -98,18 +98,6 @@ def reflect(base: FiniteAlgebra) -> ReflectionAlgebra:
             return p(base.join[kx[1]][ky[1]])
         raise VerificationFailure("meet fell through the reflection order")
 
-    def join_op(x: int, y: int) -> int:
-        if leq(x, y):
-            return y
-        if leq(y, x):
-            return x
-        kx, ky = kind[x], kind[y]
-        if kx[0] == "base" and ky[0] == "base":
-            return b(base.join[kx[1]][ky[1]])
-        if kx[0] == "primed" and ky[0] == "primed":
-            return p(base.meet[kx[1]][ky[1]])
-        raise VerificationFailure("join fell through the reflection order")
-
     def fusion_op(x: int, y: int) -> int:
         if x == bot or y == bot:
             return bot
@@ -131,7 +119,8 @@ def reflect(base: FiniteAlgebra) -> ReflectionAlgebra:
         neg[p(a)] = b(a)
 
     meet = tuple(tuple(meet_op(x, y) for y in range(size)) for x in range(size))
-    join = tuple(tuple(join_op(x, y) for y in range(size)) for x in range(size))
+    # neg reverses the order, so it turns meets into joins (De Morgan)
+    join = tuple(tuple(neg[meet[neg[x]][neg[y]]] for y in range(size)) for x in range(size))
     fusion = tuple(tuple(fusion_op(x, y) for y in range(size)) for x in range(size))
     residual = tuple(
         tuple(neg[fusion[x][neg[y]]] for y in range(size)) for x in range(size)

@@ -7,7 +7,8 @@ factor, so the FSI members of the generated variety are, up to isomorphism,
 exactly the FSI quotients of subalgebras of generators; and two
 homomorphisms into any member stay distinct after projecting onto some
 subdirectly irreducible (hence FSI) factor, so epicity only needs checking
-against the spectrum.
+against the spectrum.  `_refutation` makes that check for both
+`is_epic_subalgebra` and `decide_es`.
 
 The spectrum build rests on two more facts.
 
@@ -34,9 +35,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 from itertools import permutations
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .cones import (
+    _identify_cones,
     all_subuniverses,
     eval_term,
     generate_subalgebra,
@@ -216,15 +219,24 @@ def hypotheses_gate(spec: VarietySpec) -> GateReport:
     return GateReport(entries)
 
 
-def _collision(maps: list[tuple[int, ...]], mask: list[int]) -> Optional[tuple[int, int]]:
-    """Indices (i, j), i < j, of the first map j that agrees on every element
-    of `mask` with an earlier map i, or None when the maps restrict to
-    `mask` pairwise differently."""
-    seen: dict[tuple[int, ...], int] = {}
-    for j, mapping in enumerate(maps):
-        i = seen.setdefault(tuple(mapping[b] for b in mask), j)
-        if i != j:
-            return i, j
+def _refutation(algebra, mask, codomains, hom_sets):
+    """The first (codomain, map, map) whose maps i < j in Hom(algebra,
+    codomain) agree on the non-empty `mask`: codomains in order, then
+    the least such j (the maps before it differ on the mask, so i is
+    unique); None when the mask is epic.  `hom_sets[k]` holds the map
+    arrays of Hom(algebra, codomains[k]), appended when codomain k is first
+    reached, so a caller testing many masks searches each hom set once."""
+    restrict = itemgetter(*mask)
+    for k, codomain in enumerate(codomains):
+        if k == len(hom_sets):
+            hom_sets.append([h.mapping for h in homomorphisms(algebra, codomain)])
+        maps = hom_sets[k]
+        seen: dict = {}
+        for j, mapping in enumerate(maps):
+            i = seen.setdefault(restrict(mapping), j)
+            if i != j:
+                first, second = (Homomorphism(algebra, codomain, maps[x]) for x in (i, j))
+                return codomain, first, second
     return None
 
 
@@ -232,7 +244,6 @@ def is_epic_subalgebra(
     algebra: FiniteAlgebra,
     members: Iterable[int],
     spec: VarietySpec,
-    spectrum: Optional[FsiSpectrum] = None,
     refutation: Optional[list] = None,
 ) -> bool:
     """Does the subalgebra determine every homomorphism from the algebra
@@ -242,16 +253,10 @@ def is_epic_subalgebra(
     mask = sorted(set(members))
     if not is_subuniverse(algebra, mask):
         raise NotASubalgebra(f"{mask} is not a subuniverse")
-    if spectrum is None:
-        spectrum = fsi_spectrum(spec)
-    for codomain in spectrum.algebras:
-        homs = homomorphisms(algebra, codomain)
-        pair = _collision([h.mapping for h in homs], mask)
-        if pair is not None:
-            if refutation is not None:
-                refutation.append((codomain, homs[pair[0]], homs[pair[1]]))
-            return False
-    return True
+    found = _refutation(algebra, mask, fsi_spectrum(spec).algebras, [])
+    if found is not None and refutation is not None:
+        refutation.append(found)
+    return found is None
 
 
 @dataclass(frozen=True)
@@ -293,15 +298,7 @@ def _first_epic_subuniverse(
     mask first needs it; the masks come from `all_subuniverses`, so they are
     not checked for closure again."""
     hom_sets: list[list[tuple[int, ...]]] = []
-
-    def epic(mask: frozenset[int]) -> bool:
-        keys = sorted(mask)
-        for k, codomain in enumerate(codomains):
-            if k == len(hom_sets):
-                hom_sets.append([h.mapping for h in homomorphisms(member, codomain)])
-            if _collision(hom_sets[k], keys) is not None:
-                return False
-        return True
+    epic = lambda mask: _refutation(member, mask, codomains, hom_sets) is None
 
     full = frozenset(member.elements)
     proper = [s for s in all_subuniverses(member) if s != full]
@@ -465,28 +462,6 @@ def epi_analysis(algebra: FiniteAlgebra, members: Iterable[int]) -> EpiAnalysis:
     )
 
 
-def _identify_cones(quotient_map, cone_local, space, not_onto, not_hom):
-    """The map from the cone of `quotient_map`'s target onto the cone
-    quotient of `space`, sending u to the class of (a meet e) for any a in
-    u.  A map that is not a bijection raises `not_onto`, one that is not a
-    homomorphism `not_hom`.  Returns it, by cone element, with the cone's
-    carrier."""
-    source = quotient_map.source
-    q_cone, q_carrier = negative_cone(quotient_map.target)
-    q_cone = brouwerian_reduct(q_cone)
-    ident = {}
-    for u in q_carrier:
-        a = quotient_map.mapping.index(u)
-        m = source.meet[a][source.e]
-        ident[u] = space.quotient_map.mapping[cone_local[m]]
-    vec = [ident[u] for u in q_carrier]
-    if len(set(vec)) != len(vec) or set(vec) != set(range(space.quotient.size)):
-        raise VerificationFailure(not_onto)
-    if not is_homomorphism(q_cone, space.quotient, vec):
-        raise VerificationFailure(not_hom)
-    return ident, q_carrier
-
-
 def _verify_retract_square(cone, cone_local, cone_primes, space, traces, kernel, first, qe):
     """Compose the retract square elementwise: going through the subalgebra
     quotient, its cone quotient, and the subspace isomorphisms agrees with
@@ -520,17 +495,18 @@ def _verify_retract_square(cone, cone_local, cone_primes, space, traces, kernel,
         raise VerificationFailure("trace map is not a bijection on the subspace")
 
     # the two cone identifications on the quotient sides
-    i1, _ = _identify_cones(
-        qe.quotient_map, cone_local, sub_x,
+    _, q_carrier, i1 = _identify_cones(
+        qe.quotient_map, cone_local, sub_x.quotient_map,
         "cone of the quotient does not match the cone quotient",
         "cone identification is not a homomorphism",
     )
     b_local = {x: i for i, x in enumerate(b_carrier)}
-    i2, bq_carrier = _identify_cones(
-        qe.sub_quotient_map, b_local, sub_z,
+    _, bq_carrier, i2 = _identify_cones(
+        qe.sub_quotient_map, b_local, sub_z.quotient_map,
         "subcone of the quotient does not match its cone quotient",
         "subcone identification is not a homomorphism",
     )
+    i1 = dict(zip(q_carrier, i1))
 
     # the connecting quotient map between the two cone quotients
     arrow = {}
@@ -546,8 +522,8 @@ def _verify_retract_square(cone, cone_local, cone_primes, space, traces, kernel,
             raise VerificationFailure("inner subspace square does not commute")
 
     # outer square, one element of the subquotient cone at a time
-    for u in bq_carrier:
-        z_set = sub_z.point_sets[i2[u]]
+    for u, image in zip(bq_carrier, i2):
+        z_set = sub_z.point_sets[image]
         left = frozenset(p for p in sub_y.points if istar[p] in z_set)
         via_j = qe.embedding.mapping[u]
         right = sub_y.point_sets[arrow[i1[via_j]]]

@@ -9,18 +9,21 @@ import random
 from dataclasses import replace
 from typing import Optional
 
+from srlkit.catalog import crystal
 from srlkit.cones import all_subuniverses
 from srlkit.core import (
     FiniteAlgebra,
     Homomorphism,
     _binary_tables,
+    classify,
     find_isomorphism,
     homomorphisms,
     is_subuniverse,
     subalgebra,
+    validate,
 )
 from srlkit.duality import PointedPoset
-from srlkit.enumeration import LeqMatrix, enumerate_posets
+from srlkit.enumeration import LeqMatrix, _fusion_search, enumerate_posets
 from srlkit.errors import VerificationFailure
 from srlkit.filters import Congruence, all_deductive_filters, is_congruence, is_fsi, quotient
 from srlkit.varieties import EsDecision, FsiSpectrum, VarietySpec, fsi_spectrum
@@ -278,3 +281,41 @@ def fsi_spectrum_pairwise(spec: VarietySpec) -> tuple[FiniteAlgebra, ...]:
                     continue
                 members.append(replace(candidate, name=f"fsi{len(members)}"))
     return tuple(members)
+
+
+def crystal_completion_search() -> list[tuple[tuple[int, ...], ...]]:
+    """Every fusion table on the crystal order that, with the fixed involution
+    and labels a*a = a, b*b = b, a*b = top, yields a valid De Morgan monoid.
+    The completion is unique; kept as the oracle for the frozen table.
+
+    Every such table satisfies the constraints `_fusion_search` imposes
+    (residuation makes bottom absorbing, and square-increasing plus
+    subidempotent makes the cone below e idempotent), so filtering its
+    output loses none."""
+    frozen = crystal()
+    meet, join, neg = frozen.meet, frozen.join, frozen.neg
+    rng = range(6)
+    leq = lambda x, y: meet[x][y] == x
+    results = []
+    for fusion in _fusion_search(meet, join, leq, 6, 1):
+        if (fusion[2][2], fusion[3][3], fusion[2][3]) != (2, 3, 5):
+            continue
+        residual = [[neg[fusion[a][neg[b]]] for b in rng] for a in rng]
+        candidate = FiniteAlgebra.build(6, meet, join, fusion, residual, 1, neg=neg)
+        if validate(candidate).ok and classify(candidate).de_morgan_monoid:
+            results.append(fusion)
+    return results
+
+
+def epic_refutation_scan(algebra: FiniteAlgebra, mask, spectrum: FsiSpectrum):
+    """`varieties.is_epic_subalgebra`'s refutation by brute force: for each
+    codomain in spectrum order, the first pair of maps i < j in its full hom
+    list, ordered by j and then by i, that agree on every element of the
+    mask, as (codomain, first map, second map); None when there is none."""
+    for codomain in spectrum.algebras:
+        homs = homomorphisms(algebra, codomain)
+        for j, second in enumerate(homs):
+            for first in homs[:j]:
+                if all(first.mapping[b] == second.mapping[b] for b in mask):
+                    return codomain, first, second
+    return None

@@ -198,7 +198,7 @@ def test_criterion_8_main_theorem_mechanized(sweep_suite):
             assert verify_certificate(cert, mask)
             if spectrum is None:
                 spectrum = fsi_spectrum(spec)
-            assert not is_epic_subalgebra(algebra, mask, spec, spectrum=spectrum)
+            assert not is_epic_subalgebra(algebra, mask, spec)
     elapsed = time.time() - started
     print(f"criterion 8 swept {pairs} pairs in {elapsed:.1f}s")
     report("8 (main theorem mechanized)", pairs > 0 and elapsed < 600)

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from oracles import poset_from_pairs, posets_with_top
+from oracles import crystal_completion_search, poset_from_pairs, posets_with_top
 
 from srlkit.catalog import (
     CATALOG,
@@ -9,7 +9,6 @@ from srlkit.catalog import (
     builtin,
     c4,
     crystal,
-    crystal_completion_search,
     heyting_chain,
     sugihara,
 )

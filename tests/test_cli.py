@@ -182,6 +182,15 @@ def test_refute_epic_command(capsys):
     assert report["retraction"] == [0, 2, 2]
 
 
+def test_refute_epic_reports_the_target_name(capsys):
+    # the quotient's derived name reaches the report bytes
+    code, report = run_json(
+        capsys, "refute-epic", "catalog:brouwerian_chain(4)", "--sub", "0,2,3"
+    )
+    assert code == 0
+    assert report["target"] == {"name": "brouwerian_chain(4)/θ", "size": 3}
+
+
 def test_refute_epic_hypotheses_not_met(capsys):
     code, report = run_json(
         capsys, "refute-epic", "catalog:crystal", "--sub", "0,1,2,4,5"

@@ -16,7 +16,7 @@ from srlkit.cones import (
     term_size,
 )
 from srlkit.core import classify, find_isomorphism, validate
-from srlkit.errors import UnboundVariable
+from srlkit.errors import NotASubalgebra, UnboundVariable
 from srlkit.filters import (
     all_deductive_filters,
     deductive_filter,
@@ -231,3 +231,11 @@ def test_subuniverse_closure_constants():
     assert subuniverse_closure(c4(), set()) == frozenset(range(4))
     assert subuniverse_closure(trivial(), set()) == frozenset({0})
     assert subuniverse_closure(sugihara(3), {0}) == frozenset(range(3))
+
+
+def test_subuniverse_closure_rejects_elements_outside_the_carrier():
+    # -1 used to be closed over as the last element
+    algebra = brouwerian_chain(3)
+    for outside in (-1, 3):
+        with pytest.raises(NotASubalgebra, match=rf"element {outside} is outside 0\.\.2"):
+            subuniverse_closure(algebra, {outside})

@@ -331,3 +331,20 @@ def test_distinguished_element_accessors():
     assert greatest(crystal()) == 5
     square = direct_product(brouwerian_chain(2), brouwerian_chain(2))
     assert greatest(square) == 3 and least(square) == 0
+
+
+def test_derived_algebra_names():
+    from srlkit.cones import negative_cone
+    from srlkit.filters import deductive_filter, quotient
+
+    sub, _ = subalgebra(crystal(), {5, 0, 1, 4})
+    assert sub.name == "crystal|[0, 1, 4, 5]"
+    algebra = c4()
+    assert quotient(algebra, deductive_filter(algebra, {1, 2, 3}))[0].name == "c4/θ"
+    assert negative_cone(algebra)[0].name == "c4⁻"
+    # an unnamed parent gives an unnamed derived algebra
+    unnamed = relabel(algebra, random.Random(1))
+    assert unnamed.name is None
+    assert subalgebra(unnamed, unnamed.elements)[0].name is None
+    assert quotient(unnamed, deductive_filter(unnamed, unnamed.elements))[0].name is None
+    assert negative_cone(unnamed)[0].name is None

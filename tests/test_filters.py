@@ -309,3 +309,13 @@ def test_deductive_filters_closed_under_fusion_and_modus_ponens(suite):
                 for b in algebra.elements:
                     if algebra.residual[a][b] in flt.members:
                         assert b in flt.members
+
+
+def test_elements_outside_the_carrier_are_rejected():
+    # -1 used to be read as the last element, and 5 to raise IndexError
+    algebra = brouwerian_chain(3)
+    assert not is_deductive_filter(algebra, {2, -1})
+    assert not is_deductive_filter(algebra, {2, 5})
+    for outside in (-1, 3):
+        with pytest.raises(NotAFilter, match=rf"element {outside} is outside 0\.\.2"):
+            generated_filter(algebra, {outside})
