@@ -14,7 +14,9 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import MalformedTable, NotASubalgebra, NotResiduated, WrongSignature
+from .errors import (
+    DerivedLawFailure, MalformedTable, NotASubalgebra, NotResiduated, WrongSignature,
+)
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -83,12 +85,6 @@ class FiniteAlgebra:
         """`_constraint_schedule` results of maps out of this algebra, by
         pinned set."""
         return {}
-
-    @cached_property
-    def _iso_invariants(self) -> tuple[list[tuple], list[tuple]]:
-        """`_iso_invariant` of every element, and the same list sorted."""
-        invariants = [_iso_invariant(self, a) for a in self.elements]
-        return invariants, sorted(invariants)
 
     def top(self) -> int:
         """In bounded mode the greatest element is bottom -> bottom; it is
@@ -363,8 +359,6 @@ def derived_laws(algebra: FiniteAlgebra) -> AxiomReport:
     Requires `validate(algebra).ok`.  Any failure raises DerivedLawFailure,
     since these laws are theorems.
     """
-    from .errors import DerivedLawFailure
-
     n = algebra.size
     rng = range(n)
     meet, join = algebra.meet, algebra.join
@@ -635,37 +629,14 @@ def homomorphisms(
     return list(_homomorphism_search(source, target, partial, injective))
 
 
-def _iso_invariant(algebra: FiniteAlgebra, a: int) -> tuple:
-    row = algebra.meet[a]
-    return (
-        a == algebra.e,
-        algebra.bottom is not None and a == algebra.bottom,
-        sum(1 for b, m in enumerate(row) if m == b),  # elements below a
-        row.count(a),  # elements above a
-        algebra.fusion[a][a] == a,
-        algebra.neg is not None and algebra.neg[a] == a,
-    )
-
-
 def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra) -> Optional[Homomorphism]:
-    """A bijective homomorphism a -> b if one exists, else None.
-
-    Pruning uses order-rank invariants but the outcome matches brute-force
-    bijection search (the first valid map in lexicographic order).
-    """
+    """The first bijective homomorphism a -> b in lexicographic order by map
+    array, or None when there is none."""
     if a.signature != b.signature:
         raise WrongSignature("isomorphism search requires a common signature")
     if a.size != b.size:
         return None
-    inv_a, sorted_a = a._iso_invariants
-    inv_b, sorted_b = b._iso_invariants
-    if sorted_a != sorted_b:
-        return None
-    pins = {a.e: b.e}
-    if a.bottom is not None:
-        pins[a.bottom] = b.bottom
-    candidates = [[v for v in b.elements if inv_b[v] == inv_a[x]] for x in a.elements]
-    return next(_map_search(a, b, pins, candidates, injective=True), None)
+    return next(_homomorphism_search(a, b, injective=True), None)
 
 
 def is_subuniverse(algebra: FiniteAlgebra, members: Iterable[int]) -> bool:

@@ -14,6 +14,7 @@ import json
 from .core import (
     AxiomReport, AxiomVerdict, FiniteAlgebra, _covers, residual_from_fusion, validate,
 )
+from .duality import PointedPoset
 from .errors import MalformedTable, NotResiduated, ParseError, ValidationError
 
 
@@ -41,11 +42,14 @@ def save(algebra: FiniteAlgebra) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _integer(value, field: str) -> int:
-    """`value` when it is a JSON integer; anything else, booleans included,
-    is a ParseError naming the field."""
-    if type(value) is not int:
-        raise ParseError(f"{field} must be an integer, got {json.dumps(value)}")
+_KINDS = {int: "an integer", str: "a string", bool: "a boolean", dict: "an object"}
+
+
+def _typed(value, kind: type, field: str):
+    """`value` when its JSON type is exactly `kind` (a boolean is not an
+    integer); anything else is a ParseError naming the field."""
+    if type(value) is not kind:
+        raise ParseError(f"{field} must be {_KINDS[kind]}, got {json.dumps(value)}")
     return value
 
 
@@ -53,7 +57,8 @@ def load(text: str) -> FiniteAlgebra:
     """Parse, derive a missing residual table, and validate.
 
     Raises ParseError for structural problems, including a size, e, bottom,
-    neg entry or table entry that is not a JSON integer, and ValidationError
+    neg entry or table entry that is not a JSON integer, a name that is not a
+    string, and a signature that is not an object of booleans; ValidationError
     (carrying the axiom report) when the described algebra breaks an axiom.
     """
     try:
@@ -63,8 +68,8 @@ def load(text: str) -> FiniteAlgebra:
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object")
     try:
-        size = _integer(doc["size"], "size")
-        e = _integer(doc["e"], "e")
+        size = _typed(doc["size"], int, "size")
+        e = _typed(doc["e"], int, "e")
         tables = doc["tables"]
         meet = tables["meet"]
         join = tables["join"]
@@ -78,14 +83,16 @@ def load(text: str) -> FiniteAlgebra:
         rows = tables.get(label)
         for r, row in enumerate(rows if isinstance(rows, list) else ()):
             for c, x in enumerate(row if isinstance(row, list) else ()):
-                _integer(x, f"tables.{label} row {r} column {c}")
+                _typed(x, int, f"tables.{label} row {r} column {c}")
     for i, x in enumerate(neg if isinstance(neg, list) else ()):
-        _integer(x, f"neg entry {i}")
+        _typed(x, int, f"neg entry {i}")
     if bottom is not None:
-        _integer(bottom, "bottom")
-    sig = doc.get("signature", {})
-    if sig and (sig.get("involution", False) != (neg is not None)
-                or sig.get("bottom", False) != (bottom is not None)):
+        _typed(bottom, int, "bottom")
+    if "name" in doc:
+        _typed(doc["name"], str, "name")
+    sig = _typed(doc.get("signature", {}), dict, "signature")
+    flags = [_typed(sig.get(k, False), bool, f"signature.{k}") for k in ("involution", "bottom")]
+    if sig and flags != [neg is not None, bottom is not None]:
         raise ParseError("signature flags disagree with the present fields")
     if residual is None:
         try:
@@ -118,8 +125,6 @@ def load(text: str) -> FiniteAlgebra:
 def export_dot(obj) -> str:
     """Deterministic Hasse-diagram text (cover edges only) for an algebra's
     order or a poset.  Node labels carry the distinguished elements."""
-    from .duality import PointedPoset
-
     lines = ["digraph hasse {", "  rankdir=BT;"]
     if isinstance(obj, PointedPoset):
         size = obj.size

@@ -19,7 +19,6 @@ from .core import (
     Homomorphism,
     Signature,
     brouwerian_reduct,
-    classify,
     closed_sets,
     is_homomorphism,
 )
@@ -86,13 +85,17 @@ def is_esakia_morphism(
     return True
 
 
+def _is_brouwerian(algebra: FiniteAlgebra) -> bool:
+    """`classify(algebra).brouwerian`: integral and involution-free."""
+    return len(algebra.below_e) == algebra.size and not algebra.signature.has_involution
+
+
 def _require_mode(algebra: FiniteAlgebra, mode: str) -> None:
     if mode not in ("pointed", "proper"):
         raise ValueError(f"unknown mode {mode!r}")
-    flags = classify(algebra)
-    if mode == "pointed" and not flags.brouwerian:
+    if mode == "pointed" and not _is_brouwerian(algebra):
         raise NotBrouwerian("pointed-mode duality needs a Brouwerian algebra")
-    if mode == "proper" and not flags.heyting:
+    if mode == "proper" and not (_is_brouwerian(algebra) and algebra.signature.has_bottom):
         raise NotBrouwerian("proper-mode duality needs a Heyting algebra")
 
 
@@ -226,8 +229,8 @@ def e_subspace(
     subspace inclusion equals the isomorphism after the quotient map) is
     always verified; when `chain_filter` extends `flt`, the tower square for
     the two quotients is verified as well."""
-    # only a bounded algebra can be Heyting; `_prime_space` classifies the rest
-    if algebra.signature.has_bottom and classify(algebra).heyting:
+    # a bounded Brouwerian algebra is Heyting; `_prime_space` checks the rest
+    if algebra.signature.has_bottom and _is_brouwerian(algebra):
         raise NotBrouwerian(
             "e_subspace works in pointed mode; pass the unbounded reduct"
         )

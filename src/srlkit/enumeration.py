@@ -17,10 +17,9 @@ from functools import lru_cache
 from typing import Optional
 
 from .core import (
-    FiniteAlgebra, Signature, _iso_invariant, brouwerian_reduct, closed_sets,
-    residual_from_fusion, validate,
+    FiniteAlgebra, Signature, brouwerian_reduct, residual_from_fusion, validate,
 )
-from .duality import PointedPoset, dual_algebra
+from .duality import PointedPoset, all_up_sets, dual_algebra
 from .errors import BoundExceeded, NotResiduated
 
 DEFAULT_ENUMERATION_BOUND = 6
@@ -113,9 +112,8 @@ def canonical_poset_key(leq: LeqMatrix) -> tuple:
 
 
 def _down_sets(leq: LeqMatrix) -> list[frozenset[int]]:
-    n = len(leq)
-    down = [frozenset(b for b in range(n) if leq[b][a]) for a in range(n)]
-    return closed_sets(n, frozenset(), lambda s, a: s | down[a])
+    """Every down-set, the empty one included: the up-sets of the reversed order."""
+    return all_up_sets(PointedPoset(len(leq), tuple(zip(*leq))), include_empty=True)
 
 
 @lru_cache(maxsize=None)
@@ -165,6 +163,18 @@ def _lattice_tables(leq: LeqMatrix) -> Optional[tuple[tuple, tuple]]:
 
 # ---------------------------------------------------------------------------
 # canonical forms for algebras
+
+
+def _iso_invariant(algebra: FiniteAlgebra, a: int) -> tuple:
+    row = algebra.meet[a]
+    return (
+        a == algebra.e,
+        algebra.bottom is not None and a == algebra.bottom,
+        sum(1 for b, m in enumerate(row) if m == b),  # elements below a
+        row.count(a),  # elements above a
+        algebra.fusion[a][a] == a,
+        algebra.neg is not None and algebra.neg[a] == a,
+    )
 
 
 def canonical_form(algebra: FiniteAlgebra) -> tuple:

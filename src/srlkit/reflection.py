@@ -17,7 +17,6 @@ from .core import (
     FiniteAlgebra,
     Homomorphism,
     Signature,
-    find_isomorphism,
     is_subuniverse,
     subalgebra,
 )
@@ -30,6 +29,7 @@ from .filters import (
     quotient_by_congruence,
     _normalize_blocks,
 )
+from .varieties import VarietySpec, is_epic_subalgebra
 
 
 @dataclass(frozen=True)
@@ -154,10 +154,11 @@ def reflect_subalgebra(
     )
     sub, _ = subalgebra(refl.algebra, lifted)
     base_sub, _ = subalgebra(refl.base, base_mask)
-    iso = find_isomorphism(reflect(base_sub).algebra, sub)
-    if iso is None:
+    copy = reflect(base_sub).algebra
+    # sorted, the lifted carrier is bottom, B, B', top: the copy's own layout
+    if copy != sub:
         raise VerificationFailure("lifted subalgebra is not a reflection copy")
-    return lifted, iso
+    return lifted, Homomorphism(copy, sub, tuple(copy.elements))
 
 
 def subalgebra_census_matches(refl: ReflectionAlgebra) -> bool:
@@ -187,7 +188,8 @@ def reflect_congruence(refl: ReflectionAlgebra, congruence: Congruence) -> Congr
     lifted = Congruence(refl.algebra, blocks)
     base_quotient, _ = quotient_by_congruence(refl.base, congruence)
     big_quotient, _ = quotient_by_congruence(refl.algebra, lifted)
-    if find_isomorphism(reflect(base_quotient).algebra, big_quotient) is None:
+    # first-occurrence block ids run bottom, base blocks, primed blocks, top
+    if reflect(base_quotient).algebra != big_quotient:
         raise VerificationFailure("reflected quotient is not a reflection copy")
     return lifted
 
@@ -208,8 +210,6 @@ def reflection_epic_transfer(
 ) -> tuple[bool, bool]:
     """Evaluate epicity of a subalgebra on the base side and on the
     reflected side; the verdicts provably agree, so disagreement raises."""
-    from .varieties import VarietySpec, is_epic_subalgebra
-
     gens = tuple(generators)
     base_verdict = is_epic_subalgebra(algebra, members, VarietySpec(gens))
     refl = reflect(algebra)

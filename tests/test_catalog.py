@@ -146,8 +146,21 @@ def _set_path(doc, path, value):
             "tables.meet row 0 column 0 must be an integer, got 0.7",
         ),
         (heyting_chain(2), ("bottom",), False, "bottom must be an integer, got false"),
+        (c4(), ("name",), 5, "name must be a string, got 5"),
+        (c4(), ("signature",), [1], "signature must be an object, got [1]"),
+        (
+            c4(), ("signature", "involution"), 1,
+            "signature.involution must be a boolean, got 1",
+        ),
+        (
+            heyting_chain(2), ("signature", "bottom"), 1,
+            "signature.bottom must be a boolean, got 1",
+        ),
     ],
-    ids=["size-string", "e-string", "entry-float", "bottom-bool"],
+    ids=[
+        "size-string", "e-string", "entry-float", "bottom-bool", "name-int",
+        "signature-list", "involution-int", "bottom-flag-int",
+    ],
 )
 def test_document_load_rejects_coercible_values(algebra, path, value, message):
     # each value would coerce to the field's own integer; strict loading

@@ -50,6 +50,16 @@ def test_check_rejects_non_integer_entry(tmp_path, capsys):
     assert report["error"] == "tables.join row 1 column 2 must be an integer, got 2.0"
 
 
+def test_es_decide_rejects_a_non_string_name(tmp_path, capsys):
+    doc = tmp_path / "named.json"
+    text = json.loads(run(capsys, "catalog", "c4")[1])
+    text["name"] = 5  # a derived algebra's name extends this one
+    doc.write_text(json.dumps(text))
+    code, report = run_json(capsys, "es-decide", "--variety", str(doc))
+    assert code == 2 and report["kind"] == "ParseError"
+    assert report["error"] == "name must be a string, got 5"
+
+
 def test_check_missing_file(capsys):
     code, report = run_json(capsys, "check", "/nonexistent/file.json")
     assert code == 2

@@ -315,3 +315,21 @@ def test_duality_is_relabelling_invariant(suite):
         assert canonical_iso(algebra, mode).is_bijective
         dual = dualize_morphism(Homomorphism(algebra, relabelled, perm), mode)
         assert sorted(dual.mapping) == list(range(dual.target.size))
+
+
+def test_mode_checks_agree_with_classify(suite):
+    for algebra in suite:
+        flags = classify(algebra)
+        for mode, member in (("pointed", flags.brouwerian), ("proper", flags.heyting)):
+            try:
+                dual_space(algebra, mode)
+                refused = False
+            except NotBrouwerian:
+                refused = True
+            assert refused == (not member), (algebra.name, mode)
+        try:
+            e_subspace(algebra, all_deductive_filters(algebra)[0])
+            wants_reduct = False
+        except NotBrouwerian as exc:
+            wants_reduct = "pass the unbounded reduct" in str(exc)
+        assert wants_reduct == flags.heyting, algebra.name

@@ -1,8 +1,12 @@
+import random
+
 import pytest
+from oracles import relabel
 
 from srlkit.catalog import brouwerian_chain, c4, heyting_chain, trivial
-from srlkit.cones import subuniverse_closure
-from srlkit.core import classify, find_isomorphism, validate
+from srlkit.cones import all_subuniverses, subuniverse_closure
+from srlkit.core import classify, find_isomorphism, subalgebra, validate
+from srlkit.enumeration import enumerate_models
 from srlkit.errors import NotASubalgebra, WrongSignature
 from srlkit.filters import Congruence, all_congruences, is_fsi
 from srlkit.reflection import (
@@ -166,3 +170,21 @@ def test_epic_transfer_agreement():
     assert reflection_epic_transfer(three, {0, 1, 2}, [three]) == (True, True)
     four = brouwerian_chain(4)
     assert reflection_epic_transfer(four, {0, 2, 3}, [four]) == (False, False)
+
+
+def test_reflected_subalgebra_map_is_the_least_isomorphism():
+    # the layout makes the reflection copy and the lifted subalgebra equal;
+    # the identity map returned for it must be what isomorphism search finds
+    rng = random.Random(11)
+    checked = 0
+    for base in enumerate_models("srl", 4):
+        for algebra in (base, relabel(base, rng)):
+            refl = reflect(algebra)
+            for mask in all_subuniverses(algebra):
+                lifted, iso = reflect_subalgebra(refl, mask)
+                sub, _ = subalgebra(refl.algebra, lifted)
+                base_sub, _ = subalgebra(algebra, mask)
+                found = find_isomorphism(reflect(base_sub).algebra, sub)
+                assert iso == found
+                checked += 1
+    assert checked == 94  # 47 subuniverses over the SRLs of size <= 4, twice
