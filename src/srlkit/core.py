@@ -414,18 +414,17 @@ def residual_from_fusion(size: int, meet: Table, fusion: Table) -> Table:
     fusion(a, b) <= c.  Raises NotResiduated at the first pair (row-major)
     with no maximum witness."""
     rng = range(size)
-    leq = lambda a, b: meet[a][b] == a
     rows = []
     for b in rng:
+        products = [fusion[a][b] for a in rng]
         row = []
         for c in rng:
-            candidates = [a for a in rng if leq(fusion[a][b], c)]
+            candidates = [a for a in rng if meet[products[a]][c] == products[a]]
             best = None
-            for a in candidates:
-                if all(leq(x, a) for x in candidates):
+            for a in candidates:  # the maximum, when there is one, ends here
+                if best is None or meet[best][a] == best:
                     best = a
-                    break
-            if best is None:
+            if best is None or not all(meet[a][best] == a for a in candidates):
                 raise NotResiduated(b, c)
             row.append(best)
         rows.append(tuple(row))

@@ -3,11 +3,14 @@
 Brouwerian algebras come from posets of join-irreducibles (their down-set
 lattices), so the enumeration is complete by the finite representation
 theorem for distributive lattices.  General subidempotent algebras come from
-a backtracking fusion-table search over all small lattices; involutive ones
-expand each result by every involution (which is always the residual into
-the negation of the identity).  Canonical forms are the least relabelled
-tables over the leaves of one colour-refinement and individualisation
-search, shared by algebras and posets.
+a fusion-table search over all small lattices.  It branches on the cells
+between join-irreducibles, checks each new cell only against the isotonicity
+and associativity instances it completes, and propagates join-distributivity,
+which forces every other cell.  Involutive algebras expand each SRL by every
+involution (which is always the residual into the negation of the identity).
+Canonical forms are the least relabelled tables over the leaves of one
+colour-refinement and individualisation search, shared by algebras and
+posets.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from .core import (
     FiniteAlgebra, Signature, brouwerian_reduct, residual_from_fusion, validate,
 )
 from .duality import PointedPoset, all_up_sets, dual_algebra
-from .errors import BoundExceeded, NotResiduated
+from .errors import BoundExceeded, NotResiduated, VerificationFailure
 
 DEFAULT_ENUMERATION_BOUND = 6
 
@@ -234,81 +237,124 @@ def _enumerate_brouwerian(max_size: int) -> list[FiniteAlgebra]:
 # SRLs (fusion search over lattices) and SIRLs (involution expansion)
 
 
-def _fusion_search(meet, join, leq_fn, n: int, e: int) -> list[tuple]:
-    """All commutative, associative, join-distributing, subidempotent fusion
-    tables with identity e and zero row at the lattice bottom."""
-    bottom = next(a for a in range(n) if all(leq_fn(a, b) for b in range(n)))
-    table: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
+def _fusion_search(meet, join, e: int) -> list[tuple]:
+    """All commutative, associative, isotone, join-distributing,
+    subidempotent fusion tables on the lattice with identity e and zero row
+    at the bottom, in lexicographic order.
 
-    def put(x: int, y: int, v: int) -> bool:
-        if table[x][y] is not None:
-            return table[x][y] == v
+    Forward checking (Haralick & Elliott, "Increasing tree search efficiency
+    for constraint satisfaction problems", AI 14, 1980): each assigned cell
+    {x, y} is checked only against what it completes.  That is isotonicity
+    against the assigned cells of rows x and y, and the associativity
+    instances holding it as (a, b) or (ab, c); by commutativity an instance
+    read backwards holds it as (b, c) or (a, bc).  Join-distributivity is
+    propagated, not checked: once a*b and a*c are set, a*(b v c) is assigned
+    ab v ac on the trail, or compared when already set.  A join-preserving
+    fusion is fixed by its values on join-irreducibles, so branching on
+    those cells first leaves every other cell forced.
+    """
+    n = len(meet)
+    rng = range(n)
+    leq = [[meet[a][b] == a for b in rng] for a in rng]
+    bottom = next(a for a in rng if all(leq[a]))
+    irreducible = [
+        a != bottom and all(join[b][c] != a for b in rng for c in rng if b != a != c)
+        for a in rng
+    ]
+    cells = sorted(
+        ((x, y) for x in rng for y in range(x, n)),
+        key=lambda cell: not (irreducible[cell[0]] and irreducible[cell[1]]),
+    )
+    table = [[-1] * n for _ in rng]
+    made: list[list[tuple[int, int]]] = [[] for _ in rng]  # made[w]: (a, b) with a*b = w
+    trail: list[tuple[int, int]] = []
+
+    def assign(x: int, y: int, v: int) -> bool:
+        w = table[x][y]
+        if w >= 0:
+            return w == v
         table[x][y] = table[y][x] = v
+        made[v].append((x, y))
+        if x != y:
+            made[v].append((y, x))
+        trail.append((x, y))
         return True
 
-    ok = True
-    for x in range(n):
-        ok = ok and put(e, x, x)
-        ok = ok and put(bottom, x, bottom)
-        if leq_fn(x, e):
-            ok = ok and put(x, x, x)
-    if not ok:
-        return []
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            x, y = trail.pop()
+            v = table[x][y]
+            table[x][y] = table[y][x] = -1
+            del made[v][-1 if x == y else -2:]
 
-    cells = [
-        (x, y)
-        for x in range(n)
-        for y in range(x, n)
-        if table[x][y] is None
-    ]
+    def settle(mark: int) -> bool:
+        """Check each cell assigned since `mark`, propagating as it goes."""
+        i = mark
+        while i < len(trail):
+            x, y = trail[i]
+            i += 1
+            v = table[x][y]
+            for p, q in ((x, y), (y, x)) if x != y else ((x, y),):
+                row_p, row_q, row_v = table[p], table[q], table[v]
+                for z in rng:  # isotone: row p at q against row p at z
+                    w = row_p[z]
+                    if w >= 0 and (
+                        leq[z][q] and not leq[w][v] or leq[q][z] and not leq[v][w]
+                    ):
+                        return False
+                for c in rng:  # (pq)c = p(qc)
+                    qc = row_q[c]
+                    if qc >= 0:
+                        left, right = row_v[c], row_p[qc]
+                        if left >= 0 and right >= 0 and left != right:
+                            return False
+                for a, b in made[p]:  # (ab)q = a(bq) with ab = p
+                    bq = row_q[b]
+                    if bq >= 0:
+                        right = table[a][bq]
+                        if right >= 0 and right != v:
+                            return False
+                join_q, join_v = join[q], join[v]
+                for c in rng:  # p(q v c) = pq v pc
+                    pc = row_p[c]
+                    if pc >= 0 and not assign(p, join_q[c], join_v[pc]):
+                        return False
+        return True
+
+    for x in rng:
+        if not (
+            assign(e, x, x)
+            and assign(bottom, x, bottom)
+            and (not leq[x][e] or assign(x, x, x))
+        ):
+            return []
+    if not settle(0):
+        return []
     results: list[tuple] = []
 
-    def consistent_after(x: int, y: int) -> bool:
-        v = table[x][y]
-        # isotone in each argument against assigned cells
-        for z in range(n):
-            for (p, q) in ((x, y), (y, x)):
-                w = table[p][z] if table[p][z] is not None else None
-                if w is None:
-                    continue
-                if leq_fn(z, q) and not leq_fn(w, v):
-                    return False
-                if leq_fn(q, z) and not leq_fn(v, w):
-                    return False
-        # associativity and join-distributivity on fully assigned triples
-        for a in range(n):
-            for b in range(n):
-                ab = table[a][b]
-                if ab is None:
-                    continue
-                for c in range(n):
-                    bc = table[b][c]
-                    if bc is None or table[ab][c] is None or table[a][bc] is None:
-                        continue
-                    if table[ab][c] != table[a][bc]:
-                        return False
-                for c in range(n):
-                    ac = table[a][c]
-                    if ac is None:
-                        continue
-                    j = join[b][c]
-                    if table[a][j] is not None and table[a][j] != join[ab][ac]:
-                        return False
-        return True
-
-    def fill(idx: int) -> None:
-        if idx == len(cells):
+    def branch(k: int) -> None:
+        while k < len(cells) and table[cells[k][0]][cells[k][1]] >= 0:
+            k += 1
+        if k == len(cells):
             results.append(tuple(tuple(row) for row in table))
             return
-        x, y = cells[idx]
-        for v in range(n):
-            table[x][y] = table[y][x] = v
-            if consistent_after(x, y):
-                fill(idx + 1)
-        table[x][y] = table[y][x] = None
+        x, y = cells[k]
+        mark = len(trail)
+        for v in rng:
+            if assign(x, y, v) and settle(mark):
+                branch(k + 1)
+            undo(mark)
 
-    fill(0)
+    branch(0)
+    results.sort()
     return results
+
+
+def _search_failure(fusion: tuple, e: int, what: str) -> VerificationFailure:
+    """The search returns only SRLs, so a table that is not one is a bug."""
+    return VerificationFailure(
+        f"fusion search table {fusion} on {len(fusion)} elements with e = {e} {what}"
+    )
 
 
 def _enumerate_srl(max_size: int) -> list[FiniteAlgebra]:
@@ -319,19 +365,21 @@ def _enumerate_srl(max_size: int) -> list[FiniteAlgebra]:
             if tables is None:
                 continue
             meet, join = tables
-            leq_fn = lambda a, b: leq[a][b]
             for e in range(n):
-                for fusion in _fusion_search(meet, join, leq_fn, n, e):
+                for fusion in _fusion_search(meet, join, e):
                     try:
                         residual = residual_from_fusion(n, meet, fusion)
-                    except NotResiduated:
-                        continue
+                    except NotResiduated as exc:
+                        raise _search_failure(fusion, e, f"is not residuated: {exc}") from exc
                     algebra = FiniteAlgebra(
                         size=n, meet=meet, join=join, fusion=fusion,
                         residual=residual, e=e, name=f"srl#{n}",
                     )
-                    if validate(algebra).ok:
-                        found.setdefault(canonical_form(algebra), algebra)
+                    report = validate(algebra)
+                    if not report.ok:
+                        first = report.failures()[0]
+                        raise _search_failure(fusion, e, f"fails {first.law} at {first.witness}")
+                    found.setdefault(canonical_form(algebra), algebra)
     return [found[k] for k in sorted(found)]
 
 
@@ -365,16 +413,26 @@ def _enumerate_cached(kind: str, max_size: int) -> tuple[FiniteAlgebra, ...]:
     return tuple(_CLASS_ENUMERATORS[kind](max_size))
 
 
+def _require_size(label: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{label} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{label} must not be negative, got {value}")
+    return value
+
+
 def enumerate_models(
     kind: str, max_size: int, bound: Optional[int] = None
 ) -> list[FiniteAlgebra]:
     """All algebras of the class up to isomorphism and up to `max_size`.
 
     `bound` overrides the default size guard (callers that can afford larger
-    sweeps raise it explicitly)."""
+    sweeps raise it explicitly).  Both must be non-negative ints (not bools),
+    or ValueError names the one that is not."""
     if kind not in _CLASS_ENUMERATORS:
         raise ValueError(f"unknown class {kind!r}")
-    limit = DEFAULT_ENUMERATION_BOUND if bound is None else bound
+    _require_size("max_size", max_size)
+    limit = DEFAULT_ENUMERATION_BOUND if bound is None else _require_size("bound", bound)
     if max_size > limit:
         raise BoundExceeded(f"max_size {max_size} exceeds the bound {limit}")
     return list(_enumerate_cached(kind, max_size))

@@ -24,7 +24,7 @@ from srlkit.core import (
 )
 from srlkit.duality import PointedPoset
 from srlkit.enumeration import LeqMatrix, _fusion_search, enumerate_posets
-from srlkit.errors import VerificationFailure
+from srlkit.errors import NotResiduated, VerificationFailure
 from srlkit.filters import Congruence, all_deductive_filters, is_congruence, is_fsi, quotient
 from srlkit.varieties import EsDecision, FsiSpectrum, VarietySpec, fsi_spectrum
 
@@ -283,6 +283,111 @@ def fsi_spectrum_pairwise(spec: VarietySpec) -> tuple[FiniteAlgebra, ...]:
     return tuple(members)
 
 
+def fusion_search_rescan(meet, join, e: int) -> list[tuple]:
+    """`enumeration._fusion_search` by rescanning every assigned triple after
+    each cell, filling the cells in row-major order: all commutative,
+    associative, join-distributing, subidempotent fusion tables with identity
+    e and zero row at the lattice bottom."""
+    n = len(meet)
+    leq_fn = lambda a, b: meet[a][b] == a
+    bottom = next(a for a in range(n) if all(leq_fn(a, b) for b in range(n)))
+    table: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
+
+    def put(x: int, y: int, v: int) -> bool:
+        if table[x][y] is not None:
+            return table[x][y] == v
+        table[x][y] = table[y][x] = v
+        return True
+
+    ok = True
+    for x in range(n):
+        ok = ok and put(e, x, x)
+        ok = ok and put(bottom, x, bottom)
+        if leq_fn(x, e):
+            ok = ok and put(x, x, x)
+    if not ok:
+        return []
+
+    cells = [
+        (x, y)
+        for x in range(n)
+        for y in range(x, n)
+        if table[x][y] is None
+    ]
+    results: list[tuple] = []
+
+    def consistent_after(x: int, y: int) -> bool:
+        v = table[x][y]
+        # isotone in each argument against assigned cells
+        for z in range(n):
+            for (p, q) in ((x, y), (y, x)):
+                w = table[p][z] if table[p][z] is not None else None
+                if w is None:
+                    continue
+                if leq_fn(z, q) and not leq_fn(w, v):
+                    return False
+                if leq_fn(q, z) and not leq_fn(v, w):
+                    return False
+        # associativity and join-distributivity on fully assigned triples
+        for a in range(n):
+            for b in range(n):
+                ab = table[a][b]
+                if ab is None:
+                    continue
+                for c in range(n):
+                    bc = table[b][c]
+                    if bc is None or table[ab][c] is None or table[a][bc] is None:
+                        continue
+                    if table[ab][c] != table[a][bc]:
+                        return False
+                for c in range(n):
+                    ac = table[a][c]
+                    if ac is None:
+                        continue
+                    j = join[b][c]
+                    if table[a][j] is not None and table[a][j] != join[ab][ac]:
+                        return False
+        return True
+
+    def fill(idx: int) -> None:
+        if idx == len(cells):
+            results.append(tuple(tuple(row) for row in table))
+            return
+        x, y = cells[idx]
+        for v in range(n):
+            table[x][y] = table[y][x] = v
+            if consistent_after(x, y):
+                fill(idx + 1)
+        table[x][y] = table[y][x] = None
+
+    fill(0)
+    return results
+
+
+def residual_from_fusion_pairwise(size: int, meet, fusion):
+    """`core.residual_from_fusion` by testing each candidate against every
+    other: residual(b, c) is the first a with fusion(a, b) <= c that lies
+    above all such a.  Raises NotResiduated at the first pair (row-major)
+    with no maximum witness."""
+    rng = range(size)
+    leq = lambda a, b: meet[a][b] == a
+    rows = []
+    for b in rng:
+        row = []
+        for c in rng:
+            candidates = [a for a in rng if leq(fusion[a][b], c)]
+            best = None
+            for a in candidates:
+                if all(leq(x, a) for x in candidates):
+                    best = a
+                    break
+            if best is None:
+                raise NotResiduated(b, c)
+            row.append(best)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def crystal_completion_search() -> list[tuple[tuple[int, ...], ...]]:
     """Every fusion table on the crystal order that, with the fixed involution
     and labels a*a = a, b*b = b, a*b = top, yields a valid De Morgan monoid.
@@ -295,9 +400,8 @@ def crystal_completion_search() -> list[tuple[tuple[int, ...], ...]]:
     frozen = crystal()
     meet, join, neg = frozen.meet, frozen.join, frozen.neg
     rng = range(6)
-    leq = lambda x, y: meet[x][y] == x
     results = []
-    for fusion in _fusion_search(meet, join, leq, 6, 1):
+    for fusion in _fusion_search(meet, join, 1):
         if (fusion[2][2], fusion[3][3], fusion[2][3]) != (2, 3, 5):
             continue
         residual = [[neg[fusion[a][neg[b]]] for b in rng] for a in rng]

@@ -1,7 +1,12 @@
 import itertools
 
 import pytest
-from oracles import crystal_completion_search, poset_from_pairs, posets_with_top
+from oracles import (
+    crystal_completion_search,
+    fusion_search_rescan,
+    poset_from_pairs,
+    posets_with_top,
+)
 
 from srlkit.catalog import (
     CATALOG,
@@ -16,6 +21,8 @@ from srlkit.core import classify, find_isomorphism, validate
 from srlkit.documents import export_dot, load, save
 from srlkit.duality import depth
 from srlkit.enumeration import (
+    _fusion_search,
+    _lattice_tables,
     canonical_form,
     enumerate_models,
     enumerate_posets,
@@ -27,6 +34,7 @@ from srlkit.errors import (
     ParseError,
     UnknownName,
     ValidationError,
+    VerificationFailure,
 )
 
 
@@ -328,6 +336,43 @@ def test_srl_enumeration_against_table_scan():
         assert len(seen) == expected, n
 
 
+def test_fusion_search_matches_the_rescanning_oracle():
+    # every (lattice, e) with at most 5 elements, and the crystal lattice
+    # with e = 1: the same tables in the same order
+    frozen = crystal()
+    jobs = [(frozen.meet, frozen.join, 1)]
+    for n in range(1, 6):
+        for leq in enumerate_posets(n):
+            tables = _lattice_tables(leq)
+            if tables is not None:
+                jobs += [(*tables, e) for e in range(n)]
+    total = 0
+    for meet, join, e in jobs:
+        found = _fusion_search(meet, join, e)
+        assert found == fusion_search_rescan(meet, join, e), (meet, e)
+        total += len(found)
+    assert (len(jobs), total) == (40, 138)
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ("join", r"e = 0 is not residuated: no maximum witness for residual\(1, 0\)"),
+        ("meet", r"e = 0 fails identity neutral at \(1,\)"),
+    ],
+)
+def test_srl_enumeration_raises_on_a_table_that_is_no_srl(monkeypatch, table, message):
+    # on the 2-chain with e = 0, fusion = join has no residual, and
+    # fusion = meet is residuated but 0 is not its identity
+    from srlkit import enumeration
+
+    monkeypatch.setattr(
+        enumeration, "_fusion_search", lambda meet, join, e: [{"meet": meet, "join": join}[table]]
+    )
+    with pytest.raises(VerificationFailure, match="on 2 elements with " + message):
+        enumeration._enumerate_srl(2)
+
+
 def test_sirl_enumeration_against_involution_scan():
     # every involution is determined by where it sends the identity, so the
     # oracle scans all unary tables outright for each size-3 base
@@ -405,6 +450,31 @@ def test_enumeration_bound_guard():
     with pytest.raises(BoundExceeded):
         enumerate_models("brouwerian", 7)
     assert enumerate_models("brouwerian", 7, bound=8)
+
+
+@pytest.mark.parametrize(
+    "max_size, bound, message",
+    [
+        (-1, None, "max_size must not be negative, got -1"),
+        (True, None, "max_size must be an integer, got True"),
+        (3.0, None, "max_size must be an integer, got 3.0"),
+        ("3", None, "max_size must be an integer, got '3'"),
+        (3, -5, "bound must not be negative, got -5"),
+        (3, False, "bound must be an integer, got False"),
+        (3, 7.0, "bound must be an integer, got 7.0"),
+    ],
+)
+def test_enumerate_models_rejects_bad_sizes(max_size, bound, message):
+    with pytest.raises(ValueError) as exc:
+        enumerate_models("srl", max_size, bound=bound)
+    assert str(exc.value) == message
+
+
+@pytest.mark.slow
+def test_srl_and_sirl_counts_through_size_7():
+    # ROADMAP item 4's cumulative counts at max sizes 5, 6 and 7
+    for kind, counts in (("srl", [75, 570, 5493]), ("sirl", [26, 105, 327])):
+        assert [len(enumerate_models(kind, m, bound=7)) for m in (5, 6, 7)] == counts
 
 
 def test_canonical_form_agrees_with_isomorphism_search(suite):

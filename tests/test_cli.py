@@ -255,6 +255,17 @@ def test_enumerate_command(capsys):
     assert code == 0 and report["total"] == 21
 
 
+def test_enumerate_rejects_negative_sizes(capsys):
+    code, report = run_json(capsys, "enumerate", "--class", "srl", "--max-size", "-1")
+    assert code == 2 and report["kind"] == "ValueError"
+    assert report["error"] == "max_size must not be negative, got -1"
+    code, report = run_json(
+        capsys, "enumerate", "--class", "srl", "--max-size", "3", "--bound", "-5"
+    )
+    assert code == 2 and report["kind"] == "ValueError"
+    assert report["error"] == "bound must not be negative, got -5"
+
+
 def test_enumerate_dump_loads(capsys):
     code, report = run_json(
         capsys, "enumerate", "--class", "sirl", "--max-size", "3", "--dump"

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from oracles import greatest, least, relabel
+from oracles import greatest, least, relabel, residual_from_fusion_pairwise
 
 from srlkit.catalog import brouwerian_chain, c4, crystal, trivial
 from srlkit.core import (
@@ -169,6 +169,28 @@ def test_residual_from_fusion_failure():
     with pytest.raises(NotResiduated) as exc:
         residual_from_fusion(2, meet, fusion)
     assert (exc.value.b, exc.value.c) == (1, 0)
+
+
+def test_residual_from_fusion_matches_the_pairwise_oracle(srl5):
+    # the SRL tables, and seeded random tables on the same lattices, most of
+    # them not residuated: the same residual or the same first failing pair
+    def outcome(derive, n, meet, fusion):
+        try:
+            return ("residual", derive(n, meet, fusion))
+        except NotResiduated as exc:
+            return ("not residuated", exc.b, exc.c)
+
+    rng = random.Random(20)
+    cases = [(a.size, a.meet, a.fusion) for a in srl5]
+    for n, meet, _ in rng.choices(cases, k=1000):
+        fusion = tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n))
+        cases.append((n, meet, fusion))
+    failures = 0
+    for n, meet, fusion in cases:
+        expected = outcome(residual_from_fusion_pairwise, n, meet, fusion)
+        assert outcome(residual_from_fusion, n, meet, fusion) == expected, (meet, fusion)
+        failures += expected[0] == "not residuated"
+    assert 0 < failures < len(cases)
 
 
 def test_classify_catalog_expectations():
