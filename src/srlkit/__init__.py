@@ -38,15 +38,7 @@ from .filters import (
     quotient_by_congruence,
     restrict_quotient_embedding,
 )
-from .cones import (
-    GeneratedSubalgebra,
-    Term,
-    cone_quotient_iso,
-    eval_term,
-    generate_subalgebra,
-    is_negatively_generated,
-    negative_cone,
-)
+from .cones import cone_quotient_iso, is_negatively_generated, negative_cone
 from .duality import (
     EsakiaMorphism,
     PointedPoset,

@@ -502,6 +502,47 @@ def compose(outer: Homomorphism, inner: Homomorphism) -> Homomorphism:
     )
 
 
+def _extend(source: FiniteAlgebra, target: FiniteAlgebra, values: dict[int, int]):
+    """The homomorphism source -> target that extends `values`, as a map
+    array, or None when there is none: when two values forced on one element
+    differ, or when `values` and the constants do not generate the source.
+
+    A homomorphism is fixed by its values on a generating set, so this is
+    the closure of those values through the operations.  Each round applies
+    them to the pairs that involve an element valued in the round before, as
+    `cones._close` does, so every ordered pair of valued elements is checked
+    exactly once."""
+    mapping = [-1] * source.size
+    fresh = {source.e: target.e}
+    if source.bottom is not None:
+        fresh[source.bottom] = target.bottom
+    for a, v in values.items():
+        if fresh.setdefault(a, v) != v:
+            return None
+    tables = tuple(zip(_binary_tables(source), _binary_tables(target)))
+    valued = []
+    while fresh:
+        for a, v in fresh.items():
+            mapping[a] = v
+        older, valued = valued, valued + list(fresh)
+        forced = []  # (element, the value the operations force on it)
+        if source.neg is not None:
+            forced += [(source.neg[a], target.neg[v]) for a, v in fresh.items()]
+        for s, t in tables:
+            for a, ha in fresh.items():
+                s_row, t_row = s[a], t[ha]
+                forced += [(s_row[b], t_row[mapping[b]]) for b in valued]
+                forced += [(s[b][a], t[mapping[b]][ha]) for b in older]
+        fresh = {}
+        for r, w in forced:
+            known = mapping[r]
+            if known < 0:
+                known = fresh.setdefault(r, w)
+            if known != w:
+                return None
+    return None if -1 in mapping else tuple(mapping)
+
+
 def _constraint_schedule(source: FiniteAlgebra, pinned: frozenset[int]) -> tuple:
     """The constraints of a map out of `source`, filed for `_map_search`.
 

@@ -123,8 +123,9 @@ def _down_sets(leq: LeqMatrix) -> list[frozenset[int]]:
 def enumerate_posets(size: int, down_set_cap: Optional[int] = None) -> tuple[LeqMatrix, ...]:
     """All posets with `size` points up to isomorphism, grown by repeatedly
     attaching a maximal point over each down-set; optionally pruned to keep
-    at most `down_set_cap` down-sets."""
-    if size == 0:
+    at most `down_set_cap` down-sets.  `size` must be a non-negative int
+    (not a bool), or ValueError names it."""
+    if _require_size("size", size) == 0:
         return ((),)  # the empty poset
     smaller = enumerate_posets(size - 1, down_set_cap)
     seen: dict[tuple, LeqMatrix] = {}

@@ -43,10 +43,6 @@ class NoTop(SrlkitError):
     """Pointed-mode duality requires a poset with a greatest element."""
 
 
-class UnboundVariable(SrlkitError):
-    """A term was evaluated under an assignment missing one of its variables."""
-
-
 class WrongSignature(SrlkitError):
     """Operands have incompatible signatures, or a construction received an
     algebra of the wrong signature."""

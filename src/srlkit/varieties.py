@@ -41,8 +41,6 @@ from typing import Iterable, Optional
 from .cones import (
     _identify_cones,
     all_subuniverses,
-    eval_term,
-    generate_subalgebra,
     is_negatively_generated,
     negative_cone,
     subuniverse_closure,
@@ -51,6 +49,7 @@ from .core import (
     FiniteAlgebra,
     Homomorphism,
     _covers,
+    _extend,
     _subalgebra,
     brouwerian_reduct,
     compose,
@@ -534,10 +533,10 @@ def _verify_retract_square(cone, cone_local, cone_primes, space, traces, kernel,
 def separating_retraction(
     algebra: FiniteAlgebra, members: Iterable[int], coatom: int
 ) -> tuple[Homomorphism, Homomorphism]:
-    """The endomorphism that rewrites every element's witness term with the
-    identity substituted for the distinguished generator, paired with the
-    identity map.  It fixes the subalgebra, moves the distinguished cover of
-    the identity into it, and lands inside it."""
+    """The endomorphism extending the identity on C⁻ and c ↦ e, paired with
+    the identity map, where C is the subalgebra on `members` and c the
+    distinguished element `coatom`.  It fixes C, moves c, which the identity
+    covers, into C, and lands inside C."""
     sub_mask = frozenset(members)
     if not is_subuniverse(algebra, sub_mask):
         raise HypothesesNotMet("C is not a subalgebra")
@@ -553,18 +552,11 @@ def separating_retraction(
     sub_neg = frozenset(x for x in sub_mask if algebra.leq(x, e))
     if subuniverse_closure(algebra, sub_neg) != sub_mask:
         raise HypothesesNotMet("C is not generated by its negative cone")
-    generators = sorted(sub_neg | {coatom})
-    if subuniverse_closure(algebra, generators) != frozenset(algebra.elements):
+    if subuniverse_closure(algebra, sub_neg | {coatom}) != frozenset(algebra.elements):
         raise HypothesesNotMet("C's cone plus the distinguished element does not generate")
 
-    generated = generate_subalgebra(algebra, generators, distinguished=coatom)
-    assignment = dict(generated.assignment)
-    assignment["x"] = e
-    mapping = tuple(
-        eval_term(algebra, generated.witnesses[a], assignment) for a in algebra.elements
-    )
-    retraction = Homomorphism(algebra, algebra, mapping)
-    ok = (
+    mapping = _extend(algebra, algebra, {x: x for x in sub_neg} | {coatom: e})
+    ok = mapping is not None and (
         is_homomorphism(algebra, algebra, mapping)
         and all(mapping[c] == c for c in sub_mask)
         and mapping[coatom] != coatom
@@ -572,7 +564,7 @@ def separating_retraction(
     )
     if not ok:
         raise VerificationFailure("retraction construction failed its checks")
-    return retraction, identity_homomorphism(algebra)
+    return Homomorphism(algebra, algebra, mapping), identity_homomorphism(algebra)
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,11 @@ construction."""
 from __future__ import annotations
 
 import random
-from dataclasses import replace
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Optional
 
 from srlkit.catalog import crystal
-from srlkit.cones import all_subuniverses
+from srlkit.cones import all_subuniverses, subuniverse_closure
 from srlkit.core import (
     FiniteAlgebra,
     Homomorphism,
@@ -24,7 +24,7 @@ from srlkit.core import (
 )
 from srlkit.duality import PointedPoset
 from srlkit.enumeration import LeqMatrix, _fusion_search, enumerate_posets
-from srlkit.errors import NotResiduated, VerificationFailure
+from srlkit.errors import NotResiduated, SrlkitError, VerificationFailure
 from srlkit.filters import Congruence, all_deductive_filters, is_congruence, is_fsi, quotient
 from srlkit.varieties import EsDecision, FsiSpectrum, VarietySpec, fsi_spectrum
 
@@ -423,3 +423,181 @@ def epic_refutation_scan(algebra: FiniteAlgebra, mask, spectrum: FsiSpectrum):
                 if all(first.mapping[b] == second.mapping[b] for b in mask):
                     return codomain, first, second
     return None
+
+
+# Witness terms: the term route to the separating retraction, the oracle for
+# `core._extend`.  Witnesses are minimal-size and first-found in a
+# deterministic closure order; ties break by operation order
+# meet < join < fusion < residual < neg.  Generators always receive
+# bare-variable witnesses.
+
+
+class UnboundVariable(SrlkitError):
+    """A term was evaluated under an assignment missing one of its variables."""
+
+
+@dataclass(frozen=True)
+class Var:
+    name: str
+
+    def __str__(self) -> str:
+        return self.name
+
+
+@dataclass(frozen=True)
+class Const:
+    kind: str  # "e" or "bot"
+
+    def __str__(self) -> str:
+        return "e" if self.kind == "e" else "bot"
+
+
+@dataclass(frozen=True)
+class BinOp:
+    op: str  # "meet" | "join" | "fusion" | "residual"
+    left: "Term"
+    right: "Term"
+
+    def __str__(self) -> str:
+        sym = {"meet": "∧", "join": "∨", "fusion": "·", "residual": "→"}[self.op]
+        return f"({self.left} {sym} {self.right})"
+
+
+@dataclass(frozen=True)
+class NegOp:
+    child: "Term"
+
+    def __str__(self) -> str:
+        return f"¬{self.child}"
+
+
+Term = Var | Const | BinOp | NegOp
+
+_BINARY_ORDER = ("meet", "join", "fusion", "residual")
+
+
+def term_size(term: Term) -> int:
+    if isinstance(term, (Var, Const)):
+        return 1
+    if isinstance(term, NegOp):
+        return 1 + term_size(term.child)
+    return 1 + term_size(term.left) + term_size(term.right)
+
+
+def term_variables(term: Term) -> frozenset[str]:
+    if isinstance(term, Var):
+        return frozenset((term.name,))
+    if isinstance(term, Const):
+        return frozenset()
+    if isinstance(term, NegOp):
+        return term_variables(term.child)
+    return term_variables(term.left) | term_variables(term.right)
+
+
+def eval_term(algebra: FiniteAlgebra, term: Term, assignment: dict[str, int]) -> int:
+    """Standard bottom-up evaluation."""
+    if isinstance(term, Var):
+        if term.name not in assignment:
+            raise UnboundVariable(f"variable {term.name} is unbound")
+        return assignment[term.name]
+    if isinstance(term, Const):
+        if term.kind == "e":
+            return algebra.e
+        if algebra.bottom is None:
+            raise UnboundVariable("bot constant outside a bounded signature")
+        return algebra.bottom
+    if isinstance(term, NegOp):
+        if algebra.neg is None:
+            raise UnboundVariable("negation outside an involutive signature")
+        return algebra.neg[eval_term(algebra, term.child, assignment)]
+    table = getattr(algebra, term.op)
+    return table[eval_term(algebra, term.left, assignment)][eval_term(algebra, term.right, assignment)]
+
+
+@dataclass
+class GeneratedSubalgebra:
+    """Generation closure of a set, with a minimal witness term per member
+    and the generator assignment under which every witness evaluates."""
+
+    parent: FiniteAlgebra
+    generators: tuple[int, ...]
+    members: frozenset[int]
+    assignment: dict[str, int]
+    witnesses: dict[int, Term] = field(default_factory=dict)
+
+    def witness(self, element: int) -> Term:
+        return self.witnesses[element]
+
+
+def generate_subalgebra(
+    algebra: FiniteAlgebra,
+    generators: Iterable[int],
+    distinguished: Optional[int] = None,
+) -> GeneratedSubalgebra:
+    """Closure with witness terms.
+
+    Generators get bare variables y0, y1, ... in ascending element order; a
+    distinguished generator gets the variable x instead.  Witnesses for the
+    remaining members are found in order of term size.
+    """
+    gens = sorted(set(generators))
+    assignment: dict[str, int] = {}
+    witnesses: dict[int, Term] = {}
+    j = 0
+    for g in gens:
+        if distinguished is not None and g == distinguished:
+            name = "x"
+        else:
+            name = f"y{j}"
+            j += 1
+        assignment[name] = g
+        witnesses.setdefault(g, Var(name))
+
+    members = subuniverse_closure(algebra, gens)
+
+    # size-1 constants for anything not already a generator
+    if algebra.e not in witnesses:
+        witnesses[algebra.e] = Const("e")
+    if algebra.bottom is not None and algebra.bottom not in witnesses:
+        witnesses[algebra.bottom] = Const("bot")
+
+    by_size: dict[int, list[int]] = {1: [v for v in witnesses]}
+    size = 1
+    while len(witnesses) < len(members):
+        size += 1
+        found: list[int] = []
+
+        def record(value: int, term: Term) -> None:
+            if value not in witnesses:
+                witnesses[value] = term
+                found.append(value)
+
+        realized = sorted(by_size)
+        splits = [
+            (ls, size - 1 - ls)
+            for ls in realized
+            if ls <= size - 2 and (size - 1 - ls) in by_size
+        ]
+        for op in _BINARY_ORDER:
+            table = getattr(algebra, op)
+            for left_size, right_size in splits:
+                for a in by_size[left_size]:
+                    for b in by_size[right_size]:
+                        record(table[a][b], BinOp(op, witnesses[a], witnesses[b]))
+        if algebra.neg is not None:
+            for a in by_size.get(size - 1, ()):
+                record(algebra.neg[a], NegOp(witnesses[a]))
+        if found:
+            by_size[size] = found
+        # any still-missing member combines two witnessed ones, so it appears
+        # at size <= 2*max(realized)+1
+        if size > 2 * max(by_size) + 1:
+            raise VerificationFailure("witness search failed to converge")
+
+    return GeneratedSubalgebra(
+        parent=algebra,
+        generators=tuple(gens),
+        members=members,
+        assignment=assignment,
+        witnesses=witnesses,
+    )

@@ -470,6 +470,21 @@ def test_enumerate_models_rejects_bad_sizes(max_size, bound, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "size, message",
+    [
+        (-1, "size must not be negative, got -1"),
+        (True, "size must be an integer, got True"),
+        (2.0, "size must be an integer, got 2.0"),
+    ],
+)
+def test_enumerate_posets_rejects_bad_sizes(size, message):
+    with pytest.raises(ValueError) as exc:
+        enumerate_posets(size)
+    assert str(exc.value) == message
+    assert enumerate_posets(0) == ((),)
+
+
 @pytest.mark.slow
 def test_srl_and_sirl_counts_through_size_7():
     # ROADMAP item 4's cumulative counts at max sizes 5, 6 and 7

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from srlkit import cli
 from srlkit.cli import main
 from srlkit.documents import load
@@ -199,6 +201,28 @@ def test_refute_epic_reports_the_target_name(capsys):
     )
     assert code == 0
     assert report["target"] == {"name": "brouwerian_chain(4)/θ", "size": 3}
+
+
+@pytest.mark.parametrize(
+    "name, sub, expected",
+    [
+        (
+            "brouwerian_chain(4)", "0,2,3",
+            {"case": "nested", "congruence": [0, 1, 2, 2], "retraction": [0, 2, 2],
+             "first_map": [0, 2, 2, 2], "second_map": [0, 1, 2, 2], "witness": 1},
+        ),
+        (
+            "sugihara(5)", "0,2,4",
+            {"case": "nested", "congruence": [0, 1, 2, 3, 4], "retraction": [0, 2, 2, 2, 4],
+             "first_map": [0, 2, 2, 2, 4], "second_map": [0, 1, 2, 3, 4], "witness": 1},
+        ),
+    ],
+)
+def test_refute_epic_report_maps(capsys, name, sub, expected):
+    # the certificate's maps, byte for byte, so a wrong retraction shows
+    code, report = run_json(capsys, "refute-epic", f"catalog:{name}", "--sub", sub)
+    assert code == 0
+    assert {key: report[key] for key in expected} == expected
 
 
 def test_refute_epic_hypotheses_not_met(capsys):

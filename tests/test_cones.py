@@ -1,22 +1,26 @@
 import pytest
-from oracles import lattice_filters
+from oracles import (
+    BinOp,
+    Const,
+    UnboundVariable,
+    Var,
+    eval_term,
+    generate_subalgebra,
+    lattice_filters,
+    term_size,
+    term_variables,
+)
 
 from srlkit.catalog import brouwerian_chain, c4, crystal, sugihara, trivial
 from srlkit.cones import (
-    BinOp,
-    Const,
-    Var,
     all_subuniverses,
     cone_quotient_iso,
-    eval_term,
-    generate_subalgebra,
     is_negatively_generated,
     negative_cone,
     subuniverse_closure,
-    term_size,
 )
 from srlkit.core import classify, find_isomorphism, validate
-from srlkit.errors import NotASubalgebra, UnboundVariable
+from srlkit.errors import NotASubalgebra
 from srlkit.filters import (
     all_deductive_filters,
     deductive_filter,
@@ -126,8 +130,6 @@ def test_distinguished_generator_gets_x():
 
 
 def test_witness_variables_are_bound():
-    from srlkit.cones import term_variables
-
     algebra = crystal()
     gen = generate_subalgebra(algebra, [2], distinguished=2)
     for term in gen.witnesses.values():

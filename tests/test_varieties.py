@@ -16,6 +16,7 @@ from srlkit.cones import all_subuniverses, is_negatively_generated
 from srlkit.core import (
     FiniteAlgebra,
     classify,
+    direct_product,
     find_isomorphism,
     homomorphisms,
     subalgebra,
@@ -273,8 +274,6 @@ def test_epi_analysis_hypotheses_errors():
         epi_analysis(algebra, {0, 1, 2})
     with pytest.raises(HypothesesNotMet, match="subalgebra"):
         epi_analysis(algebra, {0, 1})  # not closed: misses the identity
-    from srlkit.core import direct_product
-
     square = direct_product(brouwerian_chain(2), brouwerian_chain(2))
     with pytest.raises(HypothesesNotMet, match="FSI"):
         epi_analysis(square, {0, 3})
@@ -310,6 +309,34 @@ def test_separating_retraction_rejects_member():
     algebra = brouwerian_chain(3)
     with pytest.raises(HypothesesNotMet):
         separating_retraction(algebra, {0, 1, 2}, 1)
+
+
+@pytest.mark.parametrize(
+    "algebra, members, element, message",
+    [
+        # brouwerian_chain(n) is the chain 0 < ... < n-1 with e = n-1
+        (brouwerian_chain(3), {0, 1}, 1, "C is not a subalgebra"),
+        (brouwerian_chain(3), {0, 2}, 3, "distinguished element out of range"),
+        (brouwerian_chain(3), {0, 2}, -1, "distinguished element out of range"),
+        (crystal(), {0, 1, 4, 5}, 2, "distinguished element is not strictly below the identity"),
+        (brouwerian_chain(4), {0, 3}, 1, "distinguished element is not covered by the identity"),
+        # sugihara(3) x crystal: (0, e) is covered by e = (1, e); the subalgebra
+        # is the crystal's five-element one over sugihara(3)'s middle element
+        (
+            direct_product(sugihara(3), crystal()), {6, 7, 8, 10, 11}, 1,
+            "C is not generated by its negative cone",
+        ),
+        (
+            brouwerian_chain(4), {0, 3}, 2,
+            "C's cone plus the distinguished element does not generate",
+        ),
+    ],
+)
+def test_separating_retraction_refusals(algebra, members, element, message):
+    # each hypothesis, checked in order, names itself
+    with pytest.raises(HypothesesNotMet) as exc:
+        separating_retraction(algebra, members, element)
+    assert str(exc.value) == message
 
 
 def test_refute_epic_four_chain():
