@@ -328,6 +328,8 @@ def depth_of_point(poset: PointedPoset, x: int) -> int:
     """Longest chain from x up to the designated top, counted in steps."""
     if poset.top is None:
         raise NoTop("point depth needs a designated top")
+    if isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < poset.size:
+        raise ValueError(f"point must be an integer in 0..{poset.size - 1}, got {x!r}")
     return _point_depths(poset)[x]
 
 

@@ -59,7 +59,7 @@ from .core import (
     is_subuniverse,
     validate,
 )
-from .duality import _e_subspace, _point_depths, _prime_space, depth
+from .duality import ESubspace, _e_subspace, _point_depths, _prime_space, depth
 from .enumeration import canonical_form
 from .errors import (
     HypothesesNotMet,
@@ -350,15 +350,58 @@ def _cone_prime_data(algebra: FiniteAlgebra):
     cone, carrier = negative_cone(algebra)
     cone = brouwerian_reduct(cone)
     cone_primes, space = _prime_space(cone, "pointed")
-    primes = [frozenset(carrier[i] for i in f.members) for f in cone_primes]
-    return cone, carrier, cone_primes, primes, space
+    primes = tuple(frozenset(carrier[i] for i in f.members) for f in cone_primes)
+    return cone, carrier, tuple(cone_primes), primes, space
+
+
+class _ParentSide:
+    """What `epi_analysis` derives from the parent algebra alone: the
+    `_cone_prime_data`, the depth of each dual point, and the e-subspaces
+    already built and verified on the cone, by cone-filter members."""
+
+    def __init__(self, algebra: FiniteAlgebra):
+        data = _cone_prime_data(algebra)
+        self.cone, self.carrier, self.cone_primes, self.primes, self.space = data
+        self.depths = tuple(_point_depths(self.space))
+        self._subspaces: dict[frozenset[int], ESubspace] = {}
+
+    def subspace(self, members: frozenset[int]) -> ESubspace:
+        found = self._subspaces.get(members)
+        if found is None:
+            flt = DeductiveFilter(self.cone, members)
+            found = _e_subspace(self.cone, self.cone_primes, self.space, flt)
+            self._subspaces[members] = found
+        return found
+
+
+# The parent side of the latest `epi_analysis` call, as (algebra, side).  One
+# entry, matched by identity, keeps at most one algebra alive and serves a
+# sweep over one algebra's subuniverses; the subalgebra side changes with
+# every call, so it is never kept.
+_last_parent: Optional[tuple[FiniteAlgebra, _ParentSide]] = None
+
+
+def _parent_side(algebra: FiniteAlgebra) -> _ParentSide:
+    global _last_parent
+    if _last_parent is None or _last_parent[0] is not algebra:
+        _last_parent = (algebra, _ParentSide(algebra))
+    return _last_parent[1]
 
 
 def epi_analysis(algebra: FiniteAlgebra, members: Iterable[int]) -> EpiAnalysis:
     """Run the construction behind the surjectivity theorem and verify every
     step: colliding prime pair, depth-minimal choices, the case split, the
     generated congruence, the embedded quotient, the missing cone elements
-    and their cover property, and the commuting retract square."""
+    and their cover property, and the commuting retract square.
+
+    Consecutive calls on one algebra object reuse what depends on the
+    algebra alone: its cone with the cone's prime filters, dual space and
+    point depths, and each e-subspace of the cone that the retract square
+    has already built and verified, by filter.  That is sound because an
+    algebra is immutable and these are functions of it and of the filter:
+    every check still runs once on each distinct input, and a build that
+    fails its checks raises before it is stored.  A call on another algebra
+    replaces them."""
     sub_mask = frozenset(members)
     if not is_subuniverse(algebra, sub_mask):
         raise HypothesesNotMet("B is not a subalgebra")
@@ -372,9 +415,8 @@ def epi_analysis(algebra: FiniteAlgebra, members: Iterable[int]) -> EpiAnalysis:
     if subuniverse_closure(algebra, sub_neg) != sub_mask:
         raise HypothesesNotMet("B is not negatively generated")
 
-    cone, carrier, cone_primes, primes, space = _cone_prime_data(algebra)
-    cone_local = {x: i for i, x in enumerate(carrier)}
-    depths = _point_depths(space)
+    parent = _parent_side(algebra)
+    primes, depths = parent.primes, parent.depths
 
     traces = [p & sub_neg for p in primes]
     pairs = [
@@ -440,7 +482,7 @@ def epi_analysis(algebra: FiniteAlgebra, members: Iterable[int]) -> EpiAnalysis:
         if not _covers(quot.leq, quot.elements, u, e_q):
             raise VerificationFailure("missing element is not covered by the identity")
 
-    _verify_retract_square(cone, cone_local, cone_primes, space, traces, kernel, first, qe)
+    _verify_retract_square(parent, traces, kernel, first, qe)
 
     return EpiAnalysis(
         algebra=algebra,
@@ -461,14 +503,13 @@ def epi_analysis(algebra: FiniteAlgebra, members: Iterable[int]) -> EpiAnalysis:
     )
 
 
-def _verify_retract_square(cone, cone_local, cone_primes, space, traces, kernel, first, qe):
+def _verify_retract_square(parent, traces, kernel, first, qe):
     """Compose the retract square elementwise: going through the subalgebra
     quotient, its cone quotient, and the subspace isomorphisms agrees with
     going through the full quotient."""
-    kernel_local = frozenset(cone_local[x] for x in kernel)
-    first_local = frozenset(cone_local[x] for x in first)
-    sub_x = _e_subspace(cone, cone_primes, space, DeductiveFilter(cone, kernel_local))
-    sub_y = _e_subspace(cone, cone_primes, space, DeductiveFilter(cone, first_local))
+    cone_local = {x: i for i, x in enumerate(parent.carrier)}
+    sub_x = parent.subspace(frozenset(cone_local[x] for x in kernel))
+    sub_y = parent.subspace(frozenset(cone_local[x] for x in first))
 
     inclusion = qe.inclusion
     b_cone, b_carrier, b_cone_primes, b_primes_sub, b_space = _cone_prime_data(qe.sub_algebra)

@@ -388,6 +388,22 @@ def residual_from_fusion_pairwise(size: int, meet, fusion):
     return tuple(rows)
 
 
+def residuation_failure_scan(algebra: FiniteAlgebra) -> Optional[tuple[int, int, int]]:
+    """`core.validate`'s residuation check as a triple scan through an order
+    predicate: the first (a, b, c) in lexicographic order where a*b <= c
+    and a <= b->c disagree, or None."""
+    meet, fusion, residual = algebra.meet, algebra.fusion, algebra.residual
+    leq = lambda a, b: meet[a][b] == a
+    rng = algebra.elements
+    return next(
+        (
+            (a, b, c) for a in rng for b in rng for c in rng
+            if leq(fusion[a][b], c) != leq(a, residual[b][c])
+        ),
+        None,
+    )
+
+
 def crystal_completion_search() -> list[tuple[tuple[int, ...], ...]]:
     """Every fusion table on the crystal order that, with the fixed involution
     and labels a*a = a, b*b = b, a*b = top, yields a valid De Morgan monoid.

@@ -1,8 +1,15 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
-from oracles import greatest, least, relabel, residual_from_fusion_pairwise
+from oracles import (
+    greatest,
+    least,
+    relabel,
+    residual_from_fusion_pairwise,
+    residuation_failure_scan,
+)
 
 from srlkit.catalog import brouwerian_chain, c4, crystal, trivial
 from srlkit.core import (
@@ -190,6 +197,29 @@ def test_residual_from_fusion_matches_the_pairwise_oracle(srl5):
         expected = outcome(residual_from_fusion_pairwise, n, meet, fusion)
         assert outcome(residual_from_fusion, n, meet, fusion) == expected, (meet, fusion)
         failures += expected[0] == "not residuated"
+    assert 0 < failures < len(cases)
+
+
+def test_validate_residuation_matches_the_triple_scan(suite):
+    # the suite, then seeded random changes to it: a whole random fusion or
+    # residual table, or one random cell of one; the same verdict and the
+    # same first witness
+    rng = random.Random(21)
+    cases = list(suite)
+    for algebra in rng.choices(suite, k=1000):
+        n, name = algebra.size, rng.choice(("fusion", "residual"))
+        if rng.random() < 0.5:
+            table = tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n))
+            cases.append(dataclasses.replace(algebra, **{name: table}))
+        else:
+            i, j, value = (rng.randrange(n) for _ in range(3))
+            cases.append(replace_cell(algebra, name, i, j, value))
+    failures = 0
+    for algebra in cases:
+        (verdict,) = (v for v in validate(algebra).verdicts if v.axiom == "residuation")
+        expected = residuation_failure_scan(algebra)
+        assert (verdict.passed, verdict.witness) == (expected is None, expected), algebra
+        failures += expected is not None
     assert 0 < failures < len(cases)
 
 

@@ -232,6 +232,17 @@ def test_depth_point_of_top_is_zero():
         assert depth_of_point(poset, poset.top) == 0
 
 
+@pytest.mark.parametrize("point", [-1, 4, True, 1.0, "1"])
+def test_depth_of_point_rejects_points_outside_the_poset(point):
+    # -1 used to read the last point's depth, True point 1's, and 4 an
+    # IndexError
+    poset = dual_space(brouwerian_chain(4))
+    for ask in (depth_of_point, depth):
+        with pytest.raises(ValueError, match=rf"0\.\.3, got {point!r}"):
+            ask(poset, point)
+    assert [depth(poset, x) for x in range(poset.size)] == [0, 1, 2, 3]
+
+
 def test_depth_examples():
     assert depth(c4()) == 1
     for n in (1, 2, 4, 6):

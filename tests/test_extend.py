@@ -4,11 +4,13 @@ against two oracles: the map search, and the witness terms of
 sent to the identity."""
 
 import random
+from itertools import combinations
 
 from oracles import eval_term, generate_subalgebra, relabel
 
 from srlkit.cones import all_subuniverses, is_negatively_generated, subuniverse_closure
 from srlkit.core import _covers, _extend, homomorphisms
+from srlkit.enumeration import enumerate_models
 from srlkit.filters import is_fsi
 from srlkit.varieties import separating_retraction
 
@@ -68,3 +70,20 @@ def test_extend_matches_the_witness_terms(suite):
                 assert separating_retraction(algebra, sub, c)[0].mapping == by_terms
                 cases += 1
     assert cases == 48
+
+
+def test_extend_of_the_identity_on_a_generating_set_is_the_identity():
+    # the residual is not commutative: some elements are reached from these
+    # generators only as b -> a with b valued in a round before a, so a
+    # closure that skips those pairs stops short of the whole carrier
+    cases = 0
+    for algebra in enumerate_models("brouwerian", 7, bound=7):
+        everything = frozenset(algebra.elements)
+        for k in range(4):
+            for generators in combinations(algebra.elements, k):
+                if subuniverse_closure(algebra, generators) != everything:
+                    continue
+                identity = _extend(algebra, algebra, {g: g for g in generators})
+                assert identity == tuple(algebra.elements), (algebra, generators)
+                cases += 1
+    assert cases == 67

@@ -1,5 +1,8 @@
+import dataclasses
+import gc
 import random
 import sys
+import weakref
 
 import pytest
 from oracles import (
@@ -370,6 +373,76 @@ def test_refute_epic_cross_validates_on_suite(suite):
             cert = refute_epic(algebra, mask)
             assert verify_certificate(cert, mask)
             assert not is_epic_subalgebra(algebra, mask, spec)
+
+
+def _tables(algebra):
+    return (algebra.meet, algebra.join, algebra.fusion, algebra.residual, algebra.neg)
+
+
+def _analysis_answer(analysis):
+    return (
+        analysis.case,
+        analysis.collisions,
+        analysis.first_filter,
+        analysis.second_filter,
+        analysis.gap,
+        analysis.congruence.blocks,
+        (analysis.first_witness, analysis.second_witness),
+        _tables(analysis.quotient),
+        _tables(analysis.sub_quotient),
+        (analysis.quotient_map.mapping, analysis.embedding.mapping),
+    )
+
+
+def _refutation_answer(algebra, mask, analyse=False):
+    """What `refute_epic` answers on the pair, or what `epi_analysis`
+    answers when `analyse` is set; the refusal when hypotheses fail."""
+    try:
+        if analyse:
+            return _analysis_answer(epi_analysis(algebra, mask))
+        cert = refute_epic(algebra, mask)
+    except HypothesesNotMet as exc:
+        return str(exc)
+    maps = (cert.first_map.mapping, cert.second_map.mapping, cert.witness)
+    return _analysis_answer(cert.analysis), _tables(cert.target), maps
+
+
+def test_epi_answers_do_not_depend_on_earlier_calls(suite):
+    # each call reuses what the previous call derived from the same algebra
+    # object; the answers must match calls on a fresh copy when the calls
+    # on one algebra are consecutive, interleaved with another algebra's,
+    # and after a refusal on a third
+    rng = random.Random(1303)
+    pairs = [
+        (image, mask)
+        for algebra in suite
+        for image in (algebra, relabel(algebra, rng))
+        for mask in all_subuniverses(image)
+        if len(mask) < image.size
+    ]
+    refusing = (crystal(), {0, 1, 4, 5})
+    refused = 0
+    for k, (algebra, mask) in enumerate(pairs):
+        fresh = _refutation_answer(dataclasses.replace(algebra), mask)
+        analysed = fresh if isinstance(fresh, str) else fresh[0]
+        refused += isinstance(fresh, str)
+        assert _refutation_answer(algebra, mask, analyse=True) == analysed
+        with pytest.raises(HypothesesNotMet, match="A is not negatively generated"):
+            epi_analysis(*refusing)
+        assert _refutation_answer(algebra, mask) == fresh
+        _refutation_answer(*pairs[k - 1])
+        assert _refutation_answer(algebra, mask, analyse=True) == analysed
+    assert (len(pairs), refused) == (950, 578)
+
+
+def test_epi_analysis_keeps_no_algebra_but_the_latest():
+    first, second = brouwerian_chain(4), brouwerian_chain(3)
+    refute_epic(first, {0, 2, 3})
+    alive = weakref.ref(first)
+    del first
+    refute_epic(second, {0, 2})
+    gc.collect()
+    assert alive() is None
 
 
 def test_variety_spec_rejects_mixed_signatures():
