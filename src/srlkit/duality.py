@@ -130,29 +130,35 @@ def _up_set_algebra(
     ups = all_up_sets(poset, include_empty=(mode == "proper"))
     index = {u: i for i, u in enumerate(ups)}
     n = poset.size
-    full = frozenset(range(n))
+    # bit a of masks[i] is set when a lies in ups[i]; down[b] has bit a set
+    # when a <= b
+    masks = [sum(1 << a for a in u) for u in ups]
+    at = {m: i for i, m in enumerate(masks)}
+    down = [sum(1 << a for a in range(n) if poset.leq[a][b]) for b in range(n)]
+    full = (1 << n) - 1
 
-    def down_closure(s: frozenset[int]) -> frozenset[int]:
-        return frozenset(a for a in range(n) if any(poset.leq[a][b] for b in s))
-
-    def arrow(u: frozenset[int], v: frozenset[int]) -> frozenset[int]:
-        return full - down_closure(u - v)
+    def arrow(u: int, v: int) -> int:
+        """The complement of the down-set of u minus v."""
+        below, rest = 0, u & ~v
+        while rest:
+            low = rest & -rest
+            below |= down[low.bit_length() - 1]
+            rest ^= low
+        return full & ~below
 
     k = len(ups)
-    meet = tuple(tuple(index[ups[i] & ups[j]] for j in range(k)) for i in range(k))
-    join = tuple(tuple(index[ups[i] | ups[j]] for j in range(k)) for i in range(k))
-    residual = tuple(
-        tuple(index[arrow(ups[i], ups[j])] for j in range(k)) for i in range(k)
-    )
+    meet = tuple(tuple(at[u & v] for v in masks) for u in masks)
+    join = tuple(tuple(at[u | v] for v in masks) for u in masks)
+    residual = tuple(tuple(at[arrow(u, v)] for v in masks) for u in masks)
     algebra = FiniteAlgebra(
         size=k,
         meet=meet,
         join=join,
         fusion=meet,
         residual=residual,
-        e=index[full],
+        e=at[full],
         neg=None,
-        bottom=index[frozenset()] if mode == "proper" else None,
+        bottom=at[0] if mode == "proper" else None,
         signature=Signature(False, mode == "proper"),
     )
     return algebra, index

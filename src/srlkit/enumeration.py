@@ -1,11 +1,16 @@
 """Exhaustive small-model enumeration up to isomorphism.
 
-Brouwerian algebras come from posets of join-irreducibles (their down-set
-lattices), so the enumeration is complete by the finite representation
-theorem for distributive lattices.  General subidempotent algebras come from
-a fusion-table search over all small lattices.  It branches on the cells
-between join-irreducibles, checks each new cell only against the isotonicity
-and associativity instances it completes, and propagates join-distributivity,
+Posets grow one maximal point at a time, over each down-set of a smaller
+poset.  Brouwerian algebras come from posets of join-irreducibles (their
+down-set lattices), so the enumeration is complete by the finite
+representation theorem for distributive lattices; their growth stops at a
+cap on down-sets, counted from the parent's.  General subidempotent algebras
+come from a fusion-table search over all small lattices.  Every lattice is a
+poset with a least point plus a top, so only those posets are grown for the
+lattices (as in Heitzig & Reinhold, "Counting finite lattices", Algebra
+Universalis 48, 2002).  The fusion search branches on the cells between
+join-irreducibles, checks each new cell only against the isotonicity and
+associativity instances it completes, and propagates join-distributivity,
 which forces every other cell.  Involutive algebras expand each SRL by every
 involution (which is always the residual into the negation of the identity).
 Canonical forms are the least relabelled tables over the leaves of one
@@ -119,28 +124,64 @@ def _down_sets(leq: LeqMatrix) -> list[frozenset[int]]:
     return all_up_sets(PointedPoset(len(leq), tuple(zip(*leq))), include_empty=True)
 
 
-@lru_cache(maxsize=None)
 def enumerate_posets(size: int, down_set_cap: Optional[int] = None) -> tuple[LeqMatrix, ...]:
     """All posets with `size` points up to isomorphism, grown by repeatedly
     attaching a maximal point over each down-set; optionally pruned to keep
-    at most `down_set_cap` down-sets.  `size` must be a non-negative int
-    (not a bool), or ValueError names it."""
-    if _require_size("size", size) == 0:
+    at most `down_set_cap` down-sets.  Both must be non-negative ints (not
+    bools), or ValueError names the one that is not."""
+    _require_size("size", size)
+    if down_set_cap is not None:
+        _require_size("down_set_cap", down_set_cap)
+    return _grown_posets(size, down_set_cap, False)
+
+
+@lru_cache(maxsize=None)
+def _grown_posets(
+    size: int, down_set_cap: Optional[int], least: bool
+) -> tuple[LeqMatrix, ...]:
+    """`enumerate_posets`, or with `least` its posets with a least point
+    (and the empty poset at size 0).
+
+    Removing a maximal point from a poset of two or more points with a
+    least point leaves a poset with a least point, so those posets grow from
+    their own kind over the non-empty down-sets alone.  The parents and their down-sets come in
+    the same relative order either way, so each class keeps the same
+    labelled representative.  A grown poset's down-sets are its parent's,
+    and each parent down-set that holds the new point's down-set with the
+    new point added: that counts them for the cap."""
+    if size == 0:
         return ((),)  # the empty poset
-    smaller = enumerate_posets(size - 1, down_set_cap)
     seen: dict[tuple, LeqMatrix] = {}
-    for leq in smaller:
+    for leq in _grown_posets(size - 1, down_set_cap, least):
         n = len(leq)
-        for ds in _down_sets(leq):
+        ds_list = _down_sets(leq)
+        for ds in ds_list:
+            if least and n and not ds:
+                continue
+            if down_set_cap is not None and (
+                len(ds_list) + sum(1 for d in ds_list if ds <= d) > down_set_cap
+            ):
+                continue
             new = [list(row) + [a in ds] for a, row in enumerate(leq)]
             new.append([False] * n + [True])
             grown = tuple(tuple(row) for row in new)
-            if down_set_cap is not None and len(_down_sets(grown)) > down_set_cap:
-                continue
             key = canonical_poset_key(grown)
             if key not in seen:
                 seen[key] = grown
     return tuple(seen[k] for k in sorted(seen))
+
+
+def _lattices(size: int) -> list[LeqMatrix]:
+    """The lattices among `enumerate_posets(size)` for size >= 1, in its
+    order and with its labelling.  A lattice has one maximal point, its top,
+    so the growth reaches it only by attaching the top over the whole of the
+    poset below it, which has a least point: only those posets are grown."""
+    lattices = []
+    for below in _grown_posets(size - 1, None, True):
+        leq = tuple(row + (True,) for row in below) + ((False,) * (size - 1) + (True,),)
+        if is_lattice(leq):
+            lattices.append(leq)
+    return sorted(lattices, key=canonical_poset_key)
 
 
 def is_lattice(leq: LeqMatrix) -> bool:
@@ -361,11 +402,8 @@ def _search_failure(fusion: tuple, e: int, what: str) -> VerificationFailure:
 def _enumerate_srl(max_size: int) -> list[FiniteAlgebra]:
     found: dict[tuple, FiniteAlgebra] = {}
     for n in range(1, max_size + 1):
-        for leq in enumerate_posets(n):
-            tables = _lattice_tables(leq)
-            if tables is None:
-                continue
-            meet, join = tables
+        for leq in _lattices(n):
+            meet, join = _lattice_tables(leq)
             for e in range(n):
                 for fusion in _fusion_search(meet, join, e):
                     try:

@@ -355,14 +355,18 @@ def _cone_prime_data(algebra: FiniteAlgebra):
 
 
 class _ParentSide:
-    """What `epi_analysis` derives from the parent algebra alone: the
+    """What `epi_analysis` derives from the parent algebra alone: whether it
+    is FSI and then whether it is negatively generated; when both hold, the
     `_cone_prime_data`, the depth of each dual point, and the e-subspaces
     already built and verified on the cone, by cone-filter members."""
 
     def __init__(self, algebra: FiniteAlgebra):
-        data = _cone_prime_data(algebra)
-        self.cone, self.carrier, self.cone_primes, self.primes, self.space = data
-        self.depths = tuple(_point_depths(self.space))
+        self.fsi = is_fsi(algebra)
+        self.negatively_generated = self.fsi and is_negatively_generated(algebra)
+        if self.negatively_generated:
+            data = _cone_prime_data(algebra)
+            self.cone, self.carrier, self.cone_primes, self.primes, self.space = data
+            self.depths = tuple(_point_depths(self.space))
         self._subspaces: dict[frozenset[int], ESubspace] = {}
 
     def subspace(self, members: frozenset[int]) -> ESubspace:
@@ -395,27 +399,27 @@ def epi_analysis(algebra: FiniteAlgebra, members: Iterable[int]) -> EpiAnalysis:
     and their cover property, and the commuting retract square.
 
     Consecutive calls on one algebra object reuse what depends on the
-    algebra alone: its cone with the cone's prime filters, dual space and
-    point depths, and each e-subspace of the cone that the retract square
-    has already built and verified, by filter.  That is sound because an
-    algebra is immutable and these are functions of it and of the filter:
-    every check still runs once on each distinct input, and a build that
-    fails its checks raises before it is stored.  A call on another algebra
-    replaces them."""
+    algebra alone: whether it is FSI and negatively generated, its cone with
+    the cone's prime filters, dual space and point depths, and each
+    e-subspace of the cone that the retract square has already built and
+    verified, by filter.  That is sound because an algebra is immutable and
+    these are functions of it and of the filter: every check still runs
+    once on each distinct input, and a build that fails its checks raises
+    before it is stored.  A call on another algebra replaces them."""
     sub_mask = frozenset(members)
     if not is_subuniverse(algebra, sub_mask):
         raise HypothesesNotMet("B is not a subalgebra")
     if len(sub_mask) == algebra.size:
         raise HypothesesNotMet("B is not proper")
-    if not is_fsi(algebra):
+    parent = _parent_side(algebra)
+    if not parent.fsi:
         raise HypothesesNotMet("A is not FSI")
-    if not is_negatively_generated(algebra):
+    if not parent.negatively_generated:
         raise HypothesesNotMet("A is not negatively generated")
     sub_neg = frozenset(x for x in algebra.below_e if x in sub_mask)
     if subuniverse_closure(algebra, sub_neg) != sub_mask:
         raise HypothesesNotMet("B is not negatively generated")
 
-    parent = _parent_side(algebra)
     primes, depths = parent.primes, parent.depths
 
     traces = [p & sub_neg for p in primes]

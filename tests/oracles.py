@@ -14,6 +14,7 @@ from srlkit.cones import all_subuniverses, subuniverse_closure
 from srlkit.core import (
     FiniteAlgebra,
     Homomorphism,
+    Signature,
     _binary_tables,
     classify,
     find_isomorphism,
@@ -22,8 +23,8 @@ from srlkit.core import (
     subalgebra,
     validate,
 )
-from srlkit.duality import PointedPoset
-from srlkit.enumeration import LeqMatrix, _fusion_search, enumerate_posets
+from srlkit.duality import PointedPoset, all_up_sets
+from srlkit.enumeration import LeqMatrix, _fusion_search, enumerate_posets, is_lattice
 from srlkit.errors import NotResiduated, SrlkitError, VerificationFailure
 from srlkit.filters import Congruence, all_deductive_filters, is_congruence, is_fsi, quotient
 from srlkit.varieties import EsDecision, FsiSpectrum, VarietySpec, fsi_spectrum
@@ -159,6 +160,55 @@ def posets_with_top(size: int) -> tuple[LeqMatrix, ...]:
         for leq in enumerate_posets(size)
         if any(all(leq[a][t] for a in range(size)) for t in range(size))
     )
+
+
+def lattices_by_filter(size: int) -> list[LeqMatrix]:
+    """The lattices among all posets of `size` points, in their order."""
+    return [leq for leq in enumerate_posets(size) if is_lattice(leq)]
+
+
+def posets_with_least_point(size: int) -> list[LeqMatrix]:
+    """The posets of `size` points with a least element, in their order."""
+    return [
+        leq
+        for leq in enumerate_posets(size)
+        if any(all(leq[b][a] for a in range(size)) for b in range(size))
+    ]
+
+
+def up_set_algebra_by_sets(
+    poset: PointedPoset, mode: str
+) -> tuple[FiniteAlgebra, dict[frozenset[int], int]]:
+    """`duality._up_set_algebra` computed on frozensets, for valid modes."""
+    ups = all_up_sets(poset, include_empty=(mode == "proper"))
+    index = {u: i for i, u in enumerate(ups)}
+    n = poset.size
+    full = frozenset(range(n))
+
+    def down_closure(s: frozenset[int]) -> frozenset[int]:
+        return frozenset(a for a in range(n) if any(poset.leq[a][b] for b in s))
+
+    def arrow(u: frozenset[int], v: frozenset[int]) -> frozenset[int]:
+        return full - down_closure(u - v)
+
+    k = len(ups)
+    meet = tuple(tuple(index[ups[i] & ups[j]] for j in range(k)) for i in range(k))
+    join = tuple(tuple(index[ups[i] | ups[j]] for j in range(k)) for i in range(k))
+    residual = tuple(
+        tuple(index[arrow(ups[i], ups[j])] for j in range(k)) for i in range(k)
+    )
+    algebra = FiniteAlgebra(
+        size=k,
+        meet=meet,
+        join=join,
+        fusion=meet,
+        residual=residual,
+        e=index[full],
+        neg=None,
+        bottom=index[frozenset()] if mode == "proper" else None,
+        signature=Signature(False, mode == "proper"),
+    )
+    return algebra, index
 
 
 def lattice_filters(algebra: FiniteAlgebra) -> list[frozenset[int]]:

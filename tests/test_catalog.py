@@ -1,10 +1,13 @@
+import hashlib
 import itertools
 
 import pytest
 from oracles import (
     crystal_completion_search,
     fusion_search_rescan,
+    lattices_by_filter,
     poset_from_pairs,
+    posets_with_least_point,
     posets_with_top,
 )
 
@@ -22,7 +25,9 @@ from srlkit.documents import export_dot, load, save
 from srlkit.duality import depth
 from srlkit.enumeration import (
     _fusion_search,
+    _grown_posets,
     _lattice_tables,
+    _lattices,
     canonical_form,
     enumerate_models,
     enumerate_posets,
@@ -255,6 +260,58 @@ def test_lattice_counts():
     assert counts == [1, 1, 1, 2, 5, 15]
 
 
+def _digest(chunks) -> str:
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk.encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_lattices_and_least_point_posets_match_the_filtering_oracles():
+    # the same labelled order matrices in the same order as filtering every
+    # poset
+    for n in range(1, 7):
+        assert _lattices(n) == lattices_by_filter(n), n
+        assert list(_grown_posets(n, None, True)) == posets_with_least_point(n), n
+
+
+@pytest.mark.slow
+def test_lattices_match_the_filtering_oracle_through_size_8():
+    for n in range(1, 9):
+        assert _lattices(n) == lattices_by_filter(n), n
+    assert [len(_lattices(n)) for n in range(1, 9)] == [1, 1, 1, 2, 5, 15, 53, 222]
+
+
+def test_capped_posets_match_the_recorded_digest():
+    # recorded from the growth that enumerated each grown poset's down-sets
+    # to count them
+    assert [len(enumerate_posets(n, 10)) for n in range(10)] == [1, 1, 2, 5, 14, 26, 29, 22, 8, 1]
+    assert _digest(repr(enumerate_posets(n, 10)) for n in range(10)) == (
+        "f9104f2072c6b6a6d6afc2749b3bb8361b5c19906160a1e47437bcf8b472fb67"
+    )
+
+
+def test_enumerated_models_match_the_recorded_bytes():
+    # recorded from the enumeration that took its lattices from every poset:
+    # the same labelled models in the same order, so `enumerate --dump` and
+    # every input drawn from these lists keep their bytes
+    runs = (("srl", 5), ("sirl", 5), ("brouwerian", 8))
+    models = [m for kind, size in runs for m in enumerate_models(kind, size, bound=size)]
+    assert len(models) == 75 + 26 + 36
+    assert _digest(save(m) for m in models) == (
+        "c33469b84a6b590b6a5f070b8eec4a4a2e27bbbd005670bc4c1cec457f971a1b"
+    )
+
+
+@pytest.mark.slow
+def test_srl_models_through_size_7_match_the_recorded_bytes():
+    models = enumerate_models("srl", 7, bound=7)
+    assert len(models) == 5493
+    assert _digest(save(m) for m in models) == (
+        "b3be02b1896edb8ce7414c4ff0492e5bae12a5080e15a7924f2a751d6a6ed1a7"
+    )
+
+
 def test_brouwerian_counts_match_goldens(brouwerian6):
     from collections import Counter
 
@@ -483,6 +540,24 @@ def test_enumerate_posets_rejects_bad_sizes(size, message):
         enumerate_posets(size)
     assert str(exc.value) == message
     assert enumerate_posets(0) == ((),)
+
+
+@pytest.mark.parametrize(
+    "cap, message",
+    [
+        (-1, "down_set_cap must not be negative, got -1"),
+        (True, "down_set_cap must be an integer, got True"),
+        (2.5, "down_set_cap must be an integer, got 2.5"),
+        ("4", "down_set_cap must be an integer, got '4'"),
+    ],
+)
+def test_enumerate_posets_rejects_bad_down_set_caps(cap, message):
+    with pytest.raises(ValueError) as exc:
+        enumerate_posets(3, cap)
+    assert str(exc.value) == message
+    chain = ((True, True, True), (False, True, True), (False, False, True))
+    assert enumerate_posets(3, 4) == (chain,)
+    assert enumerate_posets(3, 0) == ()
 
 
 @pytest.mark.slow

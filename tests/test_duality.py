@@ -1,7 +1,14 @@
 import random
 
 import pytest
-from oracles import check_poset, is_up_set, poset_from_pairs, posets_with_top, relabelling
+from oracles import (
+    check_poset,
+    is_up_set,
+    poset_from_pairs,
+    posets_with_top,
+    relabelling,
+    up_set_algebra_by_sets,
+)
 
 from srlkit.catalog import (
     brouwerian_chain,
@@ -22,6 +29,7 @@ from srlkit.core import (
 from srlkit.duality import (
     PointedPoset,
     _point_depths,
+    _up_set_algebra,
     all_up_sets,
     canonical_iso,
     depth,
@@ -34,6 +42,7 @@ from srlkit.duality import (
     is_esakia_morphism,
     poset_round_trip,
 )
+from srlkit.enumeration import enumerate_posets
 from srlkit.errors import NoTop, NotAFilter, NotBrouwerian
 from srlkit.filters import (
     all_deductive_filters,
@@ -287,6 +296,29 @@ def test_up_sets_deterministic():
     ups = all_up_sets(poset, include_empty=True)
     assert ups[0] == frozenset()
     assert ups == sorted(ups, key=lambda s: sum(1 << x for x in s))
+
+
+def test_up_set_algebra_matches_the_set_oracle(suite):
+    # every poset with at most 6 points in proper mode, every one with a top
+    # in pointed mode, and the suite's dual spaces as given and relabelled:
+    # equal algebras and equal index dicts
+    cases = [
+        (PointedPoset(n, leq), "proper") for n in range(7) for leq in enumerate_posets(n)
+    ]
+    cases += [(poset, "pointed") for n in range(1, 7) for poset in psets_with_top(n)]
+    rng = random.Random(1404)
+    for algebra in suite:
+        flags = classify(algebra)
+        if flags.brouwerian:
+            mode = "proper" if flags.heyting else "pointed"
+            for image in (algebra, relabelling(algebra, rng)[0]):
+                cases.append((dual_space(image, mode), mode))
+    for poset, mode in cases:
+        fast, index = _up_set_algebra(poset, mode)
+        slow, slow_index = up_set_algebra_by_sets(poset, mode)
+        assert fast == slow and index == slow_index, (poset, mode)
+        assert list(index) == list(slow_index)
+    assert len(cases) == 406 + 88 + 2 * 28  # posets, posets with a top, suite spaces
 
 
 def test_dualize_morphism_proper_mode():

@@ -435,6 +435,23 @@ def test_epi_answers_do_not_depend_on_earlier_calls(suite):
     assert (len(pairs), refused) == (950, 578)
 
 
+def test_epi_analysis_gives_each_parent_its_own_verdict():
+    # the FSI and negative-generation verdicts are kept with the latest
+    # parent: a non-FSI algebra, an FSI one, then the non-FSI one again
+    diamond, chain = brouwerian_diamond(), brouwerian_chain(3)
+    fresh = _refutation_answer(brouwerian_chain(3), {0, 2}, analyse=True)
+    assert not isinstance(fresh, str)
+    for _ in range(2):
+        assert _refutation_answer(diamond, {0, 3}, analyse=True) == "A is not FSI"
+        assert _refutation_answer(diamond, {0, 3}, analyse=True) == "A is not FSI"
+        assert _refutation_answer(chain, {0, 2}, analyse=True) == fresh
+        assert _refutation_answer(crystal(), {0, 1, 4, 5}) == "A is not negatively generated"
+    # the B-side checks still run on every call
+    assert _refutation_answer(chain, {0, 1}) == "B is not a subalgebra"
+    assert _refutation_answer(chain, {0, 1, 2}) == "B is not proper"
+    assert _refutation_answer(chain, {0, 2}, analyse=True) == fresh
+
+
 def test_epi_analysis_keeps_no_algebra_but_the_latest():
     first, second = brouwerian_chain(4), brouwerian_chain(3)
     refute_epic(first, {0, 2, 3})
