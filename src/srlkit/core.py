@@ -11,7 +11,7 @@ constructor-time deriver and the consistency oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
@@ -184,6 +184,12 @@ def _covers(leq: Callable[[int, int], bool], elements: Iterable[int], a: int, b:
     return a != b and leq(a, b) and not any(
         z != a and z != b and leq(a, z) and leq(z, b) for z in elements
     )
+
+
+def _join_irreducible(meet: Table, join: Table, c: int) -> bool:
+    """Some element lies strictly below c, and their join is still below c."""
+    below = [a for a, m in enumerate(meet[c]) if m == a != c]
+    return bool(below) and reduce(lambda a, b: join[a][b], below) != c
 
 
 def _check_shape(algebra: FiniteAlgebra) -> None:
@@ -514,9 +520,9 @@ def _extend(source: FiniteAlgebra, target: FiniteAlgebra, values: dict[int, int]
 
     A homomorphism is fixed by its values on a generating set, so this is
     the closure of those values through the operations.  Each round applies
-    them to the pairs that involve an element valued in the round before, as
-    `cones._close` does, so every ordered pair of valued elements is checked
-    exactly once."""
+    them to the pairs that involve an element valued in the round before:
+    (a, b) with a fresh, and (b, a) with b valued in an earlier round, so
+    every ordered pair of valued elements is checked exactly once."""
     mapping = [-1] * source.size
     fresh = {source.e: target.e}
     if source.bottom is not None:
@@ -651,12 +657,13 @@ def _homomorphism_search(source, target, partial=None, injective=False):
     if source.bottom is not None:
         pins[source.bottom] = target.bottom
     for k, v in (partial or {}).items():
+        if any(isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < size
+               for x, size in ((k, source.size), (v, target.size))):
+            raise ValueError(f"partial pin {k!r}: {v!r} does not map 0..{source.size - 1} "
+                             f"into 0..{target.size - 1}")
         if pins.get(k, v) != v:
             return
         pins[k] = v
-    for k, v in pins.items():
-        if not (0 <= k < source.size and 0 <= v < target.size):
-            return
     if injective and len(set(pins.values())) < len(pins):
         return
     candidates = [target.elements] * source.size

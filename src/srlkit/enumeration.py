@@ -9,13 +9,13 @@ come from a fusion-table search over all small lattices.  Every lattice is a
 poset with a least point plus a top, so only those posets are grown for the
 lattices (as in Heitzig & Reinhold, "Counting finite lattices", Algebra
 Universalis 48, 2002).  The fusion search branches on the cells between
-join-irreducibles, checks each new cell only against the isotonicity and
-associativity instances it completes, and propagates join-distributivity,
-which forces every other cell.  Involutive algebras expand each SRL by every
-involution (which is always the residual into the negation of the identity).
-Canonical forms are the least relabelled tables over the leaves of one
-colour-refinement and individualisation search, shared by algebras and
-posets.
+join-irreducibles, checks each new cell only against the associativity
+instances it completes, and propagates join-distributivity, which forces
+every other cell and makes every complete table isotone.  Involutive
+algebras expand each SRL by every involution (which is always the residual
+into the negation of the identity).  Canonical forms are the least
+relabelled tables over the leaves of one colour-refinement and
+individualisation search, shared by algebras and posets.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from functools import lru_cache
 from typing import Optional
 
 from .core import (
-    FiniteAlgebra, Signature, brouwerian_reduct, residual_from_fusion, validate,
+    FiniteAlgebra, Signature, _join_irreducible, brouwerian_reduct, residual_from_fusion,
+    validate,
 )
 from .duality import PointedPoset, all_up_sets, dual_algebra
 from .errors import BoundExceeded, NotResiduated, VerificationFailure
@@ -280,14 +281,13 @@ def _enumerate_brouwerian(max_size: int) -> list[FiniteAlgebra]:
 
 
 def _fusion_search(meet, join, e: int) -> list[tuple]:
-    """All commutative, associative, isotone, join-distributing,
+    """All commutative, associative, join-distributing (hence isotone),
     subidempotent fusion tables on the lattice with identity e and zero row
     at the bottom, in lexicographic order.
 
     Forward checking (Haralick & Elliott, "Increasing tree search efficiency
     for constraint satisfaction problems", AI 14, 1980): each assigned cell
-    {x, y} is checked only against what it completes.  That is isotonicity
-    against the assigned cells of rows x and y, and the associativity
+    {x, y} is checked only against what it completes: the associativity
     instances holding it as (a, b) or (ab, c); by commutativity an instance
     read backwards holds it as (b, c) or (a, bc).  Join-distributivity is
     propagated, not checked: once a*b and a*c are set, a*(b v c) is assigned
@@ -299,10 +299,7 @@ def _fusion_search(meet, join, e: int) -> list[tuple]:
     rng = range(n)
     leq = [[meet[a][b] == a for b in rng] for a in rng]
     bottom = next(a for a in rng if all(leq[a]))
-    irreducible = [
-        a != bottom and all(join[b][c] != a for b in rng for c in rng if b != a != c)
-        for a in rng
-    ]
+    irreducible = [_join_irreducible(meet, join, a) for a in rng]
     cells = sorted(
         ((x, y) for x in rng for y in range(x, n)),
         key=lambda cell: not (irreducible[cell[0]] and irreducible[cell[1]]),
@@ -338,12 +335,6 @@ def _fusion_search(meet, join, e: int) -> list[tuple]:
             v = table[x][y]
             for p, q in ((x, y), (y, x)) if x != y else ((x, y),):
                 row_p, row_q, row_v = table[p], table[q], table[v]
-                for z in rng:  # isotone: row p at q against row p at z
-                    w = row_p[z]
-                    if w >= 0 and (
-                        leq[z][q] and not leq[w][v] or leq[q][z] and not leq[v][w]
-                    ):
-                        return False
                 for c in rng:  # (pq)c = p(qc)
                     qc = row_q[c]
                     if qc >= 0:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable
 
-from .core import FiniteAlgebra, Homomorphism, _induced, subalgebra
+from .core import FiniteAlgebra, Homomorphism, _induced, _join_irreducible, subalgebra
 from .errors import NotAFilter, VerificationFailure
 
 
@@ -140,19 +140,14 @@ def prime_deductive_filters(algebra: FiniteAlgebra, mode: str) -> list[Deductive
 
 def leibniz_congruence(flt: DeductiveFilter) -> Congruence:
     """The congruence identifying a and b exactly when (a->b) meet (b->a)
-    lies in the filter."""
+    lies in the filter: the kernel of x |-> c*x, where c is the filter's
+    least element (the meet of its members and e, so that an empty member
+    set gives the identity).  The filter holds (a->b) meet (b->a) iff c <= a->b and
+    c <= b->a, iff c*a <= b and c*b <= a.  Multiplied by c, as c*c = c,
+    these give c*a = c*b; conversely c*a = c*b <= b and c*b <= a, as c <= e."""
     algebra = flt.algebra
-    raw = []
-    reps: list[int] = []
-    for a in algebra.elements:
-        for i, r in enumerate(reps):
-            if algebra.iff(a, r) in flt.members:
-                raw.append(i)
-                break
-        else:
-            raw.append(len(reps))
-            reps.append(a)
-    return Congruence(algebra, _normalize_blocks(raw))
+    c = reduce(lambda a, b: algebra.meet[a][b], flt.members, algebra.e)
+    return Congruence(algebra, _normalize_blocks(algebra.fusion[c]))
 
 
 def congruence_filter(congruence: Congruence) -> DeductiveFilter:
@@ -209,15 +204,9 @@ def quotient(
 
 def is_fsi(algebra: FiniteAlgebra) -> bool:
     """Finitely subdirectly irreducible: the identity is join-irreducible in
-    the lattice reduct.  The 1-element algebra is not FSI by convention."""
-    if algebra.size <= 1:
-        return False
-    e = algebra.e
-    for a in algebra.elements:
-        for b in algebra.elements:
-            if algebra.join[a][b] == e and a != e and b != e:
-                return False
-    return True
+    the lattice reduct.  The 1-element algebra is not FSI, since its e is
+    the empty join."""
+    return _join_irreducible(algebra.meet, algebra.join, algebra.e)
 
 
 def restrict_congruence(congruence: Congruence, carrier: list[int], sub: FiniteAlgebra) -> Congruence:

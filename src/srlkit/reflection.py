@@ -72,31 +72,18 @@ def reflect(base: FiniteAlgebra) -> ReflectionAlgebra:
         kind[b(a)] = ("base", a)
         kind[p(a)] = ("primed", a)
 
-    def leq(x: int, y: int) -> bool:
-        if x == bot or y == top or x == y:
-            return True
-        if y == bot or x == top:
-            return False
-        kx, ky = kind[x], kind[y]
-        if kx[0] == "base" and ky[0] == "primed":
-            return True
-        if kx[0] == "primed" and ky[0] == "base":
-            return False
-        if kx[0] == "base":
-            return base.leq(kx[1], ky[1])
-        return base.leq(ky[1], kx[1])  # primed block reversed
-
     def meet_op(x: int, y: int) -> int:
-        if leq(x, y):
+        """The ordinal sum bottom < base < primed (reversed) < top."""
+        if x == bot or y == top:
             return x
-        if leq(y, x):
+        if y == bot or x == top:
             return y
         kx, ky = kind[x], kind[y]
-        if kx[0] == "base" and ky[0] == "base":
+        if kx[0] != ky[0]:  # each base element lies below every primed one
+            return x if kx[0] == "base" else y
+        if kx[0] == "base":
             return b(base.meet[kx[1]][ky[1]])
-        if kx[0] == "primed" and ky[0] == "primed":
-            return p(base.join[kx[1]][ky[1]])
-        raise VerificationFailure("meet fell through the reflection order")
+        return p(base.join[kx[1]][ky[1]])
 
     def fusion_op(x: int, y: int) -> int:
         if x == bot or y == bot:

@@ -27,7 +27,8 @@ The spectrum build rests on two more facts.
   among the ↑d with d ≤ c.  As ↑a ∩ ↑b = ↑(a∨b), with a∨b in A⁻, ↑c is the
   intersection of two larger such filters exactly when c = a∨b for some
   a, b < c.  The least element of A, whose quotient is trivial, is the
-  empty join and so not join-irreducible.
+  empty join and so not join-irreducible.  Everything below c lies in A⁻,
+  so c is join-irreducible in A⁻ exactly when it is in A's lattice.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .core import (
     Homomorphism,
     _covers,
     _extend,
+    _join_irreducible,
     _subalgebra,
     brouwerian_reduct,
     compose,
@@ -145,10 +147,9 @@ def _build_spectrum_members(spec: VarietySpec) -> tuple[FiniteAlgebra, ...]:
             if key in seen_subs:
                 continue
             seen_subs.add(key)
-            irreducible = _cone_join_irreducibles(sub)
             for flt in all_deductive_filters(sub):
                 c = reduce(lambda a, b: sub.meet[a][b], flt.members)
-                if c not in irreducible:
+                if not _join_irreducible(sub.meet, sub.join, c):
                     continue
                 candidate, _ = quotient(sub, flt)
                 if not is_fsi(candidate):
@@ -162,19 +163,6 @@ def _build_spectrum_members(spec: VarietySpec) -> tuple[FiniteAlgebra, ...]:
                 seen_members.add(key)
                 members.append(replace(candidate, name=f"fsi{len(members)}"))
     return tuple(members)
-
-
-def _cone_join_irreducibles(algebra: FiniteAlgebra) -> set[int]:
-    """The join-irreducible elements of the negative cone: those with some
-    cone element strictly below, whose join is still strictly below."""
-    meet, join = algebra.meet, algebra.join
-    cone = algebra.below_e
-    out = set()
-    for c in cone:
-        below = [a for a in cone if a != c and meet[a][c] == a]
-        if below and reduce(lambda a, b: join[a][b], below) != c:
-            out.add(c)
-    return out
 
 
 def variety_depth(spec: VarietySpec) -> int:
@@ -445,23 +433,10 @@ def epi_analysis(algebra: FiniteAlgebra, members: Iterable[int]) -> EpiAnalysis:
         if second < g and not (first <= g):
             raise VerificationFailure("strict bound of the second filter misses the first")
 
-    if second < first:
-        case = "nested"
-        between = [g for g in primes if second < g < first]
-        if between:
-            raise VerificationFailure("second filter is not covered by the first")
-        if any(second < g and not (first <= g) for g in primes):
-            raise VerificationFailure("first filter is not the least strict bound")
-    else:
-        case = "incomparable"
-        if first <= second or second <= first:
-            raise VerificationFailure("case split saw comparable filters")
-        if depths[first_idx] != depths[second_idx]:
-            raise VerificationFailure("incomparable filters with different depths")
-        uppers_first = {tuple(sorted(g)) for g in primes if first < g}
-        uppers_second = {tuple(sorted(g)) for g in primes if second < g}
-        if uppers_first != uppers_second:
-            raise VerificationFailure("incomparable filters with different strict bounds")
+    # The loop settles the case split.  Nested, `first` covers `second` and
+    # is its least strict bound.  Otherwise the two (distinct) filters are
+    # incomparable with the same strict bounds, and hence the same depth.
+    case = "nested" if second < first else "incomparable"
 
     kernel = first & second
     theta = leibniz_congruence(generated_filter(algebra, kernel))

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from typing import Iterable, Optional
 
 from srlkit.catalog import crystal
@@ -26,7 +27,9 @@ from srlkit.core import (
 from srlkit.duality import PointedPoset, all_up_sets
 from srlkit.enumeration import LeqMatrix, _fusion_search, enumerate_posets, is_lattice
 from srlkit.errors import NotResiduated, SrlkitError, VerificationFailure
-from srlkit.filters import Congruence, all_deductive_filters, is_congruence, is_fsi, quotient
+from srlkit.filters import (
+    Congruence, DeductiveFilter, _normalize_blocks, all_deductive_filters, is_congruence, quotient,
+)
 from srlkit.varieties import EsDecision, FsiSpectrum, VarietySpec, fsi_spectrum
 
 
@@ -220,6 +223,77 @@ def lattice_filters(algebra: FiniteAlgebra) -> list[frozenset[int]]:
     return out
 
 
+def leibniz_congruence_scan(flt: DeductiveFilter) -> Congruence:
+    """`filters.leibniz_congruence` by scanning the representatives found so
+    far for one whose `iff` with each element lies in the filter."""
+    algebra = flt.algebra
+    raw = []
+    reps: list[int] = []
+    for a in algebra.elements:
+        for i, r in enumerate(reps):
+            if algebra.iff(a, r) in flt.members:
+                raw.append(i)
+                break
+        else:
+            raw.append(len(reps))
+            reps.append(a)
+    return Congruence(algebra, _normalize_blocks(raw))
+
+
+def is_fsi_pairwise(algebra: FiniteAlgebra) -> bool:
+    """`filters.is_fsi` by scanning every pair for two elements other than
+    e whose join is e; the 1-element algebra is not FSI."""
+    if algebra.size <= 1:
+        return False
+    e = algebra.e
+    for a in algebra.elements:
+        for b in algebra.elements:
+            if algebra.join[a][b] == e and a != e and b != e:
+                return False
+    return True
+
+
+def cone_join_irreducibles(algebra: FiniteAlgebra) -> set[int]:
+    """The join-irreducible elements of the negative cone, scanned inside the
+    cone: those with some cone element strictly below, whose join is still
+    strictly below."""
+    meet, join = algebra.meet, algebra.join
+    cone = algebra.below_e
+    out = set()
+    for c in cone:
+        below = [a for a in cone if a != c and meet[a][c] == a]
+        if below and reduce(lambda a, b: join[a][b], below) != c:
+            out.add(c)
+    return out
+
+
+def reflection_meet_by_order(base: FiniteAlgebra):
+    """The meet table of `reflection.reflect(base)`, as the greatest lower
+    bound under the reflection order: bottom, the base block, the primed
+    block in reversed base order, top."""
+    n = base.size
+    size = 2 * n + 2
+    top = size - 1
+    kind = [("bot",)] + [("base", a) for a in range(n)] + [("primed", a) for a in range(n)]
+    kind.append(("top",))
+
+    def leq(x: int, y: int) -> bool:
+        if x == 0 or y == top or x == y:
+            return True
+        if y == 0 or x == top:
+            return False
+        (kx, ax), (ky, ay) = kind[x], kind[y]
+        if kx != ky:
+            return kx == "base"
+        return base.leq(ax, ay) if kx == "base" else base.leq(ay, ax)
+
+    # the meet of x and y is the element whose down-set is both down-sets'
+    # intersection
+    down = [sum(1 << z for z in range(size) if leq(z, x)) for x in range(size)]
+    at = {d: z for z, d in enumerate(down)}
+    return tuple(tuple(at[dx & dy] for dy in down) for dx in down)
+
+
 def greatest(algebra: FiniteAlgebra) -> Optional[int]:
     """The greatest element, if one exists."""
     for a in algebra.elements:
@@ -325,7 +399,7 @@ def fsi_spectrum_pairwise(spec: VarietySpec) -> tuple[FiniteAlgebra, ...]:
             sub, _ = subalgebra(gen, mask)
             for flt in all_deductive_filters(sub):
                 candidate, _ = quotient(sub, flt)
-                if not is_fsi(candidate):
+                if not is_fsi_pairwise(candidate):
                     continue
                 if any(find_isomorphism(m, candidate) is not None for m in members):
                     continue

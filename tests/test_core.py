@@ -267,6 +267,13 @@ def test_homomorphisms_conflicting_partial_is_empty():
     assert homomorphisms(three, three, partial={0: 1, 1: 0}) == []
 
 
+def test_homomorphisms_reject_pins_outside_the_carriers():
+    three = brouwerian_chain(3)
+    for partial in ({7: 0}, {0: -1}, {1: True}, {1: 2.0}):
+        with pytest.raises(ValueError, match="partial pin"):
+            homomorphisms(three, three, partial=partial)
+
+
 def test_homomorphism_composition_validates(suite):
     three = brouwerian_chain(3)
     two = brouwerian_chain(2)
