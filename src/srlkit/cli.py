@@ -106,13 +106,13 @@ def _cmd_check(args, started) -> int:
 
 def _cmd_dual(args, started) -> int:
     algebra = _resolve(args.file)
-    primes, space = _prime_space(algebra, args.mode)
+    _, primes, space = _prime_space(algebra, args.mode)
     iso = canonical_iso(algebra, args.mode)
     out = {
         "command": "dual",
         "input": args.file,
         "mode": args.mode,
-        "points": [sorted(f.members) for f in primes],
+        "points": [sorted(f) for f in primes],
         "top": space.top,
         "verdicts": {"round_trip": iso.is_bijective},
     }

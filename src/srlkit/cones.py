@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import FiniteAlgebra, Signature, brouwerian_reduct, closed_sets, is_homomorphism
+from .core import FiniteAlgebra, Signature, _is_element, brouwerian_reduct, closed_sets, is_homomorphism
 from .errors import NotASubalgebra, VerificationFailure
 from .filters import (
     DeductiveFilter,
@@ -50,8 +50,8 @@ def subuniverse_closure(algebra: FiniteAlgebra, generators: Iterable[int]) -> fr
     """Closure of a set (plus constants) under all operations."""
     generators = list(generators)
     for a in generators:
-        if not 0 <= a < algebra.size:
-            raise NotASubalgebra(f"element {a} is outside 0..{algebra.size - 1} (size {algebra.size})")
+        if not _is_element(algebra.size, a):
+            raise NotASubalgebra(f"element {a!r} is outside 0..{algebra.size - 1} (size {algebra.size})")
     constants = (algebra.e,) if algebra.bottom is None else (algebra.e, algebra.bottom)
     return _close(algebra, frozenset(), (*generators, *constants))
 

@@ -186,6 +186,11 @@ def _covers(leq: Callable[[int, int], bool], elements: Iterable[int], a: int, b:
     )
 
 
+def _is_element(size: int, x) -> bool:
+    """x is an element of a carrier of `size` elements: an int, not a bool, in 0..size-1."""
+    return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < size
+
+
 def _join_irreducible(meet: Table, join: Table, c: int) -> bool:
     """Some element lies strictly below c, and their join is still below c."""
     below = [a for a, m in enumerate(meet[c]) if m == a != c]
@@ -657,8 +662,7 @@ def _homomorphism_search(source, target, partial=None, injective=False):
     if source.bottom is not None:
         pins[source.bottom] = target.bottom
     for k, v in (partial or {}).items():
-        if any(isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < size
-               for x, size in ((k, source.size), (v, target.size))):
+        if not (_is_element(source.size, k) and _is_element(target.size, v)):
             raise ValueError(f"partial pin {k!r}: {v!r} does not map 0..{source.size - 1} "
                              f"into 0..{target.size - 1}")
         if pins.get(k, v) != v:
@@ -692,13 +696,12 @@ def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra) -> Optional[Homomorphis
 
 
 def is_subuniverse(algebra: FiniteAlgebra, members: Iterable[int]) -> bool:
-    """Closed under all operations and containing every constant."""
+    """Closed under all operations and containing every constant.  False
+    when a member is not an element: an int, not a bool, in 0..size-1."""
     mask = set(members)
-    if not mask or algebra.e not in mask:
+    if algebra.e not in mask or not all(_is_element(algebra.size, x) for x in mask):
         return False
     if algebra.bottom is not None and algebra.bottom not in mask:
-        return False
-    if any(not (0 <= x < algebra.size) for x in mask):
         return False
     if algebra.neg is not None and any(algebra.neg[a] not in mask for a in mask):
         return False

@@ -6,6 +6,13 @@ Every space here is finite, so it carries the discrete topology: clopen
 means arbitrary subset, and the separation axioms of the topological theory
 hold automatically.  Modes are always explicit; nothing is inferred from the
 presence of a bottom.
+
+Points are read off the lattice.  A Brouwerian algebra's fusion is its meet,
+so its lattice is distributive, and by Birkhoff's representation (G. Birkhoff,
+"Rings of sets", Duke Math. J. 3, 1937) a proper filter ↑c is prime iff c is
+join-irreducible, and ↑j ⊆ ↑k iff k ≤ j.  So a point is named by its least
+element, and lies in a's point set iff it is below a.  An SRL's lattice need
+not be distributive; `filters.is_prime_filter` serves those.
 """
 
 from __future__ import annotations
@@ -18,6 +25,8 @@ from .core import (
     FiniteAlgebra,
     Homomorphism,
     Signature,
+    _is_element,
+    _join_irreducible,
     brouwerian_reduct,
     closed_sets,
     is_homomorphism,
@@ -28,12 +37,7 @@ from .errors import (
     NotBrouwerian,
     VerificationFailure,
 )
-from .filters import (
-    DeductiveFilter,
-    is_deductive_filter,
-    prime_deductive_filters,
-    quotient,
-)
+from .filters import DeductiveFilter, _least, is_deductive_filter, quotient
 
 
 @dataclass(frozen=True)
@@ -101,21 +105,28 @@ def _require_mode(algebra: FiniteAlgebra, mode: str) -> None:
 
 def _prime_space(
     algebra: FiniteAlgebra, mode: str
-) -> tuple[list[DeductiveFilter], PointedPoset]:
-    """The prime filters and the poset they form under inclusion.  Point i
-    is the i-th entry of `prime_deductive_filters(algebra, mode)`; pointed
-    mode includes the improper filter as the designated top (proper mode
-    has no improper filter, and so no top)."""
+) -> tuple[tuple[int, ...], tuple[frozenset[int], ...], PointedPoset]:
+    """The prime filters, by least element and by members, in
+    `all_deductive_filters` order, and their poset under inclusion.  The
+    proper ones are the ↑c with c join-irreducible, by Birkhoff's reading of
+    the distributive lattice (module docstring).  Pointed mode adds the
+    improper filter, ↑ of the least element, as the designated top."""
     _require_mode(algebra, mode)
-    primes = prime_deductive_filters(algebra, mode)
-    leq = tuple(tuple(f.members <= g.members for g in primes) for f in primes)
-    top = next((i for i, f in enumerate(primes) if f.is_improper), None)
-    return primes, PointedPoset(len(primes), leq, top)
+    meet, bottom = algebra.meet, _least(algebra, algebra.elements)
+    ups = {
+        c: tuple(b for b in algebra.elements if meet[c][b] == c) for c in algebra.elements
+        if _join_irreducible(meet, algebra.join, c) or (mode == "pointed" and c == bottom)
+    }
+    least = sorted(ups, key=ups.__getitem__)
+    leq = tuple(tuple(meet[k][j] == k for k in least) for j in least)
+    top = least.index(bottom) if mode == "pointed" else None
+    members = tuple(frozenset(ups[c]) for c in least)
+    return tuple(least), members, PointedPoset(len(least), leq, top)
 
 
 def dual_space(algebra: FiniteAlgebra, mode: str = "pointed") -> PointedPoset:
     """The poset of prime filters under inclusion."""
-    return _prime_space(algebra, mode)[1]
+    return _prime_space(algebra, mode)[2]
 
 
 def _up_set_algebra(
@@ -174,13 +185,13 @@ def dual_algebra(poset: PointedPoset, mode: str = "pointed") -> FiniteAlgebra:
 def canonical_iso(algebra: FiniteAlgebra, mode: str = "pointed") -> Homomorphism:
     """The map sending a to the set of prime filters containing it, verified
     to be an isomorphism onto the double dual."""
-    primes, space = _prime_space(algebra, mode)
+    least, _, space = _prime_space(algebra, mode)
     if mode == "pointed" and algebra.signature.has_bottom:
         raise NotBrouwerian("pointed-mode round trip needs an unbounded algebra")
     double, index = _up_set_algebra(space, mode)
     mapping = []
     for a in algebra.elements:
-        image = frozenset(i for i, f in enumerate(primes) if a in f.members)
+        image = frozenset(i for i, c in enumerate(least) if algebra.leq(c, a))
         if image not in index:
             raise VerificationFailure("canonical image is not an up-set")
         mapping.append(index[image])
@@ -193,12 +204,12 @@ def canonical_iso(algebra: FiniteAlgebra, mode: str = "pointed") -> Homomorphism
 def dualize_morphism(hom: Homomorphism, mode: str = "pointed") -> EsakiaMorphism:
     """The preimage map on prime filters, from the dual of the target to the
     dual of the source; verified to satisfy the morphism condition."""
-    source_primes, source_space = _prime_space(hom.source, mode)
-    target_primes, target_space = _prime_space(hom.target, mode)
-    source_index = {f.members: i for i, f in enumerate(source_primes)}
+    _, source_primes, source_space = _prime_space(hom.source, mode)
+    _, target_primes, target_space = _prime_space(hom.target, mode)
+    source_index = {f: i for i, f in enumerate(source_primes)}
     mapping = []
     for f in target_primes:
-        preimage = frozenset(a for a in hom.source.elements if hom.mapping[a] in f.members)
+        preimage = frozenset(a for a in hom.source.elements if hom.mapping[a] in f)
         if preimage not in source_index:
             raise VerificationFailure("preimage of a prime filter is not prime")
         mapping.append(source_index[preimage])
@@ -240,35 +251,36 @@ def e_subspace(
         raise NotBrouwerian(
             "e_subspace works in pointed mode; pass the unbounded reduct"
         )
-    primes, space = _prime_space(algebra, "pointed")
-    return _e_subspace(algebra, primes, space, flt, chain_filter)
+    least, _, space = _prime_space(algebra, "pointed")
+    return _e_subspace(algebra, least, space, flt, chain_filter)
 
 
 def _e_subspace(
     algebra: FiniteAlgebra,
-    primes: list[DeductiveFilter],
+    least: tuple[int, ...],
     space: PointedPoset,
     flt: DeductiveFilter,
     chain_filter: Optional[DeductiveFilter] = None,
 ) -> ESubspace:
-    """`e_subspace` on a Brouwerian algebra whose prime filters and dual
-    space `_prime_space(algebra, "pointed")` has already derived."""
+    """`e_subspace` given the least elements of the prime filters and the
+    dual space from `_prime_space(algebra, "pointed")`: the points above ↑c
+    are the ↑j with j ≤ c."""
     if not is_deductive_filter(algebra, flt.members):
         raise NotAFilter("e_subspace needs a deductive filter")
-    parent_ids = tuple(
-        i for i, f in enumerate(primes) if flt.members <= f.members
-    )
+    c = _least(algebra, flt.members)
+    parent_ids = tuple(p for p, j in enumerate(least) if algebra.leq(j, c))
     local = {p: i for i, p in enumerate(parent_ids)}
     leq = tuple(tuple(space.leq[p][q] for q in parent_ids) for p in parent_ids)
     sub_poset = PointedPoset(len(parent_ids), leq, local[space.top])
 
+    # square one: restricting the canonical image of a to the subspace gives
+    # the same point set for every member of a's class
     q_algebra, q_map = quotient(algebra, flt)
-    point_sets = []
-    for cls in q_algebra.elements:
-        a = q_map.mapping.index(cls)
-        point_sets.append(
-            frozenset(p for p in parent_ids if a in primes[p].members)
-        )
+    point_sets: dict[int, frozenset[int]] = {}
+    for a in algebra.elements:
+        image = frozenset(p for p in parent_ids if algebra.leq(least[p], a))
+        if point_sets.setdefault(q_map.mapping[a], image) != image:
+            raise VerificationFailure("subspace square does not commute")
 
     upset_algebra, index = _up_set_algebra(sub_poset, "pointed")
     mapping = []
@@ -281,20 +293,12 @@ def _e_subspace(
     if not (iso.is_bijective and is_homomorphism(q_algebra, upset_algebra, iso.mapping)):
         raise VerificationFailure("subspace map is not an isomorphism")
 
-    # square one: restricting the canonical image of a to the subspace gives
-    # the image of a's class
-    parent_set = frozenset(parent_ids)
-    for a in algebra.elements:
-        canonical = frozenset(i for i, f in enumerate(primes) if a in f.members)
-        if canonical & parent_set != point_sets[q_map.mapping[a]]:
-            raise VerificationFailure("subspace square does not commute")
-
     if chain_filter is not None:
         if not is_deductive_filter(algebra, chain_filter.members):
             raise NotAFilter("tower verification needs a deductive filter")
         if not flt.members <= chain_filter.members:
             raise NotAFilter("tower verification needs a filter extending the first")
-        upper = _e_subspace(algebra, primes, space, chain_filter)
+        upper = _e_subspace(algebra, least, space, chain_filter)
         upper_set = frozenset(upper.points)
         for a in algebra.elements:
             lower_image = point_sets[q_map.mapping[a]]
@@ -308,7 +312,7 @@ def _e_subspace(
         quotient=q_algebra,
         quotient_map=q_map,
         iso=iso,
-        point_sets=tuple(point_sets),
+        point_sets=tuple(point_sets[cls] for cls in q_algebra.elements),
     )
 
 
@@ -334,7 +338,7 @@ def depth_of_point(poset: PointedPoset, x: int) -> int:
     """Longest chain from x up to the designated top, counted in steps."""
     if poset.top is None:
         raise NoTop("point depth needs a designated top")
-    if isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < poset.size:
+    if not _is_element(poset.size, x):
         raise ValueError(f"point must be an integer in 0..{poset.size - 1}, got {x!r}")
     return _point_depths(poset)[x]
 
@@ -367,8 +371,8 @@ def poset_round_trip(poset: PointedPoset, mode: str = "pointed") -> tuple[int, .
     containing it, which is a prime filter of the up-set algebra; the map is
     an order isomorphism onto the double dual's points."""
     upset_algebra, index = _up_set_algebra(poset, mode)
-    primes, double = _prime_space(upset_algebra, mode)
-    prime_index = {f.members: i for i, f in enumerate(primes)}
+    _, primes, double = _prime_space(upset_algebra, mode)
+    prime_index = {f: i for i, f in enumerate(primes)}
     mapping = []
     for x in range(poset.size):
         flt = frozenset(i for u, i in index.items() if x in u)

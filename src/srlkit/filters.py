@@ -3,9 +3,9 @@ generation, prime filters, quotients, and the FSI test.
 
 Filters are stored as frozensets of element indices.  In a finite algebra
 every deductive filter is the principal up-set of its minimum, which lies in
-the negative cone; the production enumeration exploits this.  The
-brute-force partition enumeration that checks it is a test oracle
-(`tests/oracles.py`).
+the negative cone; the enumeration and the filter test exploit this, and
+`_least` is the one fold for that minimum.  The scans that check them are
+test oracles (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable
 
-from .core import FiniteAlgebra, Homomorphism, _induced, _join_irreducible, subalgebra
+from .core import FiniteAlgebra, Homomorphism, _induced, _is_element, _join_irreducible, subalgebra
 from .errors import NotAFilter, VerificationFailure
 
 
@@ -74,17 +74,13 @@ def _normalize_blocks(raw: Iterable[int]) -> tuple[int, ...]:
 
 
 def is_deductive_filter(algebra: FiniteAlgebra, members: Iterable[int]) -> bool:
+    """Equal to the filter it generates, the up-set of its meet with e, and
+    so holding e, upward closed and meet closed.  False when a member is not
+    an element: an int, not a bool, in 0..size-1."""
     mask = frozenset(members)
-    if algebra.e not in mask or any(not 0 <= a < algebra.size for a in mask):
-        return False
-    for a in mask:
-        for b in algebra.elements:
-            if algebra.leq(a, b) and b not in mask:
-                return False
-        for b in mask:
-            if algebra.meet[a][b] not in mask:
-                return False
-    return True
+    return all(_is_element(algebra.size, a) for a in mask) and (
+        mask == generated_filter(algebra, mask).members
+    )
 
 
 def deductive_filter(algebra: FiniteAlgebra, members: Iterable[int]) -> DeductiveFilter:
@@ -99,23 +95,22 @@ def generated_filter(algebra: FiniteAlgebra, elements: Iterable[int]) -> Deducti
     up-set of the meet of the set and the identity."""
     elements = list(elements)
     for a in elements:
-        if not 0 <= a < algebra.size:
-            raise NotAFilter(f"element {a} is outside 0..{algebra.size - 1} (size {algebra.size})")
-    least = reduce(lambda a, b: algebra.meet[a][b], elements, algebra.e)
-    return DeductiveFilter(
-        algebra, frozenset(b for b in algebra.elements if algebra.leq(least, b))
-    )
+        if not _is_element(algebra.size, a):
+            raise NotAFilter(f"element {a!r} is outside 0..{algebra.size - 1} (size {algebra.size})")
+    c = _least(algebra, elements)
+    return DeductiveFilter(algebra, frozenset(b for b in algebra.elements if algebra.leq(c, b)))
+
+
+def _least(algebra: FiniteAlgebra, members: Iterable[int]) -> int:
+    """The meet of the members and e: the least element of the filter they generate."""
+    return reduce(lambda a, b: algebra.meet[a][b], members, algebra.e)
 
 
 def all_deductive_filters(algebra: FiniteAlgebra) -> list[DeductiveFilter]:
     """Every deductive filter: the principal up-sets of negative-cone
     elements, ordered by sorted member tuples."""
-    filters = []
-    for c in algebra.below_e:
-        members = frozenset(b for b in algebra.elements if algebra.leq(c, b))
-        filters.append(DeductiveFilter(algebra, members))
-    filters.sort(key=lambda f: f.sorted_members())
-    return filters
+    filters = [generated_filter(algebra, (c,)) for c in algebra.below_e]
+    return sorted(filters, key=DeductiveFilter.sorted_members)
 
 
 def is_prime_filter(algebra: FiniteAlgebra, members: frozenset[int]) -> bool:
@@ -146,8 +141,7 @@ def leibniz_congruence(flt: DeductiveFilter) -> Congruence:
     c <= b->a, iff c*a <= b and c*b <= a.  Multiplied by c, as c*c = c,
     these give c*a = c*b; conversely c*a = c*b <= b and c*b <= a, as c <= e."""
     algebra = flt.algebra
-    c = reduce(lambda a, b: algebra.meet[a][b], flt.members, algebra.e)
-    return Congruence(algebra, _normalize_blocks(algebra.fusion[c]))
+    return Congruence(algebra, _normalize_blocks(algebra.fusion[_least(algebra, flt.members)]))
 
 
 def congruence_filter(congruence: Congruence) -> DeductiveFilter:

@@ -34,7 +34,7 @@ The spectrum build rests on two more facts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import permutations
 from operator import itemgetter
 from typing import Iterable, Optional
@@ -51,6 +51,7 @@ from .core import (
     Homomorphism,
     _covers,
     _extend,
+    _is_element,
     _join_irreducible,
     _subalgebra,
     brouwerian_reduct,
@@ -73,6 +74,7 @@ from .errors import (
 from .filters import (
     Congruence,
     DeductiveFilter,
+    _least,
     all_deductive_filters,
     generated_filter,
     is_fsi,
@@ -148,7 +150,7 @@ def _build_spectrum_members(spec: VarietySpec) -> tuple[FiniteAlgebra, ...]:
                 continue
             seen_subs.add(key)
             for flt in all_deductive_filters(sub):
-                c = reduce(lambda a, b: sub.meet[a][b], flt.members)
+                c = _least(sub, flt.members)
                 if not _join_irreducible(sub.meet, sub.join, c):
                     continue
                 candidate, _ = quotient(sub, flt)
@@ -333,13 +335,13 @@ class EpiAnalysis:
 
 def _cone_prime_data(algebra: FiniteAlgebra):
     """The unbounded cone, its carrier injection, its prime filters (in
-    dual-space point order) both as filters of the cone and as sets of
-    parent indices, and its dual space."""
+    dual-space point order) both by their least elements in the cone and as
+    sets of parent indices, and its dual space."""
     cone, carrier = negative_cone(algebra)
     cone = brouwerian_reduct(cone)
-    cone_primes, space = _prime_space(cone, "pointed")
-    primes = tuple(frozenset(carrier[i] for i in f.members) for f in cone_primes)
-    return cone, carrier, tuple(cone_primes), primes, space
+    least, cone_primes, space = _prime_space(cone, "pointed")
+    primes = tuple(frozenset(carrier[i] for i in f) for f in cone_primes)
+    return cone, carrier, least, primes, space
 
 
 class _ParentSide:
@@ -353,7 +355,7 @@ class _ParentSide:
         self.negatively_generated = self.fsi and is_negatively_generated(algebra)
         if self.negatively_generated:
             data = _cone_prime_data(algebra)
-            self.cone, self.carrier, self.cone_primes, self.primes, self.space = data
+            self.cone, self.carrier, self.cone_least, self.primes, self.space = data
             self.depths = tuple(_point_depths(self.space))
         self._subspaces: dict[frozenset[int], ESubspace] = {}
 
@@ -361,7 +363,7 @@ class _ParentSide:
         found = self._subspaces.get(members)
         if found is None:
             flt = DeductiveFilter(self.cone, members)
-            found = _e_subspace(self.cone, self.cone_primes, self.space, flt)
+            found = _e_subspace(self.cone, self.cone_least, self.space, flt)
             self._subspaces[members] = found
         return found
 
@@ -491,26 +493,23 @@ def _verify_retract_square(parent, traces, kernel, first, qe):
     sub_y = parent.subspace(frozenset(cone_local[x] for x in first))
 
     inclusion = qe.inclusion
-    b_cone, b_carrier, b_cone_primes, b_primes_sub, b_space = _cone_prime_data(qe.sub_algebra)
-    b_primes = [frozenset(inclusion.mapping[x] for x in p) for p in b_primes_sub]
+    b_cone, b_carrier, b_least, b_primes_sub, b_space = _cone_prime_data(qe.sub_algebra)
     trace_local = frozenset(
         i for i, x in enumerate(b_carrier)
         if inclusion.mapping[x] in first
     )
-    sub_z = _e_subspace(b_cone, b_cone_primes, b_space, DeductiveFilter(b_cone, trace_local))
+    sub_z = _e_subspace(b_cone, b_least, b_space, DeductiveFilter(b_cone, trace_local))
 
-    # i_* on dual points: intersect with the subalgebra's cone
-    istar = []
-    for image in traces:
-        matches = [i for i, bp in enumerate(b_primes) if bp == image]
-        if len(matches) != 1:
-            raise VerificationFailure("prime trace is not a unique prime of the subcone")
-        istar.append(matches[0])
+    # i_* on dual points: intersect with the subalgebra's cone; B's primes
+    # are distinct sets, so a trace matches at most one of them
+    b_index = {frozenset(inclusion.mapping[x] for x in p): i for i, p in enumerate(b_primes_sub)}
+    istar = [b_index.get(image) for image in traces]
+    if None in istar:
+        raise VerificationFailure("prime trace is not a unique prime of the subcone")
 
     y_points = set(sub_y.points)
-    z_points = set(sub_z.points)
     restricted = [istar[p] for p in sub_y.points]
-    if len(set(restricted)) != len(restricted) or set(restricted) != z_points:
+    if len(set(restricted)) != len(restricted) or set(restricted) != set(sub_z.points):
         raise VerificationFailure("trace map is not a bijection on the subspace")
 
     # the two cone identifications on the quotient sides
@@ -560,7 +559,7 @@ def separating_retraction(
     sub_mask = frozenset(members)
     if not is_subuniverse(algebra, sub_mask):
         raise HypothesesNotMet("C is not a subalgebra")
-    if not (0 <= coatom < algebra.size):
+    if not _is_element(algebra.size, coatom):
         raise HypothesesNotMet("distinguished element out of range")
     if coatom in sub_mask:
         raise HypothesesNotMet("distinguished element already lies in C")

@@ -28,7 +28,13 @@ from srlkit.duality import PointedPoset, all_up_sets
 from srlkit.enumeration import LeqMatrix, _fusion_search, enumerate_posets, is_lattice
 from srlkit.errors import NotResiduated, SrlkitError, VerificationFailure
 from srlkit.filters import (
-    Congruence, DeductiveFilter, _normalize_blocks, all_deductive_filters, is_congruence, quotient,
+    Congruence,
+    DeductiveFilter,
+    _normalize_blocks,
+    all_deductive_filters,
+    is_congruence,
+    prime_deductive_filters,
+    quotient,
 )
 from srlkit.varieties import EsDecision, FsiSpectrum, VarietySpec, fsi_spectrum
 
@@ -221,6 +227,26 @@ def lattice_filters(algebra: FiniteAlgebra) -> list[frozenset[int]]:
         out.append(frozenset(b for b in algebra.elements if algebra.leq(c, b)))
     out.sort(key=sorted)
     return out
+
+
+def is_deductive_filter_scan(algebra: FiniteAlgebra, members: frozenset[int]) -> bool:
+    """`filters.is_deductive_filter` on a set of elements, by scanning for e,
+    upward closure and meet closure."""
+    return (
+        algebra.e in members
+        and all(b in members for a in members for b in algebra.elements if algebra.leq(a, b))
+        and all(algebra.meet[a][b] in members for a in members for b in members)
+    )
+
+
+def prime_space_scan(algebra: FiniteAlgebra, mode: str):
+    """The member sets and the poset of `duality._prime_space`, from the
+    prime filters that `prime_deductive_filters` finds by scanning each
+    filter's complement, ordered by inclusion."""
+    primes = prime_deductive_filters(algebra, mode)
+    leq = tuple(tuple(f.members <= g.members for g in primes) for f in primes)
+    top = next((i for i, f in enumerate(primes) if f.is_improper), None)
+    return tuple(f.members for f in primes), PointedPoset(len(primes), leq, top)
 
 
 def leibniz_congruence_scan(flt: DeductiveFilter) -> Congruence:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from srlkit.catalog import (
     heyting_chain,
     trivial,
 )
+from srlkit.cones import all_subuniverses
 from srlkit.core import (
     Homomorphism,
     brouwerian_reduct,
@@ -42,14 +44,16 @@ from srlkit.duality import (
     is_esakia_morphism,
     poset_round_trip,
 )
-from srlkit.enumeration import enumerate_posets
-from srlkit.errors import NoTop, NotAFilter, NotBrouwerian
+from srlkit.documents import save
+from srlkit.enumeration import enumerate_models, enumerate_posets
+from srlkit.errors import NoTop, NotAFilter, NotBrouwerian, SrlkitError
 from srlkit.filters import (
     all_deductive_filters,
     deductive_filter,
     prime_deductive_filters,
     quotient,
 )
+from srlkit.varieties import refute_epic
 
 
 def psets_with_top(n):
@@ -376,3 +380,48 @@ def test_mode_checks_agree_with_classify(suite):
         except NotBrouwerian as exc:
             wants_reduct = "pass the unbounded reduct" in str(exc)
         assert wants_reduct == flags.heyting, algebra.name
+
+
+def _duality_lines(srl5, sirl5):
+    """One line per duality answer: `dual_space` in both modes, the
+    `canonical_iso` mappings, every filter's `e_subspace`, and `refute_epic`
+    on every proper subuniverse of the S[I]RLs to size 5, each as its result
+    or as its exception's type and message."""
+
+    def answer(ask):
+        try:
+            return repr(ask())
+        except SrlkitError as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    def subspace(algebra, flt):
+        es = e_subspace(algebra, flt)
+        return es.points, es.poset, [sorted(s) for s in es.point_sets], es.iso.mapping
+
+    def certificate(algebra, mask):
+        cert = refute_epic(algebra, mask)
+        return save(cert.target), cert.first_map.mapping, cert.second_map.mapping, cert.witness
+
+    heyting = [heyting_chain(n) for n in (2, 3, 4, 5)]
+    for algebra in list(enumerate_models("brouwerian", 8, bound=8)) + heyting:
+        for mode in ("pointed", "proper"):
+            yield answer(lambda: dual_space(algebra, mode))
+            yield answer(lambda: canonical_iso(algebra, mode).mapping)
+        reduct = brouwerian_reduct(algebra)
+        for flt in all_deductive_filters(reduct):
+            yield answer(lambda: subspace(reduct, flt))
+    for algebra in list(srl5) + list(sirl5):
+        for mask in all_subuniverses(algebra)[:-1]:  # the carrier sorts last
+            yield answer(lambda: certificate(algebra, mask))
+
+
+def test_duality_answers_match_the_recorded_digest(srl5, sirl5):
+    # recorded from the duality that selected its points with
+    # `prime_deductive_filters` and ordered them by filter inclusion
+    lines = list(_duality_lines(srl5, sirl5))
+    assert len(lines) == 718
+    assert sum(line.startswith("('{") for line in lines) == 69  # certificates
+    assert sum(line.startswith("HypothesesNotMet") for line in lines) == 240
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "7ae3e766832523758ac67b6240f2a2c972cbb2f8e7c65430dce27b0299999708"
+    )

@@ -2,8 +2,9 @@ import pytest
 from oracles import enumerate_congruences_bruteforce, lattice_filters
 
 from srlkit.catalog import brouwerian_chain, brouwerian_diamond, c4, trivial
-from srlkit.core import direct_product, find_isomorphism, is_homomorphism
-from srlkit.errors import NotAFilter
+from srlkit.cones import subuniverse_closure
+from srlkit.core import direct_product, find_isomorphism, is_homomorphism, is_subuniverse
+from srlkit.errors import NotAFilter, NotASubalgebra
 from srlkit.filters import (
     Congruence,
     all_congruences,
@@ -319,3 +320,18 @@ def test_elements_outside_the_carrier_are_rejected():
     for outside in (-1, 3):
         with pytest.raises(NotAFilter, match=rf"element {outside} is outside 0\.\.2"):
             generated_filter(algebra, {outside})
+
+
+@pytest.mark.parametrize("x", [True, 1.0])
+def test_elements_must_be_ints_that_are_not_bools(x):
+    # True used to stand for 1: `generated_filter` returned ↑1 and both
+    # predicates said yes; 1.0 raised a bare TypeError.  Constructors raise,
+    # predicates return False.
+    algebra = brouwerian_chain(3)
+    with pytest.raises(NotAFilter, match=rf"element {x!r} is outside 0\.\.2"):
+        generated_filter(algebra, [x])
+    with pytest.raises(NotASubalgebra, match=rf"element {x!r} is outside 0\.\.2"):
+        subuniverse_closure(algebra, [x])
+    assert is_deductive_filter(algebra, [x, 2]) is False
+    assert is_subuniverse(algebra, [x, 2, 0]) is False
+    assert is_deductive_filter(algebra, [1, 2]) and is_subuniverse(algebra, [1, 2, 0])

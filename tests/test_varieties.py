@@ -333,6 +333,9 @@ def test_separating_retraction_rejects_member():
             brouwerian_chain(4), {0, 3}, 2,
             "C's cone plus the distinguished element does not generate",
         ),
+        # True used to stand for the element 1
+        (brouwerian_chain(3), {0, 2}, True, "distinguished element out of range"),
+        (brouwerian_chain(3), {0, 2}, 1.0, "distinguished element out of range"),
     ],
 )
 def test_separating_retraction_refusals(algebra, members, element, message):
