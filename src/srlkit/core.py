@@ -6,6 +6,11 @@ derived from the meet table; the join table is validated against it, so the
 meet table is the single source of truth for the order.  The residual table
 is stored, not recomputed: `residual_from_fusion` is both the
 constructor-time deriver and the consistency oracle.
+
+Each table law shared by several checks has one failure generator, which
+yields the witnesses of its failures in lexicographic order: `validate`
+reports the first, `derive_order` and `derived_laws` raise on it, and
+`classify` reads a flag off it.
 """
 
 from __future__ import annotations
@@ -224,19 +229,22 @@ def _check_shape(algebra: FiniteAlgebra) -> None:
         raise MalformedTable("bottom element out of range")
 
 
-def _check_semilattice(table: Table, n: int, label: str) -> None:
-    for a in range(n):
-        if table[a][a] != a:
-            raise MalformedTable(f"{label} not idempotent at {a}")
-    for a in range(n):
-        for b in range(n):
-            if table[a][b] != table[b][a]:
-                raise MalformedTable(f"{label} not commutative at ({a}, {b})")
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if table[table[a][b]][c] != table[a][table[b][c]]:
-                    raise MalformedTable(f"{label} not associative at ({a}, {b}, {c})")
+def _idempotent(t: Table, rng: range):
+    return ((a,) for a in rng if t[a][a] != a)
+
+
+def _commutative(t: Table, rng: range):
+    return ((a, b) for a in rng for b in rng if t[a][b] != t[b][a])
+
+
+def _associative(t: Table, rng: range):
+    return ((a, b, c) for a in rng for b in rng for c in rng if t[t[a][b]][c] != t[a][t[b][c]])
+
+
+def _distributes(outer: Table, inner: Table, rng: range):
+    """`outer` distributes over `inner` from the left."""
+    return ((a, b, c) for a in rng for b in rng for c in rng
+            if outer[a][inner[b][c]] != inner[outer[a][b]][outer[a][c]])
 
 
 def derive_order(algebra: FiniteAlgebra) -> frozenset[tuple[int, int]]:
@@ -246,13 +254,16 @@ def derive_order(algebra: FiniteAlgebra) -> frozenset[tuple[int, int]]:
     join table is checked by `validate`, not here.
     """
     _check_shape(algebra)
-    _check_semilattice(algebra.meet, algebra.size, "meet")
-    return frozenset(
-        (a, b)
-        for a in algebra.elements
-        for b in algebra.elements
-        if algebra.meet[a][b] == a
-    )
+    meet, rng = algebra.meet, algebra.elements
+    failure = _first_failure([
+        ("idempotent", _idempotent(meet, rng)),
+        ("commutative", _commutative(meet, rng)),
+        ("associative", _associative(meet, rng)),
+    ])
+    if failure is not None:
+        law, witness = failure
+        raise MalformedTable(f"meet not {law} at {witness[0] if len(witness) == 1 else witness}")
+    return frozenset((a, b) for a in rng for b in rng if meet[a][b] == a)
 
 
 def _first_failure(checks) -> Optional[tuple[str, tuple[int, ...]]]:
@@ -281,8 +292,7 @@ def validate(algebra: FiniteAlgebra) -> AxiomReport:
     """Check every defining axiom; shape and range violations raise
     MalformedTable, axiom violations are reported with witnesses."""
     _check_shape(algebra)
-    n = algebra.size
-    rng = range(n)
+    rng = algebra.elements
     meet, join = algebra.meet, algebra.join
     fus, res = algebra.fusion, algebra.residual
     e = algebra.e
@@ -301,20 +311,12 @@ def validate(algebra: FiniteAlgebra) -> AxiomReport:
     add(
         "lattice",
         [
-            ("meet idempotent", ((a,) for a in rng if meet[a][a] != a)),
-            ("join idempotent", ((a,) for a in rng if join[a][a] != a)),
-            ("meet commutative", ((a, b) for a in rng for b in rng if meet[a][b] != meet[b][a])),
-            ("join commutative", ((a, b) for a in rng for b in rng if join[a][b] != join[b][a])),
-            (
-                "meet associative",
-                ((a, b, c) for a in rng for b in rng for c in rng
-                 if meet[meet[a][b]][c] != meet[a][meet[b][c]]),
-            ),
-            (
-                "join associative",
-                ((a, b, c) for a in rng for b in rng for c in rng
-                 if join[join[a][b]][c] != join[a][join[b][c]]),
-            ),
+            ("meet idempotent", _idempotent(meet, rng)),
+            ("join idempotent", _idempotent(join, rng)),
+            ("meet commutative", _commutative(meet, rng)),
+            ("join commutative", _commutative(join, rng)),
+            ("meet associative", _associative(meet, rng)),
+            ("join associative", _associative(join, rng)),
             ("absorption meet-join", ((a, b) for a in rng for b in rng if meet[a][join[a][b]] != a)),
             ("absorption join-meet", ((a, b) for a in rng for b in rng if join[a][meet[a][b]] != a)),
         ],
@@ -322,12 +324,8 @@ def validate(algebra: FiniteAlgebra) -> AxiomReport:
     add(
         "monoid",
         [
-            ("fusion commutative", ((a, b) for a in rng for b in rng if fus[a][b] != fus[b][a])),
-            (
-                "fusion associative",
-                ((a, b, c) for a in rng for b in rng for c in rng
-                 if fus[fus[a][b]][c] != fus[a][fus[b][c]]),
-            ),
+            ("fusion commutative", _commutative(fus, rng)),
+            ("fusion associative", _associative(fus, rng)),
             ("identity neutral", ((a,) for a in rng if fus[e][a] != a)),
         ],
     )
@@ -356,73 +354,49 @@ def validate(algebra: FiniteAlgebra) -> AxiomReport:
     return AxiomReport(tuple(verdicts))
 
 
-# The postulates every valid algebra satisfies (a consistency oracle, not a
-# filter): failures raise DerivedLawFailure because they indicate a bug.
-_DERIVED_LAW_NAMES = (
-    "fusion distributes over join",
-    "residual distributes over meet (2nd argument)",
-    "residual turns join into meet (1st argument)",
-    "a <= b iff e <= a->b",
-    "a = b iff e <= (a->b) meet (b->a)",
-    "e <= a->a and e->a = a",
-    "negatives: a,b <= e implies a meet b = a*b",
-)
-
-
 def derived_laws(algebra: FiniteAlgebra) -> AxiomReport:
     """Exhaustively check the postulates that follow from the axioms.
 
-    Requires `validate(algebra).ok`.  Any failure raises DerivedLawFailure,
-    since these laws are theorems.
+    Requires `validate(algebra).ok`.  Any failure raises DerivedLawFailure:
+    these laws are theorems, so a failure is a bug.
     """
-    n = algebra.size
-    rng = range(n)
+    rng = algebra.elements
     meet, join = algebra.meet, algebra.join
     fus, res = algebra.fusion, algebra.residual
     e = algebra.e
     leq = lambda a, b: meet[a][b] == a
 
     checks = [
+        ("fusion distributes over join", _distributes(fus, join, rng)),
+        ("residual distributes over meet (2nd argument)", _distributes(res, meet, rng)),
         (
-            _DERIVED_LAW_NAMES[0],
-            ((a, b, c) for a in rng for b in rng for c in rng
-             if fus[a][join[b][c]] != join[fus[a][b]][fus[a][c]]),
-        ),
-        (
-            _DERIVED_LAW_NAMES[1],
-            ((a, b, c) for a in rng for b in rng for c in rng
-             if res[a][meet[b][c]] != meet[res[a][b]][res[a][c]]),
-        ),
-        (
-            _DERIVED_LAW_NAMES[2],
+            "residual turns join into meet (1st argument)",
             ((a, b, c) for a in rng for b in rng for c in rng
              if res[join[a][b]][c] != meet[res[a][c]][res[b][c]]),
         ),
         (
-            _DERIVED_LAW_NAMES[3],
+            "a <= b iff e <= a->b",
             ((a, b) for a in rng for b in rng if leq(a, b) != leq(e, res[a][b])),
         ),
         (
-            _DERIVED_LAW_NAMES[4],
+            "a = b iff e <= (a->b) meet (b->a)",
             ((a, b) for a in rng for b in rng if (a == b) != leq(e, algebra.iff(a, b))),
         ),
         (
-            _DERIVED_LAW_NAMES[5],
+            "e <= a->a and e->a = a",
             ((a,) for a in rng if not leq(e, res[a][a]) or res[e][a] != a),
         ),
         (
-            _DERIVED_LAW_NAMES[6],
+            "negatives: a,b <= e implies a meet b = a*b",
             ((a, b) for a in rng for b in rng
              if leq(a, e) and leq(b, e) and meet[a][b] != fus[a][b]),
         ),
     ]
-    verdicts = []
-    for law, witnesses in checks:
-        witness = next(iter(witnesses), None)
-        if witness is not None:
-            raise DerivedLawFailure(f"derived law failed: {law} at {witness}")
-        verdicts.append(AxiomVerdict(law, True))
-    return AxiomReport(tuple(verdicts))
+    failure = _first_failure(checks)
+    if failure is not None:
+        law, witness = failure
+        raise DerivedLawFailure(f"derived law failed: {law} at {witness}")
+    return AxiomReport(tuple(AxiomVerdict(law, True) for law, _ in checks))
 
 
 def residual_from_fusion(size: int, meet: Table, fusion: Table) -> Table:
@@ -450,21 +424,15 @@ def residual_from_fusion(size: int, meet: Table, fusion: Table) -> Table:
 def classify(algebra: FiniteAlgebra) -> ClassFlags:
     """Compute class membership flags by exhaustive checks of the defining
     conditions.  Requires `validate(algebra).ok`."""
-    n = algebra.size
-    rng = range(n)
+    rng = algebra.elements
     meet, join, fus = algebra.meet, algebra.join, algebra.fusion
     e = algebra.e
     leq = lambda a, b: meet[a][b] == a
 
     integral = all(leq(a, e) for a in rng)
     square_increasing = all(leq(a, fus[a][a]) for a in rng)
-    idempotent = all(fus[a][a] == a for a in rng)
-    distributive = all(
-        meet[a][join[b][c]] == join[meet[a][b]][meet[a][c]]
-        for a in rng
-        for b in rng
-        for c in rng
-    )
+    idempotent = next(_idempotent(fus, rng), None) is None
+    distributive = next(_distributes(meet, join, rng), None) is None
     invol = algebra.signature.has_involution
     brouwerian = integral and not invol
     return ClassFlags(
@@ -493,13 +461,14 @@ def is_homomorphism(source: FiniteAlgebra, target: FiniteAlgebra, mapping: Seque
         return False
     if source.bottom is not None and mapping[source.bottom] != target.bottom:
         return False
+    elements = source.elements
     if source.neg is not None:
-        for a in source.elements:
+        for a in elements:
             if mapping[source.neg[a]] != target.neg[mapping[a]]:
                 return False
     for s_table, t_table in zip(_binary_tables(source), _binary_tables(target)):
-        for a in source.elements:
-            for b in source.elements:
+        for a in elements:
+            for b in elements:
                 if mapping[s_table[a][b]] != t_table[mapping[a]][mapping[b]]:
                     return False
     return True

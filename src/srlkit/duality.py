@@ -13,6 +13,9 @@ so its lattice is distributive, and by Birkhoff's representation (G. Birkhoff,
 join-irreducible, and ↑j ⊆ ↑k iff k ≤ j.  So a point is named by its least
 element, and lies in a's point set iff it is below a.  An SRL's lattice need
 not be distributive; `filters.is_prime_filter` serves those.
+
+`_onto_up_sets` verifies every map onto an up-set algebra, and `_tower` every
+square between the e-subspaces of nested filters, the retract square's too.
 """
 
 from __future__ import annotations
@@ -188,16 +191,33 @@ def canonical_iso(algebra: FiniteAlgebra, mode: str = "pointed") -> Homomorphism
     least, _, space = _prime_space(algebra, mode)
     if mode == "pointed" and algebra.signature.has_bottom:
         raise NotBrouwerian("pointed-mode round trip needs an unbounded algebra")
-    double, index = _up_set_algebra(space, mode)
-    mapping = []
-    for a in algebra.elements:
-        image = frozenset(i for i, c in enumerate(least) if algebra.leq(c, a))
-        if image not in index:
-            raise VerificationFailure("canonical image is not an up-set")
-        mapping.append(index[image])
-    hom = Homomorphism(algebra, double, tuple(mapping))
-    if not (hom.is_bijective and is_homomorphism(algebra, double, hom.mapping)):
-        raise VerificationFailure("canonical map is not an isomorphism")
+    images = [
+        frozenset(i for i, c in enumerate(least) if algebra.leq(c, a)) for a in algebra.elements
+    ]
+    return _onto_up_sets(
+        algebra, images, space, mode,
+        "canonical image is not an up-set", "canonical map is not an isomorphism",
+    )
+
+
+def _lookup(index: dict, keys, message: str) -> tuple[int, ...]:
+    """`index[k]` for each key in turn; a key not in `index` raises `message`."""
+    found = []
+    for k in keys:
+        if k not in index:
+            raise VerificationFailure(message)
+        found.append(index[k])
+    return tuple(found)
+
+
+def _onto_up_sets(source, images, poset, mode, not_up_set, not_iso) -> Homomorphism:
+    """The map sending element i of `source` to the up-set `images[i]` of
+    `poset`, verified to be an isomorphism onto the up-set algebra in `mode`:
+    `not_up_set` when an image is not one of its elements, else `not_iso`."""
+    target, index = _up_set_algebra(poset, mode)
+    hom = Homomorphism(source, target, _lookup(index, images, not_up_set))
+    if not (hom.is_bijective and is_homomorphism(source, target, hom.mapping)):
+        raise VerificationFailure(not_iso)
     return hom
 
 
@@ -207,13 +227,11 @@ def dualize_morphism(hom: Homomorphism, mode: str = "pointed") -> EsakiaMorphism
     _, source_primes, source_space = _prime_space(hom.source, mode)
     _, target_primes, target_space = _prime_space(hom.target, mode)
     source_index = {f: i for i, f in enumerate(source_primes)}
-    mapping = []
-    for f in target_primes:
-        preimage = frozenset(a for a in hom.source.elements if hom.mapping[a] in f)
-        if preimage not in source_index:
-            raise VerificationFailure("preimage of a prime filter is not prime")
-        mapping.append(source_index[preimage])
-    morphism = EsakiaMorphism(target_space, source_space, tuple(mapping))
+    preimages = [
+        frozenset(a for a in hom.source.elements if hom.mapping[a] in f) for f in target_primes
+    ]
+    mapping = _lookup(source_index, preimages, "preimage of a prime filter is not prime")
+    morphism = EsakiaMorphism(target_space, source_space, mapping)
     if not is_esakia_morphism(
         morphism.source, morphism.target, morphism.mapping, pointed=(mode == "pointed")
     ):
@@ -252,19 +270,23 @@ def e_subspace(
             "e_subspace works in pointed mode; pass the unbounded reduct"
         )
     least, _, space = _prime_space(algebra, "pointed")
-    return _e_subspace(algebra, least, space, flt, chain_filter)
+    subspace = _e_subspace(algebra, least, space, flt)
+    if chain_filter is not None:
+        if not is_deductive_filter(algebra, chain_filter.members):
+            raise NotAFilter("tower verification needs a deductive filter")
+        if not flt.members <= chain_filter.members:
+            raise NotAFilter("tower verification needs a filter extending the first")
+        upper = _e_subspace(algebra, least, space, chain_filter)
+        _tower(subspace, upper, "tower square does not commute")
+    return subspace
 
 
 def _e_subspace(
-    algebra: FiniteAlgebra,
-    least: tuple[int, ...],
-    space: PointedPoset,
-    flt: DeductiveFilter,
-    chain_filter: Optional[DeductiveFilter] = None,
+    algebra: FiniteAlgebra, least: tuple[int, ...], space: PointedPoset, flt: DeductiveFilter
 ) -> ESubspace:
-    """`e_subspace` given the least elements of the prime filters and the
-    dual space from `_prime_space(algebra, "pointed")`: the points above ↑c
-    are the ↑j with j ≤ c."""
+    """`e_subspace` without `chain_filter`, given the least elements of the
+    prime filters and the dual space from `_prime_space(algebra, "pointed")`:
+    the points above ↑c are the ↑j with j ≤ c."""
     if not is_deductive_filter(algebra, flt.members):
         raise NotAFilter("e_subspace needs a deductive filter")
     c = _least(algebra, flt.members)
@@ -282,38 +304,27 @@ def _e_subspace(
         if point_sets.setdefault(q_map.mapping[a], image) != image:
             raise VerificationFailure("subspace square does not commute")
 
-    upset_algebra, index = _up_set_algebra(sub_poset, "pointed")
-    mapping = []
-    for cls in q_algebra.elements:
-        local_set = frozenset(local[p] for p in point_sets[cls])
-        if local_set not in index:
-            raise VerificationFailure("quotient image is not a non-empty up-set")
-        mapping.append(index[local_set])
-    iso = Homomorphism(q_algebra, upset_algebra, tuple(mapping))
-    if not (iso.is_bijective and is_homomorphism(q_algebra, upset_algebra, iso.mapping)):
-        raise VerificationFailure("subspace map is not an isomorphism")
-
-    if chain_filter is not None:
-        if not is_deductive_filter(algebra, chain_filter.members):
-            raise NotAFilter("tower verification needs a deductive filter")
-        if not flt.members <= chain_filter.members:
-            raise NotAFilter("tower verification needs a filter extending the first")
-        upper = _e_subspace(algebra, least, space, chain_filter)
-        upper_set = frozenset(upper.points)
-        for a in algebra.elements:
-            lower_image = point_sets[q_map.mapping[a]]
-            upper_image = upper.point_sets[upper.quotient_map.mapping[a]]
-            if lower_image & upper_set != upper_image:
-                raise VerificationFailure("tower square does not commute")
-
-    return ESubspace(
-        poset=sub_poset,
-        points=parent_ids,
-        quotient=q_algebra,
-        quotient_map=q_map,
-        iso=iso,
-        point_sets=tuple(point_sets[cls] for cls in q_algebra.elements),
+    by_class = tuple(point_sets[cls] for cls in q_algebra.elements)
+    local_sets = [frozenset([local[p] for p in image]) for image in by_class]
+    iso = _onto_up_sets(
+        q_algebra, local_sets, sub_poset, "pointed",
+        "quotient image is not a non-empty up-set", "subspace map is not an isomorphism",
     )
+    return ESubspace(sub_poset, parent_ids, q_algebra, q_map, iso, by_class)
+
+
+def _tower(lower: ESubspace, upper: ESubspace, message: str) -> list[int]:
+    """The quotient map from `lower`'s quotient onto that of `upper`, whose
+    filter is larger, by class.  The tower square holds at each element: its
+    point set in `upper` is its point set in `lower` cut to `upper`'s points;
+    where it fails, `message` is raised."""
+    upper_points = frozenset(upper.points)
+    arrow = [-1] * lower.quotient.size
+    for cls, up in zip(lower.quotient_map.mapping, upper.quotient_map.mapping):
+        if lower.point_sets[cls] & upper_points != upper.point_sets[up]:
+            raise VerificationFailure(message)
+        arrow[cls] = up
+    return arrow
 
 
 def _point_depths(poset: PointedPoset) -> list[int]:
@@ -373,12 +384,8 @@ def poset_round_trip(poset: PointedPoset, mode: str = "pointed") -> tuple[int, .
     upset_algebra, index = _up_set_algebra(poset, mode)
     _, primes, double = _prime_space(upset_algebra, mode)
     prime_index = {f: i for i, f in enumerate(primes)}
-    mapping = []
-    for x in range(poset.size):
-        flt = frozenset(i for u, i in index.items() if x in u)
-        if flt not in prime_index:
-            raise VerificationFailure("point image is not a prime filter")
-        mapping.append(prime_index[flt])
+    images = [frozenset(i for u, i in index.items() if x in u) for x in range(poset.size)]
+    mapping = _lookup(prime_index, images, "point image is not a prime filter")
     if len(set(mapping)) != len(primes):
         raise VerificationFailure("point round trip is not bijective")
     for x in range(poset.size):
@@ -387,4 +394,4 @@ def poset_round_trip(poset: PointedPoset, mode: str = "pointed") -> tuple[int, .
                 raise VerificationFailure("point round trip is not an order isomorphism")
     if double.top is not None and mapping[poset.top] != double.top:
         raise VerificationFailure("point round trip moves the top")
-    return tuple(mapping)
+    return mapping

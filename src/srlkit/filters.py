@@ -79,7 +79,7 @@ def is_deductive_filter(algebra: FiniteAlgebra, members: Iterable[int]) -> bool:
     an element: an int, not a bool, in 0..size-1."""
     mask = frozenset(members)
     return all(_is_element(algebra.size, a) for a in mask) and (
-        mask == generated_filter(algebra, mask).members
+        mask == _up(algebra, _least(algebra, mask)).members
     )
 
 
@@ -97,7 +97,11 @@ def generated_filter(algebra: FiniteAlgebra, elements: Iterable[int]) -> Deducti
     for a in elements:
         if not _is_element(algebra.size, a):
             raise NotAFilter(f"element {a!r} is outside 0..{algebra.size - 1} (size {algebra.size})")
-    c = _least(algebra, elements)
+    return _up(algebra, _least(algebra, elements))
+
+
+def _up(algebra: FiniteAlgebra, c: int) -> DeductiveFilter:
+    """The filter ↑c of an element c <= e, unchecked."""
     return DeductiveFilter(algebra, frozenset(b for b in algebra.elements if algebra.leq(c, b)))
 
 
@@ -109,7 +113,7 @@ def _least(algebra: FiniteAlgebra, members: Iterable[int]) -> int:
 def all_deductive_filters(algebra: FiniteAlgebra) -> list[DeductiveFilter]:
     """Every deductive filter: the principal up-sets of negative-cone
     elements, ordered by sorted member tuples."""
-    filters = [generated_filter(algebra, (c,)) for c in algebra.below_e]
+    filters = [_up(algebra, c) for c in algebra.below_e]
     return sorted(filters, key=DeductiveFilter.sorted_members)
 
 

@@ -17,6 +17,7 @@ from .core import (
     FiniteAlgebra,
     Homomorphism,
     Signature,
+    _subalgebra,
     is_subuniverse,
     subalgebra,
 )
@@ -140,7 +141,7 @@ def reflect_subalgebra(
         | {refl.primed_index(a) for a in base_mask}
     )
     sub, _ = subalgebra(refl.algebra, lifted)
-    base_sub, _ = subalgebra(refl.base, base_mask)
+    base_sub, _ = _subalgebra(refl.base, base_mask)
     copy = reflect(base_sub).algebra
     # sorted, the lifted carrier is bottom, B, B', top: the copy's own layout
     if copy != sub:

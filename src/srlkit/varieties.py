@@ -62,7 +62,7 @@ from .core import (
     is_subuniverse,
     validate,
 )
-from .duality import ESubspace, _e_subspace, _point_depths, _prime_space, depth
+from .duality import ESubspace, _e_subspace, _lookup, _point_depths, _prime_space, _tower, depth
 from .enumeration import canonical_form
 from .errors import (
     HypothesesNotMet,
@@ -420,11 +420,10 @@ def epi_analysis(algebra: FiniteAlgebra, members: Iterable[int]) -> EpiAnalysis:
     if not collisions:
         raise HypothesesNotMet("no colliding prime-filter pair (cones coincide)")
 
-    def select(candidates: list[int]) -> int:
-        return min(candidates, key=lambda i: (depths[i], tuple(sorted(primes[i]))))
-
-    first_idx = select(sorted({i for i, _ in pairs}))
-    second_idx = select([j for i, j in pairs if i == first_idx])
+    # depth-minimal; a tie goes to the least point, whose sorted members come
+    # first: `_prime_space` orders points so, and the cone carrier ascends
+    first_idx = min((depths[i], i) for i, _ in pairs)[1]
+    second_idx = min((depths[j], j) for i, j in pairs if i == first_idx)[1]
     first, second = primes[first_idx], primes[second_idx]
 
     if first < second:
@@ -503,11 +502,8 @@ def _verify_retract_square(parent, traces, kernel, first, qe):
     # i_* on dual points: intersect with the subalgebra's cone; B's primes
     # are distinct sets, so a trace matches at most one of them
     b_index = {frozenset(inclusion.mapping[x] for x in p): i for i, p in enumerate(b_primes_sub)}
-    istar = [b_index.get(image) for image in traces]
-    if None in istar:
-        raise VerificationFailure("prime trace is not a unique prime of the subcone")
+    istar = _lookup(b_index, traces, "prime trace is not a unique prime of the subcone")
 
-    y_points = set(sub_y.points)
     restricted = [istar[p] for p in sub_y.points]
     if len(set(restricted)) != len(restricted) or set(restricted) != set(sub_z.points):
         raise VerificationFailure("trace map is not a bijection on the subspace")
@@ -526,18 +522,9 @@ def _verify_retract_square(parent, traces, kernel, first, qe):
     )
     i1 = dict(zip(q_carrier, i1))
 
-    # the connecting quotient map between the two cone quotients
-    arrow = {}
-    for cls in range(sub_x.quotient.size):
-        rep = sub_x.quotient_map.mapping.index(cls)
-        arrow[cls] = sub_y.quotient_map.mapping[rep]
-
-    # inner square: restricting a class's point set to the upper subspace
-    for cls in range(sub_x.quotient.size):
-        left = sub_x.point_sets[cls] & y_points
-        right = sub_y.point_sets[arrow[cls]]
-        if left != right:
-            raise VerificationFailure("inner subspace square does not commute")
+    # the connecting quotient map between the two cone quotients, checked
+    # against the inner square
+    arrow = _tower(sub_x, sub_y, "inner subspace square does not commute")
 
     # outer square, one element of the subquotient cone at a time
     for u, image in zip(bq_carrier, i2):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import random
 
@@ -27,7 +28,7 @@ from srlkit.core import (
     subalgebra,
     validate,
 )
-from srlkit.errors import DerivedLawFailure, MalformedTable, NotResiduated
+from srlkit.errors import DerivedLawFailure, MalformedTable, NotResiduated, SrlkitError
 from srlkit.reflection import reflect
 
 
@@ -136,6 +137,82 @@ def test_derived_laws_raise_on_broken_input():
     broken = replace_cell(brouwerian_chain(3), "residual", 2, 0, 2)
     with pytest.raises(DerivedLawFailure):
         derived_laws(broken)
+
+
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        ({(0, 0): 1}, "meet not idempotent at 0"),
+        ({(0, 1): 1}, "meet not commutative at (0, 1)"),
+        ({(0, 2): 2, (2, 0): 2}, "meet not associative at (0, 1, 2)"),
+    ],
+)
+def test_derive_order_names_the_first_failing_semilattice_law(cells, message):
+    # the 3-chain's meet with cells rewired: the first failing law, and its
+    # first witness in lexicographic order
+    meet = [list(row) for row in brouwerian_chain(3).meet]
+    for (i, j), value in cells.items():
+        meet[i][j] = value
+    broken = dataclasses.replace(brouwerian_chain(3), meet=tuple(map(tuple, meet)))
+    with pytest.raises(MalformedTable) as exc:
+        derive_order(broken)
+    assert str(exc.value) == message
+
+
+def _law_lines(suite):
+    """One line per law-check answer, as the result or as the exception's
+    type and message: `validate`, `derive_order`, `derived_laws` and
+    `classify` on each suite algebra and on seeded corruptions of it.  A
+    corruption rewires one cell of one table, or that cell and its mirror
+    image, moves the identity or the bottom, or rewires one entry of the
+    involution."""
+
+    def answer(ask):
+        try:
+            return repr(ask())
+        except SrlkitError as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    rng = random.Random(17)
+    other = lambda n, value: rng.choice([x for x in range(n) if x != value])
+    cases = []
+    for algebra in suite:
+        n = algebra.size
+        cases.append(algebra)
+        if n == 1:
+            continue
+        for name in ("meet", "join", "fusion", "residual"):
+            i, j = rng.randrange(n), rng.randrange(n)
+            rows = [list(row) for row in getattr(algebra, name)]
+            value = other(n, rows[i][j])
+            rows[i][j] = value
+            cases.append(dataclasses.replace(algebra, **{name: tuple(map(tuple, rows))}))
+            rows[j][i] = value
+            cases.append(dataclasses.replace(algebra, **{name: tuple(map(tuple, rows))}))
+        cases.append(dataclasses.replace(algebra, e=other(n, algebra.e)))
+        if algebra.bottom is not None:
+            cases.append(dataclasses.replace(algebra, bottom=other(n, algebra.bottom)))
+        if algebra.neg is not None:
+            neg = list(algebra.neg)
+            a = rng.randrange(n)
+            neg[a] = other(n, neg[a])
+            cases.append(dataclasses.replace(algebra, neg=tuple(neg)))
+    for algebra in cases:
+        yield answer(lambda: validate(algebra))
+        yield answer(lambda: sorted(derive_order(algebra)))
+        yield answer(lambda: derived_laws(algebra))
+        yield answer(lambda: classify(algebra))
+
+
+def test_law_checks_match_the_recorded_digest(suite):
+    # recorded from the law checks that wrote out each law's loop in place
+    lines = list(_law_lines(suite))
+    assert len(lines) == 4 * 1245
+    assert sum(line.startswith("MalformedTable") for line in lines) == 220
+    assert sum(line.startswith("DerivedLawFailure") for line in lines) == 1048
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "6d5df91c06a71ad752dc0535b7d46958743af8c76ca6ca636d018d48c436cb05"
+    )
 
 
 def test_brouwerian_fusion_is_meet(suite):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 
@@ -28,6 +29,7 @@ from srlkit.core import (
     subalgebra,
     validate,
 )
+from srlkit import duality
 from srlkit.duality import (
     PointedPoset,
     _point_depths,
@@ -46,7 +48,7 @@ from srlkit.duality import (
 )
 from srlkit.documents import save
 from srlkit.enumeration import enumerate_models, enumerate_posets
-from srlkit.errors import NoTop, NotAFilter, NotBrouwerian, SrlkitError
+from srlkit.errors import NoTop, NotAFilter, NotBrouwerian, SrlkitError, VerificationFailure
 from srlkit.filters import (
     all_deductive_filters,
     deductive_filter,
@@ -223,6 +225,31 @@ def test_e_subspace_tower_square(suite):
             for g in filters:
                 if f.members <= g.members:
                     e_subspace(algebra, f, chain_filter=g)  # raises on failure
+
+
+def test_tower_square_rejects_a_corrupted_upper_subspace(monkeypatch):
+    # one point set of the upper e-subspace, rewired: the tower square fails
+    # through `e_subspace` and, with the retract square's message, `_tower`
+    algebra = brouwerian_diamond()
+    lower_filter, upper_filter = deductive_filter(algebra, {3}), deductive_filter(algebra, {1, 3})
+    lower, upper = e_subspace(algebra, lower_filter), e_subspace(algebra, upper_filter)
+    assert lower.points != upper.points and len(upper.points) > 1
+    arrow = duality._tower(lower, upper, "inner subspace square does not commute")
+    assert [arrow[c] for c in lower.quotient_map.mapping] == list(upper.quotient_map.mapping)
+
+    sets = list(upper.point_sets)
+    sets[upper.quotient.e] ^= {upper.points[0]}
+    corrupted = dataclasses.replace(upper, point_sets=tuple(sets))
+    with pytest.raises(VerificationFailure, match="^inner subspace square does not commute$"):
+        duality._tower(lower, corrupted, "inner subspace square does not commute")
+
+    build = duality._e_subspace
+    monkeypatch.setattr(
+        duality, "_e_subspace",
+        lambda a, least, space, flt: corrupted if flt == upper_filter else build(a, least, space, flt),
+    )
+    with pytest.raises(VerificationFailure, match="^tower square does not commute$"):
+        e_subspace(algebra, lower_filter, chain_filter=upper_filter)
 
 
 def test_e_subspace_rejects_non_filter():
