@@ -272,23 +272,28 @@ def e_subspace(
     least, _, space = _prime_space(algebra, "pointed")
     subspace = _e_subspace(algebra, least, space, flt)
     if chain_filter is not None:
-        if not is_deductive_filter(algebra, chain_filter.members):
-            raise NotAFilter("tower verification needs a deductive filter")
+        upper = _e_subspace(
+            algebra, least, space, chain_filter, "tower verification needs a deductive filter"
+        )
         if not flt.members <= chain_filter.members:
             raise NotAFilter("tower verification needs a filter extending the first")
-        upper = _e_subspace(algebra, least, space, chain_filter)
         _tower(subspace, upper, "tower square does not commute")
     return subspace
 
 
 def _e_subspace(
-    algebra: FiniteAlgebra, least: tuple[int, ...], space: PointedPoset, flt: DeductiveFilter
+    algebra: FiniteAlgebra,
+    least: tuple[int, ...],
+    space: PointedPoset,
+    flt: DeductiveFilter,
+    not_a_filter: str = "e_subspace needs a deductive filter",
 ) -> ESubspace:
     """`e_subspace` without `chain_filter`, given the least elements of the
     prime filters and the dual space from `_prime_space(algebra, "pointed")`:
-    the points above ↑c are the ↑j with j ≤ c."""
+    the points above ↑c are the ↑j with j ≤ c.  A `flt` that is not a
+    deductive filter raises `not_a_filter`."""
     if not is_deductive_filter(algebra, flt.members):
-        raise NotAFilter("e_subspace needs a deductive filter")
+        raise NotAFilter(not_a_filter)
     c = _least(algebra, flt.members)
     parent_ids = tuple(p for p, j in enumerate(least) if algebra.leq(j, c))
     local = {p: i for i, p in enumerate(parent_ids)}

@@ -236,20 +236,33 @@ def restrict_quotient_embedding(
     Cross-checks that the restricted congruence is the one paired with the
     restricted filter (a theorem; failure means a bug)."""
     sub, inclusion = subalgebra(algebra, members)
+    full = quotient_by_congruence(algebra, congruence)
+    return _restrict_quotient_embedding(
+        sub, inclusion, congruence, congruence_filter(congruence).members, full
+    )
+
+
+def _restrict_quotient_embedding(
+    sub: FiniteAlgebra,
+    inclusion: Homomorphism,
+    congruence: Congruence,
+    filter_members: frozenset[int],
+    full: tuple[FiniteAlgebra, Homomorphism],
+) -> QuotientEmbedding:
+    """`restrict_quotient_embedding` on a subalgebra already built and
+    checked, with the members of the congruence's filter and the parent's
+    quotient by it, as a caller that keeps them per congruence passes them.
+    The filter cross-check and the injectivity check still run."""
     carrier = list(inclusion.mapping)
     restricted = restrict_congruence(congruence, carrier, sub)
-
-    parent_filter = congruence_filter(congruence)
-    trace = frozenset(
-        i for i, x in enumerate(carrier) if x in parent_filter.members
-    )
+    trace = frozenset(i for i, x in enumerate(carrier) if x in filter_members)
     if leibniz_congruence(DeductiveFilter(sub, trace)) != restricted:
         raise VerificationFailure(
             "restricted congruence does not match the restricted filter"
         )
 
     sub_quotient, sub_map = quotient_by_congruence(sub, restricted)
-    full_quotient, full_map = quotient_by_congruence(algebra, congruence)
+    full_quotient, full_map = full
     embedding_map = [-1] * sub_quotient.size
     for i, x in enumerate(carrier):
         embedding_map[sub_map.mapping[i]] = full_map.mapping[x]

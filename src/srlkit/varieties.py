@@ -75,12 +75,14 @@ from .filters import (
     Congruence,
     DeductiveFilter,
     _least,
+    _restrict_quotient_embedding,
     all_deductive_filters,
+    congruence_filter,
     generated_filter,
     is_fsi,
     leibniz_congruence,
     quotient,
-    restrict_quotient_embedding,
+    quotient_by_congruence,
 )
 
 
@@ -347,8 +349,10 @@ def _cone_prime_data(algebra: FiniteAlgebra):
 class _ParentSide:
     """What `epi_analysis` derives from the parent algebra alone: whether it
     is FSI and then whether it is negatively generated; when both hold, the
-    `_cone_prime_data`, the depth of each dual point, and the e-subspaces
-    already built and verified on the cone, by cone-filter members."""
+    `_cone_prime_data`, the index of each cone element by parent element,
+    the depth of each dual point, the e-subspaces already built and verified
+    on the cone, by cone-filter members, and the `_KernelSide` of each
+    kernel already met, by its members."""
 
     def __init__(self, algebra: FiniteAlgebra):
         self.fsi = is_fsi(algebra)
@@ -356,8 +360,10 @@ class _ParentSide:
         if self.negatively_generated:
             data = _cone_prime_data(algebra)
             self.cone, self.carrier, self.cone_least, self.primes, self.space = data
+            self.cone_local = {x: i for i, x in enumerate(self.carrier)}
             self.depths = tuple(_point_depths(self.space))
         self._subspaces: dict[frozenset[int], ESubspace] = {}
+        self._kernels: dict[frozenset[int], _KernelSide] = {}
 
     def subspace(self, members: frozenset[int]) -> ESubspace:
         found = self._subspaces.get(members)
@@ -366,6 +372,33 @@ class _ParentSide:
             found = _e_subspace(self.cone, self.cone_least, self.space, flt)
             self._subspaces[members] = found
         return found
+
+    def kernel_side(self, algebra: FiniteAlgebra, kernel: frozenset[int]) -> _KernelSide:
+        found = self._kernels.get(kernel)
+        if found is None:
+            found = _KernelSide(algebra, self, kernel)
+            self._kernels[kernel] = found
+        return found
+
+
+class _KernelSide:
+    """What `epi_analysis` derives from the parent and a kernel alone, the
+    meet of the two chosen prime filters: θ, generated by the kernel, the
+    members of θ's filter, A/θ with its quotient map, the kernel's
+    e-subspace `sub_x`, and the verified identification `i1` of A/θ's cone
+    with `sub_x`'s quotient, by element of A/θ."""
+
+    def __init__(self, algebra: FiniteAlgebra, parent: _ParentSide, kernel: frozenset[int]):
+        self.theta = leibniz_congruence(generated_filter(algebra, kernel))
+        self.filter_members = congruence_filter(self.theta).members
+        self.quotient = quotient_by_congruence(algebra, self.theta)
+        self.sub_x = parent.subspace(frozenset(parent.cone_local[x] for x in kernel))
+        _, q_carrier, i1 = _identify_cones(
+            self.quotient[1], parent.cone_local, self.sub_x.quotient_map,
+            "cone of the quotient does not match the cone quotient",
+            "cone identification is not a homomorphism",
+        )
+        self.i1 = dict(zip(q_carrier, i1))
 
 
 # The parent side of the latest `epi_analysis` call, as (algebra, side).  One
@@ -392,10 +425,18 @@ def epi_analysis(algebra: FiniteAlgebra, members: Iterable[int]) -> EpiAnalysis:
     algebra alone: whether it is FSI and negatively generated, its cone with
     the cone's prime filters, dual space and point depths, and each
     e-subspace of the cone that the retract square has already built and
-    verified, by filter.  That is sound because an algebra is immutable and
-    these are functions of it and of the filter: every check still runs
+    verified, by filter.  They also reuse what depends on the algebra and
+    the kernel (the meet of the two chosen filters) alone, by kernel: the
+    congruence θ it generates, A/θ with its quotient map, the kernel's
+    e-subspace and the identification of A/θ's cone with that subspace's
+    quotient.  That is sound because an algebra is immutable and these are
+    functions of it and of the filter or kernel: every check still runs
     once on each distinct input, and a build that fails its checks raises
-    before it is stored.  A call on another algebra replaces them."""
+    before it is stored.  Every check on the subalgebra side runs on every
+    call.  A call on another algebra replaces them all.
+
+    `refute_epic` relies on the gap and cover checks here when it takes its
+    retraction from `_separating_retraction`, which skips re-proving them."""
     sub_mask = frozenset(members)
     if not is_subuniverse(algebra, sub_mask):
         raise HypothesesNotMet("B is not a subalgebra")
@@ -439,9 +480,11 @@ def epi_analysis(algebra: FiniteAlgebra, members: Iterable[int]) -> EpiAnalysis:
     # incomparable with the same strict bounds, and hence the same depth.
     case = "nested" if second < first else "incomparable"
 
-    kernel = first & second
-    theta = leibniz_congruence(generated_filter(algebra, kernel))
-    qe = restrict_quotient_embedding(algebra, sorted(sub_mask), theta)
+    side = parent.kernel_side(algebra, first & second)
+    sub, inclusion = _subalgebra(algebra, sorted(sub_mask))
+    qe = _restrict_quotient_embedding(
+        sub, inclusion, side.theta, side.filter_members, side.quotient
+    )
     quot, q_map = qe.quotient, qe.quotient_map
     sub_quot, j_hom = qe.sub_quotient, qe.embedding
 
@@ -462,7 +505,7 @@ def epi_analysis(algebra: FiniteAlgebra, members: Iterable[int]) -> EpiAnalysis:
         if not _covers(quot.leq, quot.elements, u, e_q):
             raise VerificationFailure("missing element is not covered by the identity")
 
-    _verify_retract_square(parent, traces, kernel, first, qe)
+    _verify_retract_square(parent, side, traces, first, qe)
 
     return EpiAnalysis(
         algebra=algebra,
@@ -471,7 +514,7 @@ def epi_analysis(algebra: FiniteAlgebra, members: Iterable[int]) -> EpiAnalysis:
         first_filter=first,
         second_filter=second,
         case=case,
-        congruence=theta,
+        congruence=side.theta,
         first_witness=first_witness,
         second_witness=second_witness,
         gap=gap,
@@ -483,13 +526,13 @@ def epi_analysis(algebra: FiniteAlgebra, members: Iterable[int]) -> EpiAnalysis:
     )
 
 
-def _verify_retract_square(parent, traces, kernel, first, qe):
+def _verify_retract_square(parent, side, traces, first, qe):
     """Compose the retract square elementwise: going through the subalgebra
     quotient, its cone quotient, and the subspace isomorphisms agrees with
-    going through the full quotient."""
-    cone_local = {x: i for i, x in enumerate(parent.carrier)}
-    sub_x = parent.subspace(frozenset(cone_local[x] for x in kernel))
-    sub_y = parent.subspace(frozenset(cone_local[x] for x in first))
+    going through the full quotient.  The kernel's subspace and the cone
+    identification on A/θ come from the kernel side; everything on the
+    subalgebra side is built and checked here."""
+    sub_y = parent.subspace(frozenset(parent.cone_local[x] for x in first))
 
     inclusion = qe.inclusion
     b_cone, b_carrier, b_least, b_primes_sub, b_space = _cone_prime_data(qe.sub_algebra)
@@ -508,30 +551,24 @@ def _verify_retract_square(parent, traces, kernel, first, qe):
     if len(set(restricted)) != len(restricted) or set(restricted) != set(sub_z.points):
         raise VerificationFailure("trace map is not a bijection on the subspace")
 
-    # the two cone identifications on the quotient sides
-    _, q_carrier, i1 = _identify_cones(
-        qe.quotient_map, cone_local, sub_x.quotient_map,
-        "cone of the quotient does not match the cone quotient",
-        "cone identification is not a homomorphism",
-    )
+    # the subcone identification; A/θ's is the kernel side's `i1`
     b_local = {x: i for i, x in enumerate(b_carrier)}
     _, bq_carrier, i2 = _identify_cones(
         qe.sub_quotient_map, b_local, sub_z.quotient_map,
         "subcone of the quotient does not match its cone quotient",
         "subcone identification is not a homomorphism",
     )
-    i1 = dict(zip(q_carrier, i1))
 
     # the connecting quotient map between the two cone quotients, checked
     # against the inner square
-    arrow = _tower(sub_x, sub_y, "inner subspace square does not commute")
+    arrow = _tower(side.sub_x, sub_y, "inner subspace square does not commute")
 
     # outer square, one element of the subquotient cone at a time
     for u, image in zip(bq_carrier, i2):
         z_set = sub_z.point_sets[image]
         left = frozenset(p for p in sub_y.points if istar[p] in z_set)
         via_j = qe.embedding.mapping[u]
-        right = sub_y.point_sets[arrow[i1[via_j]]]
+        right = sub_y.point_sets[arrow[side.i1[via_j]]]
         if left != right:
             raise VerificationFailure("retract square does not commute")
 
@@ -560,8 +597,18 @@ def separating_retraction(
         raise HypothesesNotMet("C is not generated by its negative cone")
     if subuniverse_closure(algebra, sub_neg | {coatom}) != frozenset(algebra.elements):
         raise HypothesesNotMet("C's cone plus the distinguished element does not generate")
+    retraction = _separating_retraction(algebra, sub_mask, sub_neg, coatom)
+    return retraction, identity_homomorphism(algebra)
 
-    mapping = _extend(algebra, algebra, {x: x for x in sub_neg} | {coatom: e})
+
+def _separating_retraction(
+    algebra: FiniteAlgebra, sub_mask: frozenset[int], sub_neg: frozenset[int], coatom: int
+) -> Homomorphism:
+    """`separating_retraction`'s endomorphism without its hypothesis checks,
+    given C, its negative cone and c, for a caller that has already
+    established them.  The built map is still checked; a failure there,
+    hypotheses included, raises `VerificationFailure`."""
+    mapping = _extend(algebra, algebra, {x: x for x in sub_neg} | {coatom: algebra.e})
     ok = mapping is not None and (
         is_homomorphism(algebra, algebra, mapping)
         and all(mapping[c] == c for c in sub_mask)
@@ -570,7 +617,7 @@ def separating_retraction(
     )
     if not ok:
         raise VerificationFailure("retraction construction failed its checks")
-    return Homomorphism(algebra, algebra, mapping), identity_homomorphism(algebra)
+    return Homomorphism(algebra, algebra, mapping)
 
 
 @dataclass(frozen=True)
@@ -588,25 +635,24 @@ class EpiCertificate:
 def refute_epic(algebra: FiniteAlgebra, members: Iterable[int]) -> EpiCertificate:
     """Produce a certificate that the subalgebra is not epic in the algebra
     relative to any variety containing the quotient (in particular the one
-    the algebra generates)."""
+    the algebra generates).  The retraction comes from
+    `_separating_retraction`, whose hypotheses `epi_analysis` has checked;
+    the built map is checked again."""
     analysis = epi_analysis(algebra, members)
     quot = analysis.quotient
     q_map = analysis.quotient_map
     image = frozenset(analysis.embedding.mapping)
     a1q = q_map.mapping[analysis.first_witness]
     a2q = q_map.mapping[analysis.second_witness]
+    negative = lambda carrier: frozenset(u for u in carrier if quot.leq(u, quot.e))
 
-    if analysis.case == "nested":
-        target_sub, pivot = image, a1q
-    else:
-        image_neg = frozenset(u for u in image if quot.leq(u, quot.e))
-        closure = subuniverse_closure(quot, image_neg | {a1q})
-        if a2q in closure:
-            target_sub, pivot = image, a1q
-        else:
-            target_sub, pivot = closure, a2q
+    target_sub, target_neg, pivot = image, negative(image), a1q
+    if analysis.case == "incomparable":
+        closure = subuniverse_closure(quot, target_neg | {a1q})
+        if a2q not in closure:
+            target_sub, target_neg, pivot = closure, negative(closure), a2q
 
-    retraction, _ = separating_retraction(quot, target_sub, pivot)
+    retraction = _separating_retraction(quot, target_sub, target_neg, pivot)
     g = compose(retraction, q_map)
     h = q_map
     witness = q_map.mapping.index(pivot)

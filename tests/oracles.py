@@ -18,6 +18,7 @@ from srlkit.core import (
     Signature,
     _binary_tables,
     classify,
+    compose,
     find_isomorphism,
     homomorphisms,
     is_subuniverse,
@@ -32,11 +33,22 @@ from srlkit.filters import (
     DeductiveFilter,
     _normalize_blocks,
     all_deductive_filters,
+    generated_filter,
     is_congruence,
+    leibniz_congruence,
     prime_deductive_filters,
     quotient,
+    restrict_quotient_embedding,
 )
-from srlkit.varieties import EsDecision, FsiSpectrum, VarietySpec, fsi_spectrum
+from srlkit.varieties import (
+    EpiCertificate,
+    EsDecision,
+    FsiSpectrum,
+    VarietySpec,
+    epi_analysis,
+    fsi_spectrum,
+    separating_retraction,
+)
 
 
 def scan_subuniverses(algebra: FiniteAlgebra) -> list[frozenset[int]]:
@@ -589,6 +601,47 @@ def epic_refutation_scan(algebra: FiniteAlgebra, mask, spectrum: FsiSpectrum):
                 if all(first.mapping[b] == second.mapping[b] for b in mask):
                     return codomain, first, second
     return None
+
+
+def refute_epic_public(algebra: FiniteAlgebra, mask) -> EpiCertificate:
+    """`varieties.refute_epic` rebuilt from public pieces: the chosen filters
+    from `epi_analysis`, then θ from `generated_filter` on their meet, the
+    quotients and the embedding from `restrict_quotient_embedding`, the
+    missing cone elements, and the public `separating_retraction` with all
+    its hypothesis checks.  The analysis carries the rebuilt fields."""
+    analysis = epi_analysis(algebra, mask)
+    kernel = analysis.first_filter & analysis.second_filter
+    theta = leibniz_congruence(generated_filter(algebra, kernel))
+    qe = restrict_quotient_embedding(algebra, mask, theta)
+    quot, q_map = qe.quotient, qe.quotient_map
+    image = frozenset(qe.embedding.mapping)
+    gap = frozenset(quot.below_e) - image
+    a1q = q_map.mapping[analysis.first_witness]
+    a2q = q_map.mapping[analysis.second_witness]
+    target_sub, pivot = image, a1q
+    if analysis.case == "incomparable":
+        image_neg = frozenset(u for u in image if quot.leq(u, quot.e))
+        closure = subuniverse_closure(quot, image_neg | {a1q})
+        if a2q not in closure:
+            target_sub, pivot = closure, a2q
+    retraction, _ = separating_retraction(quot, target_sub, pivot)
+    rebuilt = replace(
+        analysis,
+        congruence=theta,
+        gap=gap,
+        quotient=quot,
+        quotient_map=q_map,
+        sub_quotient=qe.sub_quotient,
+        sub_quotient_map=qe.sub_quotient_map,
+        embedding=qe.embedding,
+    )
+    return EpiCertificate(
+        target=quot,
+        first_map=compose(retraction, q_map),
+        second_map=q_map,
+        witness=q_map.mapping.index(pivot),
+        analysis=rebuilt,
+    )
 
 
 # Witness terms: the term route to the separating retraction, the oracle for

@@ -50,6 +50,7 @@ from srlkit.documents import save
 from srlkit.enumeration import enumerate_models, enumerate_posets
 from srlkit.errors import NoTop, NotAFilter, NotBrouwerian, SrlkitError, VerificationFailure
 from srlkit.filters import (
+    DeductiveFilter,
     all_deductive_filters,
     deductive_filter,
     prime_deductive_filters,
@@ -246,7 +247,9 @@ def test_tower_square_rejects_a_corrupted_upper_subspace(monkeypatch):
     build = duality._e_subspace
     monkeypatch.setattr(
         duality, "_e_subspace",
-        lambda a, least, space, flt: corrupted if flt == upper_filter else build(a, least, space, flt),
+        lambda a, least, space, flt, *message: (
+            corrupted if flt == upper_filter else build(a, least, space, flt, *message)
+        ),
     )
     with pytest.raises(VerificationFailure, match="^tower square does not commute$"):
         e_subspace(algebra, lower_filter, chain_filter=upper_filter)
@@ -254,8 +257,6 @@ def test_tower_square_rejects_a_corrupted_upper_subspace(monkeypatch):
 
 def test_e_subspace_rejects_non_filter():
     algebra = brouwerian_chain(4)
-    from srlkit.filters import DeductiveFilter
-
     with pytest.raises(NotAFilter):
         e_subspace(algebra, DeductiveFilter(algebra, frozenset({0})))
     with pytest.raises(NotAFilter):
@@ -265,6 +266,33 @@ def test_e_subspace_rejects_non_filter():
             deductive_filter(algebra, {1, 2, 3}),
             chain_filter=deductive_filter(algebra, {3}),
         )
+
+
+def test_e_subspace_checks_each_filter_once(monkeypatch):
+    # the chain filter's check gives the tower message and is not repeated
+    # when the upper subspace is built; the lower subspace comes first
+    algebra = brouwerian_diamond()
+    checked = []
+    check = duality.is_deductive_filter
+    monkeypatch.setattr(
+        duality, "is_deductive_filter",
+        lambda a, members: checked.append(sorted(members)) or check(a, members),
+    )
+    e_subspace(
+        algebra, deductive_filter(algebra, {3}), chain_filter=deductive_filter(algebra, {1, 3})
+    )
+    assert checked == [[3], [1, 3]]
+
+    checked.clear()
+    lower = deductive_filter(algebra, {1, 3})
+    not_a_filter = DeductiveFilter(algebra, frozenset({0}))
+    with pytest.raises(NotAFilter, match="^tower verification needs a deductive filter$"):
+        e_subspace(algebra, lower, chain_filter=not_a_filter)  # neither a filter nor above
+    assert checked == [[1, 3], [0]]
+    with pytest.raises(NotAFilter, match="^e_subspace needs a deductive filter$"):
+        e_subspace(algebra, not_a_filter, chain_filter=lower)
+    with pytest.raises(NotAFilter, match="^tower verification needs a filter extending the first$"):
+        e_subspace(algebra, lower, chain_filter=deductive_filter(algebra, {3}))
 
 
 def test_depth_point_of_top_is_zero():

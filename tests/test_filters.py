@@ -294,6 +294,15 @@ def test_restrict_quotient_embedding_examples():
     assert qe.sub_quotient.size == 1 and qe.quotient.size == 1
 
 
+def test_restrict_quotient_embedding_rejects_a_non_subuniverse():
+    # the check lives on the public entry; the private one takes a checked
+    # subalgebra
+    algebra = brouwerian_diamond()
+    theta = leibniz_congruence(deductive_filter(algebra, {1, 3}))
+    with pytest.raises(NotASubalgebra, match=r"^\[1, 2, 3\] is not a subuniverse$"):
+        restrict_quotient_embedding(algebra, [1, 2, 3], theta)
+
+
 def test_deductive_filter_rejects_non_filters():
     with pytest.raises(NotAFilter):
         deductive_filter(c4(), {0})

@@ -1,5 +1,7 @@
 import dataclasses
 import gc
+import hashlib
+import json
 import random
 import sys
 import weakref
@@ -9,6 +11,7 @@ from oracles import (
     decide_es_per_mask,
     epic_refutation_scan,
     fsi_spectrum_pairwise,
+    refute_epic_public,
     relabel,
     relabelling,
 )
@@ -408,6 +411,62 @@ def _refutation_answer(algebra, mask, analyse=False):
         return str(exc)
     maps = (cert.first_map.mapping, cert.second_map.mapping, cert.witness)
     return _analysis_answer(cert.analysis), _tables(cert.target), maps
+
+
+def _plain(value):
+    """`value` with frozensets as sorted lists and tuples as lists, for JSON."""
+    if isinstance(value, frozenset):
+        return sorted(_plain(v) for v in value)
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _suite_certificates(algebras):
+    """`refute_epic` on every (algebra, proper subuniverse) pair that it
+    accepts, in list and bitmask order, as (algebra, mask, certificate)."""
+    for algebra in algebras:
+        for mask in all_subuniverses(algebra):
+            if len(mask) == algebra.size:
+                continue
+            try:
+                yield algebra, mask, refute_epic(algebra, mask)
+            except HypothesesNotMet:
+                continue
+
+
+def test_certificates_match_the_recorded_digest(suite):
+    # recorded before the kernel side was kept per (algebra, kernel)
+    lines = [
+        json.dumps(_plain((
+            cert.first_map.mapping, cert.witness, cert.second_map.mapping,
+            _analysis_answer(cert.analysis),
+        )))
+        for _, _, cert in _suite_certificates(suite)
+    ]
+    assert len(lines) == 186
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "934e0e4101fcf96e426b4df4991731e0c8b35bbc7f4fdae26184e1a6138f9723"
+    )
+
+
+def _certificate_answer(cert):
+    maps = (cert.first_map.mapping, cert.second_map.mapping, cert.witness)
+    analysis = cert.analysis
+    return maps, _tables(cert.target), _analysis_answer(analysis), analysis.sub_quotient_map.mapping
+
+
+def test_refute_epic_matches_the_public_rebuild(suite):
+    # θ, A/θ and the cone identification are kept per (algebra, kernel), and
+    # the retraction skips the hypotheses `epi_analysis` has checked; the
+    # public entries rebuild each certificate and check every hypothesis
+    rng = random.Random(1318)
+    images = list(suite) + [relabel(algebra, rng) for algebra in suite]
+    count = 0
+    for algebra, mask, cert in _suite_certificates(images):
+        assert _certificate_answer(cert) == _certificate_answer(refute_epic_public(algebra, mask))
+        count += 1
+    assert count == 372
 
 
 def test_epi_answers_do_not_depend_on_earlier_calls(suite):
