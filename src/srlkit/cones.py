@@ -1,14 +1,22 @@
 """Negative cones, generation closures and subuniverses, and the
 cone/quotient isomorphism, whose map `_identify_cones` builds and checks
 for `cone_quotient_iso` and for the retract square of `epi_analysis`.
+
+Closures run on int bitmasks (bit a set when a is a member).
+`all_subuniverses` enumerates them close-by-one through `core.closed_sets`,
+and its closure by a gives up at the first element below a that the
+closed set lacks, since the result could not be canonical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Optional
 
-from .core import FiniteAlgebra, Signature, _is_element, brouwerian_reduct, closed_sets, is_homomorphism
+from .core import (
+    FiniteAlgebra, Signature, _bits, _is_element, _members, brouwerian_reduct, closed_sets,
+    is_homomorphism,
+)
 from .errors import NotASubalgebra, VerificationFailure
 from .filters import (
     DeductiveFilter,
@@ -18,32 +26,37 @@ from .filters import (
 )
 
 
-def _close(algebra: FiniteAlgebra, closed: frozenset[int], new: Iterable[int]) -> frozenset[int]:
-    """The subuniverse generated by a closed set and some new elements.
+def _close(algebra: FiniteAlgebra, closed: int, new: Iterable[int], below: int = 0) -> Optional[int]:
+    """The mask of the subuniverse generated by the closed mask `closed` and
+    some new elements, or None as soon as a product lands in the mask
+    `below`, which must miss both.
 
     Each round forms only the products that involve an element added in the
-    round before, so pairs inside `closed` are never revisited."""
-    members = set(closed)
-    fresh = set(new) - members
+    round before, so pairs inside `closed` are never revisited; each
+    (fresh, member) pair reads every table in both orientations."""
+    members = closed
+    for a in new:
+        members |= 1 << a
+    fresh = _bits(members & ~closed)
     tables = (algebra.meet, algebra.join, algebra.fusion, algebra.residual)
+    neg = algebra.neg
     while fresh:
-        members |= fresh
-        listed = list(members)  # a list is faster to walk than a set
-        found = set()
-        if algebra.neg is not None:
+        listed = _bits(members)
+        found = 0
+        if neg is not None:
             for a in fresh:
-                if algebra.neg[a] not in members:
-                    found.add(algebra.neg[a])
+                found |= 1 << neg[a]
         for t in tables:
             for a in fresh:
                 row = t[a]
                 for b in listed:
-                    if row[b] not in members:
-                        found.add(row[b])
-                    if t[b][a] not in members:
-                        found.add(t[b][a])
-        fresh = found
-    return frozenset(members)
+                    found |= 1 << row[b] | 1 << t[b][a]
+            if found & below:
+                return None
+        found &= ~members
+        members |= found
+        fresh = _bits(found)
+    return members
 
 
 def subuniverse_closure(algebra: FiniteAlgebra, generators: Iterable[int]) -> frozenset[int]:
@@ -52,15 +65,23 @@ def subuniverse_closure(algebra: FiniteAlgebra, generators: Iterable[int]) -> fr
     for a in generators:
         if not _is_element(algebra.size, a):
             raise NotASubalgebra(f"element {a!r} is outside 0..{algebra.size - 1} (size {algebra.size})")
+    return _members(_generated(algebra, generators))
+
+
+def _generated(algebra: FiniteAlgebra, generators: Iterable[int]) -> int:
+    """The mask of the subuniverse generated by elements and the constants."""
     constants = (algebra.e,) if algebra.bottom is None else (algebra.e, algebra.bottom)
-    return _close(algebra, frozenset(), (*generators, *constants))
+    return _close(algebra, 0, (*generators, *constants))
 
 
 def all_subuniverses(algebra: FiniteAlgebra) -> list[frozenset[int]]:
     """Every subuniverse, ordered by subset bitmask."""
-    return closed_sets(
-        algebra.size, subuniverse_closure(algebra, ()), lambda s, a: _close(algebra, s, (a,))
+    masks = closed_sets(
+        algebra.size,
+        _generated(algebra, ()),
+        lambda s, a: _close(algebra, s, (a,), ((1 << a) - 1) & ~s),
     )
+    return [_members(m) for m in masks]
 
 
 def negative_cone(algebra: FiniteAlgebra) -> tuple[FiniteAlgebra, tuple[int, ...]]:
@@ -96,7 +117,7 @@ def negative_cone(algebra: FiniteAlgebra) -> tuple[FiniteAlgebra, tuple[int, ...
 
 def is_negatively_generated(algebra: FiniteAlgebra) -> bool:
     """Does the negative cone generate the whole algebra?"""
-    return subuniverse_closure(algebra, algebra.below_e) == frozenset(algebra.elements)
+    return _generated(algebra, algebra.below_e) == (1 << algebra.size) - 1
 
 
 @dataclass(frozen=True)

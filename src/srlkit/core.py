@@ -20,7 +20,8 @@ from functools import cached_property, reduce
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
-    DerivedLawFailure, MalformedTable, NotASubalgebra, NotResiduated, WrongSignature,
+    DerivedLawFailure, MalformedTable, NotASubalgebra, NotResiduated, VerificationFailure,
+    WrongSignature,
 )
 
 Table = tuple[tuple[int, ...], ...]
@@ -683,24 +684,55 @@ def is_subuniverse(algebra: FiniteAlgebra, members: Iterable[int]) -> bool:
 
 
 def closed_sets(
-    size: int, least: frozenset[int], extend: Callable[[frozenset[int], int], frozenset[int]]
-) -> list[frozenset[int]]:
-    """Every closed set of a closure system on 0..size-1, ordered by subset
-    bitmask.  `least` is the least closed set and `extend(s, a)` the least
-    closed set containing the closed set `s` and the element `a`.
+    size: int, least: int, extend: Callable[[int, int], Optional[int]]
+) -> list[int]:
+    """Every closed set of a closure system on 0..size-1, as ascending int
+    bitmasks (bit a set when a is a member).  `least` is the least closed
+    set and `extend(s, a)` the least closed set containing the closed set
+    `s` and the element `a`, or None once that closure is known to take in
+    an element below a that is not in `s`.
 
-    Every closed set is reached from `least` by adding missing elements one
-    at a time, so the cost follows the number of closed sets, not 2^size."""
+    Close-by-one (S. O. Kuznetsov, 1993; Outrata and Vychodil, Inf. Sci.
+    185, 2012): a set reached by adding y is extended only by elements
+    a >= y, and its extension by a is kept only when it agrees with it
+    below a.  So each closed set is reached once, from one parent, with no
+    record of the sets seen, and the cost follows the number of closed
+    sets, not 2^size.  That needs `extend` to be extensive: a closure that
+    misses s or a raises VerificationFailure."""
     found = [least]
-    seen = {least}
-    for s in found:  # `found` grows while it is walked: a breadth-first search
-        for a in range(size):
-            if a not in s:
-                t = extend(s, a)
-                if t not in seen:
-                    seen.add(t)
-                    found.append(t)
-    return sorted(found, key=lambda s: sum(1 << a for a in s))
+    stack = [(least, 0)]
+    while stack:
+        s, y = stack.pop()
+        for a in range(y, size):
+            bit = 1 << a
+            if s & bit:
+                continue
+            t = extend(s, a)
+            if t is None:
+                continue
+            if t & (s | bit) != s | bit:
+                raise VerificationFailure(f"extend({_bits(s)}, {a}) misses {_bits((s | bit) & ~t)}")
+            if not t & (bit - 1) & ~s:
+                found.append(t)
+                stack.append((t, a + 1))
+    return sorted(found)
+
+
+def _bits(mask: int) -> list[int]:
+    """The set bits of `mask`, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _members(mask: int) -> frozenset[int]:
+    """The set bits of `mask` as a frozenset.  Made from a set, which sizes
+    the table for its final count; one made from a list grows it in steps
+    and can end twice as large (728 against 472 bytes for 5 to 7 members)."""
+    return frozenset(set(_bits(mask)))
 
 
 def subalgebra(algebra: FiniteAlgebra, members: Iterable[int]) -> tuple[FiniteAlgebra, Homomorphism]:

@@ -28,8 +28,10 @@ from .core import (
     FiniteAlgebra,
     Homomorphism,
     Signature,
+    _bits,
     _is_element,
     _join_irreducible,
+    _members,
     brouwerian_reduct,
     closed_sets,
     is_homomorphism,
@@ -54,9 +56,16 @@ class PointedPoset:
 
 def all_up_sets(poset: PointedPoset, include_empty: bool) -> list[frozenset[int]]:
     """All up-sets, ordered by subset bitmask (deterministic)."""
+    return [_members(m) for m in _up_masks(poset, include_empty)]
+
+
+def _up_masks(poset: PointedPoset, include_empty: bool) -> list[int]:
+    """`all_up_sets` as ascending int bitmasks.  A union of up-sets is one,
+    so s | ↑a closes s and a; it is dropped as soon as ↑a meets the part of
+    the order below a that lies outside s."""
     n = poset.size
-    up = [frozenset(b for b in range(n) if poset.leq[a][b]) for a in range(n)]
-    ups = closed_sets(n, frozenset(), lambda s, a: s | up[a])
+    up = [sum(1 << b for b in range(n) if poset.leq[a][b]) for a in range(n)]
+    ups = closed_sets(n, 0, lambda s, a: None if up[a] & ((1 << a) - 1) & ~s else s | up[a])
     return ups if include_empty else ups[1:]  # the empty set sorts first
 
 
@@ -141,26 +150,22 @@ def _up_set_algebra(
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "pointed" and poset.top is None:
         raise NoTop("pointed-mode dual algebra needs a designated top")
-    ups = all_up_sets(poset, include_empty=(mode == "proper"))
-    index = {u: i for i, u in enumerate(ups)}
-    n = poset.size
-    # bit a of masks[i] is set when a lies in ups[i]; down[b] has bit a set
-    # when a <= b
-    masks = [sum(1 << a for a in u) for u in ups]
+    masks = _up_masks(poset, include_empty=(mode == "proper"))
+    index = {_members(m): i for i, m in enumerate(masks)}
     at = {m: i for i, m in enumerate(masks)}
+    n = poset.size
+    # down[b] has bit a set when a <= b
     down = [sum(1 << a for a in range(n) if poset.leq[a][b]) for b in range(n)]
     full = (1 << n) - 1
 
     def arrow(u: int, v: int) -> int:
         """The complement of the down-set of u minus v."""
-        below, rest = 0, u & ~v
-        while rest:
-            low = rest & -rest
-            below |= down[low.bit_length() - 1]
-            rest ^= low
+        below = 0
+        for b in _bits(u & ~v):
+            below |= down[b]
         return full & ~below
 
-    k = len(ups)
+    k = len(masks)
     meet = tuple(tuple(at[u & v] for v in masks) for u in masks)
     join = tuple(tuple(at[u | v] for v in masks) for u in masks)
     residual = tuple(tuple(at[arrow(u, v)] for v in masks) for u in masks)

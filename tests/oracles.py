@@ -8,7 +8,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from functools import reduce
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from srlkit.catalog import crystal
 from srlkit.cones import all_subuniverses, subuniverse_closure
@@ -62,6 +62,57 @@ def scan_subuniverses(algebra: FiniteAlgebra) -> list[frozenset[int]]:
         if is_subuniverse(algebra, members):
             out.append(frozenset(members))
     return out
+
+
+def closed_sets_bfs(
+    size: int, least: frozenset[int], extend: Callable[[frozenset[int], int], frozenset[int]]
+) -> list[frozenset[int]]:
+    """`core.closed_sets` on sets, breadth first: `extend(s, a)` for every
+    closed set s and missing element a, with the repeats thrown away by a
+    record of the sets seen."""
+    found = [least]
+    seen = {least}
+    for s in found:  # `found` grows while it is walked: a breadth-first search
+        for a in range(size):
+            if a not in s:
+                t = extend(s, a)
+                if t not in seen:
+                    seen.add(t)
+                    found.append(t)
+    return sorted(found, key=lambda s: sum(1 << a for a in s))
+
+
+def close_bfs(algebra: FiniteAlgebra, closed: frozenset[int], new: Iterable[int]) -> frozenset[int]:
+    """`cones._close` on sets, with no early exit: the subuniverse generated
+    by a closed set and some new elements."""
+    members = set(closed)
+    fresh = set(new) - members
+    tables = (algebra.meet, algebra.join, algebra.fusion, algebra.residual)
+    while fresh:
+        members |= fresh
+        listed = list(members)  # a list is faster to walk than a set
+        found = set()
+        if algebra.neg is not None:
+            for a in fresh:
+                if algebra.neg[a] not in members:
+                    found.add(algebra.neg[a])
+        for t in tables:
+            for a in fresh:
+                row = t[a]
+                for b in listed:
+                    if row[b] not in members:
+                        found.add(row[b])
+                    if t[b][a] not in members:
+                        found.add(t[b][a])
+        fresh = found
+    return frozenset(members)
+
+
+def subuniverses_bfs(algebra: FiniteAlgebra) -> list[frozenset[int]]:
+    """`cones.all_subuniverses` through the two breadth-first oracles."""
+    constants = {algebra.e} if algebra.bottom is None else {algebra.e, algebra.bottom}
+    least = close_bfs(algebra, frozenset(), constants)
+    return closed_sets_bfs(algebra.size, least, lambda s, a: close_bfs(algebra, s, (a,)))
 
 
 def _partial_consistent(source, target, mapping) -> bool:

@@ -1,19 +1,113 @@
 import random
 
-from oracles import relabel, scan_down_sets, scan_subuniverses, scan_up_sets
+import pytest
+from oracles import (
+    close_bfs,
+    relabel,
+    relabelling,
+    scan_down_sets,
+    scan_subuniverses,
+    scan_up_sets,
+    subuniverses_bfs,
+)
 
-from srlkit.catalog import c4, crystal
-from srlkit.cones import all_subuniverses
-from srlkit.core import classify, closed_sets, direct_product
+from srlkit import cones, duality
+from srlkit.catalog import (
+    brouwerian_chain, brouwerian_diamond, c4, crystal, heyting_chain, sugihara,
+)
+from srlkit.cones import all_subuniverses, subuniverse_closure
+from srlkit.core import _bits, _members, classify, closed_sets, direct_product
 from srlkit.duality import all_up_sets, dual_space
 from srlkit.enumeration import _down_sets, enumerate_posets
+from srlkit.errors import VerificationFailure
 from srlkit.varieties import VarietySpec, decide_es
+
+
+def products():
+    """The generators of the benchmark's `products` workload, and c4×crystal."""
+    pairs = [
+        (c4(), c4()),
+        (brouwerian_diamond(), brouwerian_diamond()),
+        (brouwerian_chain(4), brouwerian_chain(4)),
+        (heyting_chain(4), heyting_chain(4)),
+        (crystal(), sugihara(3)),
+        (c4(), sugihara(5)),
+        (c4(), crystal()),
+    ]
+    return [direct_product(a, b) for a, b in pairs]
 
 
 def test_closed_sets_of_a_chain_are_its_up_sets():
     # the closure s | {a, ..., n-1} on 0..3 closes exactly the final segments
-    sets = closed_sets(4, frozenset(), lambda s, a: s | frozenset(range(a, 4)))
-    assert [sorted(s) for s in sets] == [[], [3], [2, 3], [1, 2, 3], [0, 1, 2, 3]]
+    sets = closed_sets(4, 0, lambda s, a: s | 0b1111 >> a << a)
+    assert [_bits(s) for s in sets] == [[], [3], [2, 3], [1, 2, 3], [0, 1, 2, 3]]
+
+
+def test_closed_sets_keeps_only_canonical_closures():
+    # closures that never give up early: every non-canonical one must be
+    # dropped by closed_sets itself
+    for n in range(6):
+        for leq in enumerate_posets(n):
+            down = [sum(1 << b for b in range(n) if leq[b][a]) for a in range(n)]
+            masks = closed_sets(n, 0, lambda s, a: s | down[a])
+            assert [_members(m) for m in masks] == scan_down_sets(leq)
+
+
+def test_closed_sets_rejects_a_closure_that_is_not_extensive():
+    with pytest.raises(VerificationFailure, match=r"extend\(\[\], 0\) misses \[0\]"):
+        closed_sets(3, 0, lambda s, a: s)
+    # drops s: the stack takes {2} and then {1}, and extend({1}, 2) = {2}
+    with pytest.raises(VerificationFailure, match=r"extend\(\[1\], 2\) misses \[1\]"):
+        closed_sets(3, 0, lambda s, a: 1 << a)
+
+
+def test_each_closed_set_is_reached_once(monkeypatch, suite):
+    # every closure that is not dropped early yields a new closed set
+    kept = []
+
+    def counting(size, least, extend):
+        def counted(s, a):
+            t = extend(s, a)
+            kept[-1] += t is not None
+            return t
+        kept.append(0)
+        result = closed_sets(size, least, counted)
+        assert kept[-1] == len(result) - 1
+        return result
+
+    monkeypatch.setattr(cones, "closed_sets", counting)
+    monkeypatch.setattr(duality, "closed_sets", counting)
+    for algebra in products() + suite[:40]:
+        all_subuniverses(algebra)
+    for n in range(6):
+        for leq in enumerate_posets(n):
+            _down_sets(leq)
+    assert len(kept) > 100 and max(kept) > 100
+
+
+def test_subuniverses_match_the_breadth_first_oracle():
+    rng = random.Random(20190219)
+    for algebra in products():
+        for variant in (algebra, relabel(algebra, rng)):
+            assert all_subuniverses(variant) == subuniverses_bfs(variant)
+
+
+def test_subuniverse_closure_matches_the_breadth_first_oracle(suite):
+    rng = random.Random(20190220)
+    for algebra in suite:
+        constants = {algebra.e} if algebra.bottom is None else {algebra.e, algebra.bottom}
+        for _ in range(3):
+            generators = rng.sample(range(algebra.size), rng.randint(0, min(3, algebra.size)))
+            expected = close_bfs(algebra, frozenset(), constants | set(generators))
+            assert subuniverse_closure(algebra, generators) == expected
+
+
+def test_subuniverses_follow_a_relabelling():
+    rng = random.Random(20190221)
+    for algebra in products():
+        relabelled, perm = relabelling(algebra, rng)
+        moved = sorted(sum(1 << perm[a] for a in s) for s in all_subuniverses(algebra))
+        assert [_members(m) for m in moved] == all_subuniverses(relabelled)
 
 
 def test_subuniverses_match_scan(suite):
