@@ -17,7 +17,9 @@ import traceback
 from typing import Optional
 
 from . import catalog as catalog_mod
-from .core import FiniteAlgebra, _homomorphism_search, classify, derived_laws, validate
+from .core import (
+    FiniteAlgebra, _homomorphism_search, classify, derived_laws, is_subuniverse, validate,
+)
 from .documents import export_dot, load, save
 from .duality import _prime_space, canonical_iso, depth
 from .enumeration import enumerate_models
@@ -65,13 +67,17 @@ def _resolve(token: str) -> FiniteAlgebra:
 
 
 def _resolve_sub(algebra: FiniteAlgebra, token: str) -> frozenset[int]:
-    """Comma-separated element indices, or an algebra to embed."""
+    """Comma-separated element indices naming a subuniverse, or an algebra
+    to embed."""
     if re.fullmatch(r"\d+(,\d+)*", token):
         indices = [int(x) for x in token.split(",")]
         for i in indices:
             if i >= algebra.size:
                 raise NotASubalgebra(f"element {i} is outside 0..{algebra.size - 1} (size {algebra.size})")
-        return frozenset(indices)
+        members = frozenset(indices)
+        if not is_subuniverse(algebra, members):
+            raise NotASubalgebra(f"{sorted(members)} is not a subuniverse")
+        return members
     sub = _resolve(token)
     embedding = next(_homomorphism_search(sub, algebra, injective=True), None)
     if embedding is None:
@@ -79,38 +85,33 @@ def _resolve_sub(algebra: FiniteAlgebra, token: str) -> frozenset[int]:
     return embedding.image()
 
 
+def _spec(args) -> VarietySpec:
+    return VarietySpec(tuple(_resolve(t) for t in args.variety))
+
+
 def _algebra_summary(algebra: FiniteAlgebra) -> dict:
     return {"name": algebra.name, "size": algebra.size}
 
 
-def _emit(report: dict, started: float) -> None:
-    report["timings"] = {"seconds": round(time.time() - started, 6)}
-    print(json.dumps(report, indent=2, sort_keys=True))
+# Each handler maps the parsed arguments to (report fields, exit code); `main`
+# adds the command, the echoed inputs and the timings, and writes the report.
 
 
-def _cmd_check(args, started) -> int:
+def _cmd_check(args) -> tuple[dict, int]:
     algebra = _resolve(args.file)
     report_v = validate(algebra)
-    out = {
-        "command": "check",
-        "input": args.file,
-        "verdicts": {"validate": report_v.ok},
-        "axioms": report_v.as_dict(),
-    }
+    out = {"verdicts": {"validate": report_v.ok}, "axioms": report_v.as_dict()}
     if report_v.ok:
         out["verdicts"]["derived_laws"] = derived_laws(algebra).ok
         out["classify"] = classify(algebra).as_dict()
-    _emit(out, started)
-    return 0 if report_v.ok else 1
+    return out, 0 if report_v.ok else 1
 
 
-def _cmd_dual(args, started) -> int:
+def _cmd_dual(args) -> tuple[dict, int]:
     algebra = _resolve(args.file)
     _, primes, space = _prime_space(algebra, args.mode)
     iso = canonical_iso(algebra, args.mode)
     out = {
-        "command": "dual",
-        "input": args.file,
         "mode": args.mode,
         "points": [sorted(f) for f in primes],
         "top": space.top,
@@ -118,65 +119,40 @@ def _cmd_dual(args, started) -> int:
     }
     if args.dot:
         out["dot"] = export_dot(space)
-    _emit(out, started)
-    return 0
+    return out, 0
 
 
-def _cmd_depth(args, started) -> int:
+def _cmd_depth(args) -> tuple[dict, int]:
+    return {"depth": depth(_resolve(args.file))}, 0
+
+
+def _cmd_filters(args) -> tuple[dict, int]:
     algebra = _resolve(args.file)
-    _emit({"command": "depth", "input": args.file, "depth": depth(algebra)}, started)
-    return 0
-
-
-def _cmd_filters(args, started) -> int:
-    algebra = _resolve(args.file)
-    flts = all_deductive_filters(algebra)
     rows = []
-    for f in flts:
+    for f in all_deductive_filters(algebra):
         prime = is_prime_filter(algebra, f.members)
         if args.prime and not prime:
             continue
         rows.append(
             {"members": sorted(f.members), "prime": prime, "improper": f.is_improper}
         )
-    _emit(
-        {"command": "filters", "input": args.file, "count": len(rows), "filters": rows},
-        started,
-    )
-    return 0
+    return {"count": len(rows), "filters": rows}, 0
 
 
-def _cmd_reflect(args, started) -> int:
-    algebra = _resolve(args.file)
-    refl = reflect(algebra)
+def _cmd_reflect(args) -> tuple[dict, int]:
+    refl = reflect(_resolve(args.file))
     document = save(refl.algebra)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(document)
-    _emit(
-        {
-            "command": "reflect",
-            "input": args.file,
-            "output": args.output,
-            "result": _algebra_summary(refl.algebra),
-        },
-        started,
-    )
-    return 0
+    return {"output": args.output, "result": _algebra_summary(refl.algebra)}, 0
 
 
-def _cmd_epic(args, started) -> int:
+def _cmd_epic(args) -> tuple[dict, int]:
     algebra = _resolve(args.file)
     sub = _resolve_sub(algebra, args.sub)
-    spec = VarietySpec(tuple(_resolve(t) for t in args.variety))
     refutation: list = []
-    verdict = is_epic_subalgebra(algebra, sub, spec, refutation=refutation)
-    out = {
-        "command": "epic",
-        "input": args.file,
-        "subalgebra": sorted(sub),
-        "variety": list(args.variety),
-        "verdicts": {"epic": verdict},
-    }
+    verdict = is_epic_subalgebra(algebra, sub, _spec(args), refutation=refutation)
+    out = {"subalgebra": sorted(sub), "verdicts": {"epic": verdict}}
     if not verdict:
         codomain, first, second = refutation[0]
         out["witness"] = {
@@ -184,60 +160,41 @@ def _cmd_epic(args, started) -> int:
             "first_map": list(first.mapping),
             "second_map": list(second.mapping),
         }
-    _emit(out, started)
-    return 0 if verdict else 1
+    return out, 0 if verdict else 1
 
 
-def _cmd_refute_epic(args, started) -> int:
+def _cmd_refute_epic(args) -> tuple[dict, int]:
     algebra = _resolve(args.file)
     sub = _resolve_sub(algebra, args.sub)
+    out = {"subalgebra": sorted(sub)}
     try:
         cert = refute_epic(algebra, sub)
     except HypothesesNotMet as exc:
-        _emit(
-            {
-                "command": "refute-epic",
-                "input": args.file,
-                "subalgebra": sorted(sub),
-                "verdicts": {"refuted": False},
-                "reason": str(exc),
-            },
-            started,
-        )
-        return 1
+        return {**out, "verdicts": {"refuted": False}, "reason": str(exc)}, 1
     analysis = cert.analysis
     quotient_map = cert.second_map
     retraction = [
         cert.first_map.mapping[quotient_map.mapping.index(u)]
         for u in cert.target.elements
     ]
-    _emit(
-        {
-            "command": "refute-epic",
-            "input": args.file,
-            "subalgebra": sorted(sub),
-            "verdicts": {"refuted": True},
-            "case": analysis.case,
-            "first_filter": sorted(analysis.first_filter),
-            "second_filter": sorted(analysis.second_filter),
-            "congruence": list(analysis.congruence.blocks),
-            "target": _algebra_summary(cert.target),
-            "retraction": retraction,
-            "first_map": list(cert.first_map.mapping),
-            "second_map": list(cert.second_map.mapping),
-            "witness": cert.witness,
-        },
-        started,
-    )
-    return 0
+    return {
+        **out,
+        "verdicts": {"refuted": True},
+        "case": analysis.case,
+        "first_filter": sorted(analysis.first_filter),
+        "second_filter": sorted(analysis.second_filter),
+        "congruence": list(analysis.congruence.blocks),
+        "target": _algebra_summary(cert.target),
+        "retraction": retraction,
+        "first_map": list(cert.first_map.mapping),
+        "second_map": list(cert.second_map.mapping),
+        "witness": cert.witness,
+    }, 0
 
 
-def _cmd_es_decide(args, started) -> int:
-    spec = VarietySpec(tuple(_resolve(t) for t in args.variety))
-    decision = decide_es(spec)
+def _cmd_es_decide(args) -> tuple[dict, int]:
+    decision = decide_es(_spec(args))
     out = {
-        "command": "es-decide",
-        "variety": list(args.variety),
         "spectrum": [_algebra_summary(m) for m in decision.spectrum.algebras],
         "verdicts": {"es": decision.surjective},
     }
@@ -247,40 +204,29 @@ def _cmd_es_decide(args, started) -> int:
             "algebra": _algebra_summary(member),
             "subalgebra": sorted(mask),
         }
-    _emit(out, started)
-    return 0 if decision.surjective else 1
+    return out, 0 if decision.surjective else 1
 
 
-def _cmd_gate(args, started) -> int:
-    spec = VarietySpec(tuple(_resolve(t) for t in args.variety))
-    report = hypotheses_gate(spec)
-    _emit(
+def _cmd_gate(args) -> tuple[dict, int]:
+    report = hypotheses_gate(_spec(args))
+    members = [
         {
-            "command": "gate",
-            "variety": list(args.variety),
-            "verdicts": {"gate": report.passed},
-            "members": [
-                {
-                    "name": e.name,
-                    "size": e.size,
-                    "depth": e.depth,
-                    "negatively_generated": e.negatively_generated,
-                }
-                for e in report.entries
-            ],
-        },
-        started,
-    )
-    return 0 if report.passed else 1
+            "name": e.name,
+            "size": e.size,
+            "depth": e.depth,
+            "negatively_generated": e.negatively_generated,
+        }
+        for e in report.entries
+    ]
+    return {"verdicts": {"gate": report.passed}, "members": members}, 0 if report.passed else 1
 
 
-def _cmd_enumerate(args, started) -> int:
+def _cmd_enumerate(args) -> tuple[dict, int]:
     models = enumerate_models(args.cls, args.max_size, bound=args.bound)
     counts: dict[int, int] = {}
     for m in models:
         counts[m.size] = counts.get(m.size, 0) + 1
     out = {
-        "command": "enumerate",
         "class": args.cls,
         "max_size": args.max_size,
         "counts": {str(k): v for k, v in sorted(counts.items())},
@@ -288,13 +234,13 @@ def _cmd_enumerate(args, started) -> int:
     }
     if args.dump:
         out["models"] = [json.loads(save(m)) for m in models]
-    _emit(out, started)
-    return 0
+    return out, 0
 
 
-def _cmd_catalog(args, started) -> int:
+def _cmd_catalog(args) -> tuple[None, int]:
+    """Writes the raw document, not a report."""
     sys.stdout.write(save(_catalog_algebra(args.name)))
-    return 0
+    return None, 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -380,7 +326,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     started = time.time()
     try:
-        return args.func(args, started)
+        fields, code = args.func(args)
+        if fields is not None:
+            report = {"command": args.command, **fields}
+            if "file" in args:
+                report["input"] = args.file
+            if "variety" in args:
+                report["variety"] = list(args.variety)
+            report["timings"] = {"seconds": round(time.time() - started, 6)}
+            # serialized inside the try, so a report that cannot be written exits 3
+            print(json.dumps(report, indent=2, sort_keys=True))
+        return code
     except Exception as exc:
         # anything but an input error is a bug, and must not read as a negative verdict
         code = 2 if isinstance(exc, _INPUT_ERRORS) else 3

@@ -85,7 +85,10 @@ class EsakiaMorphism:
 def is_esakia_morphism(
     source: PointedPoset, target: PointedPoset, mapping: Sequence[int], pointed: bool = True
 ) -> bool:
+    """False, not an error, when `mapping` is not a map of points."""
     n = source.size
+    if len(mapping) != n or not all(_is_element(target.size, y) for y in mapping):
+        return False
     for x in range(n):
         for y in range(n):
             if source.leq[x][y] and not target.leq[mapping[x]][mapping[y]]:
@@ -382,6 +385,8 @@ def depth(target, point: Optional[int] = None) -> int:
             return depth_of_point(target, point)
         return depth_of_poset(target)
     if isinstance(target, FiniteAlgebra):
+        if point is not None:
+            raise ValueError(f"an algebra's depth takes no point, got {point!r}")
         cone, _ = negative_cone(target)
         return depth_of_poset(dual_space(brouwerian_reduct(cone), "pointed"))
     raise TypeError(f"cannot take the depth of {type(target).__name__}")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -245,6 +246,20 @@ def test_sub_index_outside_the_carrier_is_an_input_error(capsys):
         assert report["error"] == "element 99 is outside 0..3 (size 4)"
 
 
+@pytest.mark.parametrize(
+    "name, sub, members", [("brouwerian_chain(4)", "0,1", [0, 1]), ("crystal", "0,1,5", [0, 1, 5])]
+)
+def test_sub_that_is_not_a_subuniverse_is_an_input_error(capsys, name, sub, members):
+    # refute-epic used to exit 1 with "B is not a subalgebra", a negative answer
+    for argv in (
+        ("epic", f"catalog:{name}", "--sub", sub, "--variety", f"catalog:{name}"),
+        ("refute-epic", f"catalog:{name}", "--sub", sub),
+    ):
+        code, report = run_json(capsys, *argv)
+        assert code == 2 and report["kind"] == "NotASubalgebra"
+        assert report["error"] == f"{members} is not a subuniverse"
+
+
 def test_es_decide_commands(capsys):
     code, report = run_json(capsys, "es-decide", "--variety", "catalog:c4")
     assert code == 0 and report["verdicts"]["es"] is True
@@ -318,3 +333,67 @@ def test_reports_are_deterministic(capsys):
     _, first = run_json(capsys, "es-decide", "--variety", "catalog:crystal")
     _, second = run_json(capsys, "es-decide", "--variety", "catalog:crystal")
     assert strip_timings(first) == strip_timings(second)
+
+
+# every subcommand's success, negative (exit 1) and error (exit 2) paths;
+# documents are written to the working directory so the echoed paths are fixed
+_DIGEST_COMMANDS = (
+    ("check", "catalog:c4"),
+    ("check", "c2.json"),
+    ("check", "/nonexistent/file.json"),
+    ("dual", "catalog:brouwerian_chain(3)"),
+    ("dual", "catalog:brouwerian_chain(3)", "--dot"),
+    ("dual", "catalog:heyting_chain(3)", "--mode", "proper"),
+    ("dual", "catalog:c4"),
+    ("depth", "catalog:brouwerian_chain(5)"),
+    ("depth", "catalog:Not-A-Name"),
+    ("filters", "catalog:c4"),
+    ("filters", "catalog:brouwerian_diamond", "--prime"),
+    ("filters", "catalog:sugihara(4)"),
+    ("reflect", "catalog:brouwerian_chain(2)", "-o", "reflected.json"),
+    ("reflect", "catalog:c4", "-o", "unused.json"),
+    ("epic", "catalog:crystal", "--sub", "0,1,2,4,5", "--variety", "catalog:crystal"),
+    ("epic", "catalog:brouwerian_chain(3)", "--sub", "0,2",
+     "--variety", "catalog:brouwerian_chain(3)"),
+    ("epic", "catalog:sugihara(5)", "--sub", "catalog:sugihara(3)",
+     "--variety", "catalog:sugihara(5)", "catalog:c4"),
+    ("epic", "catalog:brouwerian_chain(3)", "--sub", "c2.json",
+     "--variety", "catalog:brouwerian_chain(3)"),
+    ("epic", "catalog:brouwerian_chain(4)", "--sub", "0,3,99",
+     "--variety", "catalog:brouwerian_chain(4)"),
+    ("epic", "catalog:brouwerian_chain(3)", "--sub", "catalog:crystal",
+     "--variety", "catalog:brouwerian_chain(3)"),
+    ("refute-epic", "catalog:brouwerian_chain(4)", "--sub", "0,2,3"),
+    ("refute-epic", "catalog:crystal", "--sub", "0,1,2,4,5"),
+    ("refute-epic", "catalog:brouwerian_chain(4)", "--sub", "0,3,99"),
+    ("es-decide", "--variety", "catalog:c4"),
+    ("es-decide", "--variety", "catalog:c4", "catalog:brouwerian_chain(3)"),
+    ("es-decide", "--variety", "catalog:crystal"),
+    ("es-decide", "--variety", "catalog:nothing"),
+    ("gate", "--variety", "catalog:c4"),
+    ("gate", "--variety", "catalog:crystal"),
+    ("gate", "--variety", "catalog:sugihara(2)"),
+    ("enumerate", "--class", "brouwerian", "--max-size", "4"),
+    ("enumerate", "--class", "sirl", "--max-size", "3", "--dump"),
+    ("enumerate", "--class", "brouwerian", "--max-size", "7"),
+    ("catalog", "crystal"),
+    ("catalog", "unknown_thing"),
+)
+
+
+def test_reports_match_the_recorded_digest(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c2.json").write_text(run(capsys, "catalog", "brouwerian_chain(2)")[1])
+    digest = hashlib.sha256()
+    for argv in _DIGEST_COMMANDS:
+        code, report = run_json(capsys, *argv)
+        record = [list(argv), code, strip_timings(report)]
+        digest.update(json.dumps(record, sort_keys=True).encode())
+    assert digest.hexdigest() == "8e4a90c0f6c914e7e34575652fd88b0377251417c17210dbf13ed7a534ae1fcb"
+
+
+def test_a_report_that_cannot_be_written_exits_3(monkeypatch, capsys):
+    # a failure while serializing must not escape main, where it would exit 1
+    monkeypatch.setattr(cli, "_algebra_summary", lambda algebra: object())
+    code, report = run_json(capsys, "es-decide", "--variety", "catalog:crystal")
+    assert code == 3 and report["kind"] == "TypeError"

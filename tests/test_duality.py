@@ -198,6 +198,14 @@ def test_is_esakia_morphism_rejects_non_bounded_maps():
     assert is_esakia_morphism(two, three, (1, 2))
 
 
+@pytest.mark.parametrize("mapping", [(0,), (0, 1, 7), (0, 1, -1), (0, True, 2), (0, "1", 2)])
+def test_is_esakia_morphism_is_false_on_a_non_map(mapping):
+    # a wrong length or a non-point image used to raise IndexError or TypeError
+    space = dual_space(brouwerian_chain(3))
+    assert not is_esakia_morphism(space, space, mapping)
+    assert is_esakia_morphism(space, space, tuple(range(space.size)))
+
+
 def test_e_subspace_least_filter_is_whole_space():
     algebra = brouwerian_chain(4)
     es = e_subspace(algebra, deductive_filter(algebra, {3}))
@@ -309,6 +317,13 @@ def test_depth_of_point_rejects_points_outside_the_poset(point):
         with pytest.raises(ValueError, match=rf"0\.\.3, got {point!r}"):
             ask(poset, point)
     assert [depth(poset, x) for x in range(poset.size)] == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("point", [0, 99, "x"])
+def test_depth_of_an_algebra_rejects_a_point(point):
+    # the point used to be ignored, giving the algebra's depth 3
+    with pytest.raises(ValueError, match=rf"got {point!r}$"):
+        depth(brouwerian_chain(4), point)
 
 
 def test_depth_examples():
