@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .core import (
-    FiniteAlgebra, Signature, _bits, _is_element, _members, brouwerian_reduct, closed_sets,
-    is_homomorphism,
+    FiniteAlgebra, Signature, _bits, _is_element, _members, _restricted, brouwerian_reduct,
+    closed_sets, is_homomorphism,
 )
 from .errors import NotASubalgebra, VerificationFailure
 from .filters import (
@@ -94,8 +94,8 @@ def negative_cone(algebra: FiniteAlgebra) -> tuple[FiniteAlgebra, tuple[int, ...
     carrier = algebra.below_e
     back = {x: i for i, x in enumerate(carrier)}
     k = len(carrier)
-    meet = tuple(tuple(back[algebra.meet[a][b]] for b in carrier) for a in carrier)
-    join = tuple(tuple(back[algebra.join[a][b]] for b in carrier) for a in carrier)
+    meet = _restricted(algebra.meet, carrier, back)
+    join = _restricted(algebra.join, carrier, back)
     residual = tuple(
         tuple(back[algebra.meet[algebra.residual[a][b]][algebra.e]] for b in carrier)
         for a in carrier

@@ -10,13 +10,18 @@ constructor-time deriver and the consistency oracle.
 Each table law shared by several checks has one failure generator, which
 yields the witnesses of its failures in lexicographic order: `validate`
 reports the first, `derive_order` and `derived_laws` raise on it, and
-`classify` reads a flag off it.
+`classify` reads a flag off it.  A generator first runs the law's row pass,
+which compares whole table rows in C (as `bytes`, up to 256 elements) and
+decides whether any row fails.  Only then does its cell scan run, to find
+the first witness; the tuple tables stay the one source of truth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
+from itertools import chain
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
@@ -203,31 +208,51 @@ def _join_irreducible(meet: Table, join: Table, c: int) -> bool:
     return bool(below) and reduce(lambda a, b: join[a][b], below) != c
 
 
+def _first_non_element(n: int, entries: Sequence) -> Optional[int]:
+    """The index of the first entry that is not an element by `_is_element`'s
+    rule, or None.  Plain ints in range, the common case, pass in C."""
+    if set(map(type, entries)) <= {int} and 0 <= min(entries) and max(entries) < n:
+        return None
+    return next((i for i, x in enumerate(entries) if not _is_element(n, x)), None)
+
+
+def _entry_error(x, where: str, out_of_range: str) -> MalformedTable:
+    """The error for x, which is not an element: named by `where` when it is
+    not an int."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return MalformedTable(out_of_range)
+    return MalformedTable(f"{where} is {x!r}, not an int")
+
+
 def _check_shape(algebra: FiniteAlgebra) -> None:
     n = algebra.size
     if n < 1:
         raise MalformedTable("size must be positive")
-    for label, table in (
-        ("meet", algebra.meet),
-        ("join", algebra.join),
-        ("fusion", algebra.fusion),
-        ("residual", algebra.residual),
-    ):
-        if len(table) != n or any(len(row) != n for row in table):
+    labels = ("meet", "join", "fusion", "residual")
+    tables = (algebra.meet, algebra.join, algebra.fusion, algebra.residual)
+    for label, table in zip(labels, tables):
+        if len(table) != n or set(map(len, table)) != {n}:
             raise MalformedTable(f"{label} table is not {n}x{n}")
-        if any(not (0 <= x < n) for row in table for x in row):
-            raise MalformedTable(f"{label} table has an out-of-range entry")
-    if not (0 <= algebra.e < n):
-        raise MalformedTable("identity element out of range")
+    entries = tuple(chain.from_iterable(chain(*tables)))
+    i = _first_non_element(n, entries)
+    if i is not None:
+        label = labels[i // (n * n)]
+        raise _entry_error(entries[i], f"{label} table row {i // n % n} column {i % n}",
+                           f"{label} table has an out-of-range entry")
+    if not _is_element(n, algebra.e):
+        raise _entry_error(algebra.e, "identity element", "identity element out of range")
     if algebra.signature.has_involution != (algebra.neg is not None):
         raise MalformedTable("signature and involution table disagree")
     if algebra.signature.has_bottom != (algebra.bottom is not None):
         raise MalformedTable("signature and bottom marker disagree")
     if algebra.neg is not None:
-        if len(algebra.neg) != n or any(not (0 <= x < n) for x in algebra.neg):
+        if len(algebra.neg) != n:
             raise MalformedTable("involution table malformed")
-    if algebra.bottom is not None and not (0 <= algebra.bottom < n):
-        raise MalformedTable("bottom element out of range")
+        a = _first_non_element(n, algebra.neg)
+        if a is not None:
+            raise _entry_error(algebra.neg[a], f"involution entry {a}", "involution table malformed")
+    if algebra.bottom is not None and not _is_element(n, algebra.bottom):
+        raise _entry_error(algebra.bottom, "bottom element", "bottom element out of range")
 
 
 def _idempotent(t: Table, rng: range):
@@ -235,17 +260,117 @@ def _idempotent(t: Table, rng: range):
 
 
 def _commutative(t: Table, rng: range):
-    return ((a, b) for a in rng for b in rng if t[a][b] != t[b][a])
+    return _unless_rows_hold(
+        "commutativity", len(t), lambda: _commutative_rows(t),
+        ((a, b) for a in rng for b in rng if t[a][b] != t[b][a]),
+    )
 
 
 def _associative(t: Table, rng: range):
-    return ((a, b, c) for a in rng for b in rng for c in rng if t[t[a][b]][c] != t[a][t[b][c]])
+    return _unless_rows_hold(
+        "associativity", len(t), lambda: _associative_rows(t),
+        ((a, b, c) for a in rng for b in rng for c in rng if t[t[a][b]][c] != t[a][t[b][c]]),
+    )
 
 
 def _distributes(outer: Table, inner: Table, rng: range):
     """`outer` distributes over `inner` from the left."""
-    return ((a, b, c) for a in rng for b in rng for c in rng
-            if outer[a][inner[b][c]] != inner[outer[a][b]][outer[a][c]])
+    return _unless_rows_hold(
+        "distributivity", len(outer), lambda: _distributes_rows(outer, inner),
+        ((a, b, c) for a in rng for b in rng for c in rng
+         if outer[a][inner[b][c]] != inner[outer[a][b]][outer[a][c]]),
+    )
+
+
+def _absorbs(outer: Table, inner: Table, rng: range):
+    """outer(a, inner(a, b)) = a."""
+    return _unless_rows_hold(
+        "absorption", len(outer), lambda: _absorbs_rows(outer, inner),
+        ((a, b) for a in rng for b in rng if outer[a][inner[a][b]] != a),
+    )
+
+
+def _unless_rows_hold(law: str, n: int, rows_hold: Callable[[], Optional[bool]], scan):
+    """The failures of `law` that the cell scan `scan` yields, in its
+    order, unless the row pass `rows_hold()` finds that every row holds.
+
+    A row pass answers True (no row fails), False (some row fails) or None
+    (it declines, above 256 elements); it runs when the first witness is
+    asked for.  A failing row whose scan finds no witness raises
+    VerificationFailure: the two disagree, so there is no verdict to give."""
+    verdict = rows_hold()
+    if verdict:
+        return
+    first = next(scan, None)
+    if first is None:
+        if verdict is False:
+            raise VerificationFailure(
+                f"the row pass finds {law} failing on {n} elements, but no cell does")
+        return
+    yield first
+    yield from scan
+
+
+# The row passes.  Each builds its tables' rows as `bytes`, drops them when
+# it returns, and compares whole rows in C.  Write L(x) for the row of x:
+# `flat.translate(_pad(L(a)))`, where `flat` is a table's rows end to end,
+# is the table (b, c) -> L(a)[t(b, c)], n^2 cells in one call.
+
+def _byte_rows(t: Table) -> Optional[list[bytes]]:
+    """The rows of `t` as `bytes`, or None above 256 elements, where a row
+    no longer serves as a `translate` table."""
+    return None if len(t) > 256 else [bytes(row) for row in t]
+
+
+def _pad(row: bytes) -> bytes:
+    """`row` zero-padded to a 256-byte `translate` table."""
+    return row.ljust(256, b"\0")
+
+
+def _commutative_rows(t: Table) -> bool:
+    return tuple(map(tuple, t)) == tuple(zip(*t))
+
+
+def _associative_rows(t: Table) -> Optional[bool]:
+    """L(a*b) = L(a) after L(b), for each a, over all b."""
+    rows = _byte_rows(t)
+    if rows is None:
+        return None
+    flat, row_of = b"".join(rows), rows.__getitem__
+    return all(b"".join(map(row_of, t_a)) == flat.translate(_pad(row))
+               for t_a, row in zip(t, rows))
+
+
+def _distributes_rows(outer: Table, inner: Table) -> Optional[bool]:
+    """For each a: outer(a, inner(b, c)) = inner(outer(a, b), outer(a, c))."""
+    rows, inner_rows = _byte_rows(outer), _byte_rows(inner)
+    if rows is None:
+        return None
+    flat, padded = b"".join(inner_rows), [_pad(row) for row in inner_rows]
+    return all(flat.translate(_pad(row)) == b"".join([row.translate(padded[x]) for x in outer_a])
+               for outer_a, row in zip(outer, rows))
+
+
+def _absorbs_rows(outer: Table, inner: Table) -> Optional[bool]:
+    """For each a: L_outer(a) after L_inner(a) is constantly a."""
+    rows, inner_rows = _byte_rows(outer), _byte_rows(inner)
+    if rows is None:
+        return None
+    n = len(rows)
+    return all(inner_row.translate(_pad(row)) == bytes((a,)) * n
+               for a, (row, inner_row) in enumerate(zip(rows, inner_rows)))
+
+
+def _residuation_rows(meet: Table, fus: Table, res: Table) -> Optional[bool]:
+    """With up[x][c] = 1 when x <= c: up(a*b) = up(a) after L_res(b), for
+    each a, over all b."""
+    rows, res_rows = _byte_rows(meet), _byte_rows(res)
+    if rows is None:
+        return None
+    up = [row.translate(bytes(x) + b"\1" + bytes(255 - x)) for x, row in enumerate(rows)]
+    flat, up_of = b"".join(res_rows), up.__getitem__
+    return all(b"".join(map(up_of, fus_a)) == flat.translate(_pad(up_a))
+               for fus_a, up_a in zip(fus, up))
 
 
 def derive_order(algebra: FiniteAlgebra) -> frozenset[tuple[int, int]]:
@@ -277,7 +402,17 @@ def _first_failure(checks) -> Optional[tuple[str, tuple[int, ...]]]:
 
 def _residuation_failures(algebra: FiniteAlgebra):
     """The triples (a, b, c) in lexicographic order where a*b <= c and
-    a <= b->c disagree, read off the meet rows of a*b and of a."""
+    a <= b->c disagree."""
+    meet, fus, res = algebra.meet, algebra.fusion, algebra.residual
+    return _unless_rows_hold(
+        "residuation", algebra.size, lambda: _residuation_rows(meet, fus, res),
+        _residuation_scan(algebra),
+    )
+
+
+def _residuation_scan(algebra: FiniteAlgebra):
+    """`_residuation_failures`' cell scan, read off the meet rows of a*b and
+    of a."""
     meet, fus, res = algebra.meet, algebra.fusion, algebra.residual
     for a in algebra.elements:
         meet_a, fus_a = meet[a], fus[a]
@@ -318,8 +453,8 @@ def validate(algebra: FiniteAlgebra) -> AxiomReport:
             ("join commutative", _commutative(join, rng)),
             ("meet associative", _associative(meet, rng)),
             ("join associative", _associative(join, rng)),
-            ("absorption meet-join", ((a, b) for a in rng for b in rng if meet[a][join[a][b]] != a)),
-            ("absorption join-meet", ((a, b) for a in rng for b in rng if join[a][meet[a][b]] != a)),
+            ("absorption meet-join", _absorbs(meet, join, rng)),
+            ("absorption join-meet", _absorbs(join, meet, rng)),
         ],
     )
     add(
@@ -756,19 +891,27 @@ def _induced(algebra: FiniteAlgebra, reps: Sequence[int], cls, suffix: str) -> F
     operation's value x for `cls[x]`: a subalgebra when `cls` gives positions
     in a subuniverse, a quotient when `reps` holds one element per block and
     `cls` the blocks.  Named by `suffix` after the parent, if that is named."""
-    table = lambda t: tuple(tuple(cls[t[a][b]] for b in reps) for a in reps)
     return FiniteAlgebra(
         size=len(reps),
-        meet=table(algebra.meet),
-        join=table(algebra.join),
-        fusion=table(algebra.fusion),
-        residual=table(algebra.residual),
+        meet=_restricted(algebra.meet, reps, cls),
+        join=_restricted(algebra.join, reps, cls),
+        fusion=_restricted(algebra.fusion, reps, cls),
+        residual=_restricted(algebra.residual, reps, cls),
         e=cls[algebra.e],
         neg=None if algebra.neg is None else tuple(cls[algebra.neg[a]] for a in reps),
         bottom=None if algebra.bottom is None else cls[algebra.bottom],
         signature=algebra.signature,
         name=None if algebra.name is None else algebra.name + suffix,
     )
+
+
+def _restricted(t: Table, reps: Sequence[int], cls) -> Table:
+    """The table whose cell (i, j) is `cls[t[reps[i]][reps[j]]]`."""
+    if len(reps) == 1:  # itemgetter of one index returns the entry, not a tuple
+        (r,) = reps
+        return ((cls[t[r][r]],),)
+    columns, value = itemgetter(*reps), cls.__getitem__
+    return tuple(tuple(map(value, columns(t[a]))) for a in reps)
 
 
 def direct_product(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:

@@ -12,7 +12,8 @@ from oracles import (
     residuation_failure_scan,
 )
 
-from srlkit.catalog import brouwerian_chain, c4, crystal, trivial
+from srlkit import core
+from srlkit.catalog import brouwerian_chain, c4, crystal, heyting_chain, trivial
 from srlkit.core import (
     FiniteAlgebra,
     classify,
@@ -28,7 +29,9 @@ from srlkit.core import (
     subalgebra,
     validate,
 )
-from srlkit.errors import DerivedLawFailure, MalformedTable, NotResiduated, SrlkitError
+from srlkit.errors import (
+    DerivedLawFailure, MalformedTable, NotResiduated, SrlkitError, VerificationFailure,
+)
 from srlkit.reflection import reflect
 
 
@@ -298,6 +301,105 @@ def test_validate_residuation_matches_the_triple_scan(suite):
         assert (verdict.passed, verdict.witness) == (expected is None, expected), algebra
         failures += expected is not None
     assert 0 < failures < len(cases)
+
+
+_TABLES = ("meet", "join", "fusion", "residual")
+
+
+def _row_passes_and_scans(algebra):
+    """(law, the row pass's answer, the cell scan) for each law that has a
+    row pass, on each table or pair of tables the pass is given."""
+    m, j, f, r = (getattr(algebra, name) for name in _TABLES)
+    rng = algebra.elements
+    for t in (m, j, f, r):
+        yield "commutativity", core._commutative_rows(t), core._commutative(t, rng)
+        yield "associativity", core._associative_rows(t), core._associative(t, rng)
+    for outer, inner in ((f, j), (r, m), (m, j), (j, m)):
+        yield "distributivity", core._distributes_rows(outer, inner), core._distributes(outer, inner, rng)
+    for outer, inner in ((m, j), (j, m)):
+        yield "absorption", core._absorbs_rows(outer, inner), core._absorbs(outer, inner, rng)
+    yield "residuation", core._residuation_rows(m, f, r), core._residuation_failures(algebra)
+
+
+def test_row_passes_agree_with_the_cell_scans(suite, monkeypatch):
+    # every generator hands back its bare cell scan, the oracle for its row
+    # pass: on the suite, relabelled copies, copies whose tables are lists,
+    # and seeded corruptions of one cell, then of its mirror too, per table
+    monkeypatch.setattr(core, "_unless_rows_hold", lambda law, n, rows_hold, scan: scan)
+    rng = random.Random(22)
+    other = lambda n, value: rng.choice([x for x in range(n) if x != value])
+    cases = list(suite)
+    for algebra in suite[::2]:
+        cases.append(relabel(algebra, rng))
+        cases.append(dataclasses.replace(
+            algebra, **{name: [list(row) for row in getattr(algebra, name)] for name in _TABLES}))
+        n = algebra.size
+        for name in _TABLES if n > 1 else ():
+            rows = [list(row) for row in getattr(algebra, name)]
+            i, j = rng.randrange(n), rng.randrange(n)
+            rows[i][j] = other(n, rows[i][j])
+            cases.append(dataclasses.replace(algebra, **{name: tuple(map(tuple, rows))}))
+            rows[j][i] = rows[i][j]
+            cases.append(dataclasses.replace(algebra, **{name: tuple(map(tuple, rows))}))
+    outcomes = set()
+    for algebra in cases:
+        for law, holds, scan in _row_passes_and_scans(algebra):
+            assert holds == (next(scan, None) is None), (law, algebra)
+            outcomes.add((law, holds))
+    laws = {law for law, _, _ in _row_passes_and_scans(c4())}
+    assert outcomes == {(law, holds) for law in laws for holds in (True, False)}
+
+
+def test_row_passes_decline_above_256_elements():
+    # a byte holds 0..255, so a 257-element table is left to the cell scans;
+    # the tuple comparison of commutativity needs no bytes and still runs
+    t = tuple(tuple((a + b) % 257 for b in range(257)) for a in range(257))
+    assert core._associative_rows(t) is None
+    assert core._distributes_rows(t, t) is None
+    assert core._absorbs_rows(t, t) is None
+    assert core._residuation_rows(t, t, t) is None
+    assert core._commutative_rows(t) is True
+
+
+def test_a_row_pass_without_a_witness_raises(monkeypatch):
+    # a failing row whose cell scan finds nothing is a bug, not a verdict
+    monkeypatch.setattr(core, "_associative_rows", lambda t: False)
+    with pytest.raises(VerificationFailure, match="associativity failing on 4 elements"):
+        validate(c4())
+
+
+@pytest.mark.parametrize("table", _TABLES)
+@pytest.mark.parametrize("convert", [float, bool])
+def test_validate_names_a_table_entry_that_is_not_an_int(table, convert):
+    rows = [list(row) for row in getattr(c4(), table)]
+    rows[1][2] = convert(rows[1][2])
+    broken = dataclasses.replace(c4(), **{table: tuple(map(tuple, rows))})
+    with pytest.raises(MalformedTable) as exc:
+        validate(broken)
+    assert str(exc.value) == f"{table} table row 1 column 2 is {rows[1][2]!r}, not an int"
+
+
+@pytest.mark.parametrize("algebra, field, value, message", [
+    (c4(), "neg", (3, 2.0, 1, 0), "involution entry 1 is 2.0, not an int"),
+    (c4(), "neg", (3, 2, True, 0), "involution entry 2 is True, not an int"),
+    (c4(), "e", 1.0, "identity element is 1.0, not an int"),
+    (c4(), "e", True, "identity element is True, not an int"),
+    (heyting_chain(2), "bottom", False, "bottom element is False, not an int"),
+])
+def test_validate_names_a_constant_or_involution_entry_that_is_not_an_int(
+    algebra, field, value, message
+):
+    with pytest.raises(MalformedTable) as exc:
+        validate(dataclasses.replace(algebra, **{field: value}))
+    assert str(exc.value) == message
+
+
+def test_one_element_subalgebra():
+    # a restriction to one element reads its one cell without itemgetter,
+    # which returns a bare entry for a single index
+    sub, inclusion = subalgebra(brouwerian_chain(3), [2])
+    assert sub.size == 1 and inclusion.mapping == (2,)
+    assert sub.meet == sub.join == sub.fusion == sub.residual == ((0,),)
 
 
 def test_classify_catalog_expectations():
