@@ -37,6 +37,7 @@ from .core import (
     is_homomorphism,
 )
 from .errors import (
+    NoBottom,
     NoTop,
     NotAFilter,
     NotBrouwerian,
@@ -114,8 +115,12 @@ def _require_mode(algebra: FiniteAlgebra, mode: str) -> None:
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "pointed" and not _is_brouwerian(algebra):
         raise NotBrouwerian("pointed-mode duality needs a Brouwerian algebra")
-    if mode == "proper" and not (_is_brouwerian(algebra) and algebra.signature.has_bottom):
+    if mode == "proper" and not _is_brouwerian(algebra):
         raise NotBrouwerian("proper-mode duality needs a Heyting algebra")
+    if mode == "proper" and not algebra.signature.has_bottom:
+        raise NoBottom(
+            "proper-mode duality needs a designated bottom; this Brouwerian algebra has none"
+        )
 
 
 def _prime_space(

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Sequence
 
 from .core import (
     FiniteAlgebra, Signature, _join_irreducible, brouwerian_reduct, residual_from_fusion,
@@ -211,16 +211,33 @@ def _lattice_tables(leq: LeqMatrix) -> Optional[tuple[tuple, tuple]]:
 # canonical forms for algebras
 
 
-def _iso_invariant(algebra: FiniteAlgebra, a: int) -> tuple:
-    row = algebra.meet[a]
+def _iso_invariant(algebra: FiniteAlgebra, a: int, below: int, above: int) -> tuple:
+    """The label-free facts that seed the labelling search, given the
+    numbers of elements below and above `a`: is it e, is it the bottom, the
+    two counts, is it idempotent, is it fixed by `neg`."""
     return (
         a == algebra.e,
         algebra.bottom is not None and a == algebra.bottom,
-        sum(1 for b, m in enumerate(row) if m == b),  # elements below a
-        row.count(a),  # elements above a
+        below,
+        above,
         algebra.fusion[a][a] == a,
         algebra.neg is not None and algebra.neg[a] == a,
     )
+
+
+def _labelled_key(algebra: FiniteAlgebra, at: list[int], label: Sequence[int]) -> tuple:
+    """The tables on the elements `at`, element `at[i]` read as `label[at[i]]
+    == i`: meet, join, fusion, residual, then neg, e and bottom."""
+    parts = [
+        tuple([label[t[a][b]] for a in at for b in at])
+        for t in (algebra.meet, algebra.join, algebra.fusion, algebra.residual)
+    ]
+    if algebra.neg is not None:
+        parts.append(tuple(label[algebra.neg[a]] for a in at))
+    parts.append((label[algebra.e],))
+    if algebra.bottom is not None:
+        parts.append((label[algebra.bottom],))
+    return tuple(parts)
 
 
 def canonical_form(algebra: FiniteAlgebra) -> tuple:
@@ -228,7 +245,6 @@ def canonical_form(algebra: FiniteAlgebra) -> tuple:
     signature get equal keys, non-isomorphic ones distinct keys."""
     n = algebra.size
     meet, fusion, neg = algebra.meet, algebra.fusion, algebra.neg
-    tables = [meet, algebra.join, fusion, algebra.residual]
 
     def signature(colour: list[int], a: int) -> tuple:
         # order and fusion determine join and residual
@@ -239,18 +255,51 @@ def canonical_form(algebra: FiniteAlgebra) -> tuple:
         return row if neg is None else (colour[neg[a]], row)
 
     def key_of(perm: tuple[int, ...]) -> tuple:
-        at = sorted(range(n), key=perm.__getitem__)  # the element labelled i
-        parts = [tuple([perm[t[a][b]] for a in at for b in at]) for t in tables]
-        if neg is not None:
-            parts.append(tuple(perm[neg[a]] for a in at))
-        parts.append((perm[algebra.e],))
-        if algebra.bottom is not None:
-            parts.append((perm[algebra.bottom],))
-        return tuple(parts)
+        # perm[a] is a's label, so the element labelled i comes i-th
+        return _labelled_key(algebra, sorted(range(n), key=perm.__getitem__), perm)
 
-    inv = [_iso_invariant(algebra, a) for a in algebra.elements]
+    inv = [
+        _iso_invariant(algebra, a, sum(1 for b, m in enumerate(row) if m == b), row.count(a))
+        for a, row in enumerate(meet)
+    ]
     best = _canonical_labelling(inv, signature, key_of)
     return (n, algebra.signature.has_involution, algebra.signature.has_bottom, best)
+
+
+def _subuniverse_key(algebra: FiniteAlgebra):
+    """`key(carrier)`: the `canonical_form` of the subalgebra on the
+    ascending subuniverse `carrier`, read off `algebra`'s own tables, or
+    None.
+
+    `canonical_form` seeds its search with `_iso_invariant`.  When those
+    invariants, counted inside the carrier, are all distinct, the search
+    has one leaf, which labels each element by its invariant's rank; `key`
+    returns that leaf's key without building the subalgebra.  Otherwise it
+    returns None, and the caller builds the subalgebra and keys it with
+    `canonical_form`, which stays the one labelling search and is this
+    helper's oracle."""
+    meet = algebra.meet
+    below = [sum(1 << b for b, m in enumerate(row) if m == b) for row in meet]
+    above = [sum(1 << b for b, m in enumerate(row) if m == a) for a, row in enumerate(meet)]
+    head = (algebra.signature.has_involution, algebra.signature.has_bottom)
+    label = [0] * algebra.size
+
+    def key(carrier: list[int]) -> Optional[tuple]:
+        mask = sum(1 << x for x in carrier)
+        by_invariant = {
+            _iso_invariant(
+                algebra, x, (below[x] & mask).bit_count(), (above[x] & mask).bit_count()
+            ): x
+            for x in carrier
+        }
+        if len(by_invariant) < len(carrier):
+            return None
+        at = [by_invariant[v] for v in sorted(by_invariant)]
+        for i, x in enumerate(at):
+            label[x] = i
+        return (len(at), *head, _labelled_key(algebra, at, label))
+
+    return key
 
 
 # ---------------------------------------------------------------------------

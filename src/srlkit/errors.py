@@ -43,6 +43,11 @@ class NoTop(SrlkitError):
     """Pointed-mode duality requires a poset with a greatest element."""
 
 
+class NoBottom(NotBrouwerian):
+    """Proper-mode duality requires a Heyting algebra, and the Brouwerian
+    algebra given has no designated bottom."""
+
+
 class WrongSignature(SrlkitError):
     """Operands have incompatible signatures, or a construction received an
     algebra of the wrong signature."""

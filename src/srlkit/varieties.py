@@ -16,7 +16,9 @@ The spectrum build rests on two more facts.
   h: B -> B' carries each filter ↑c of B onto the filter ↑h(c) of B', and
   the congruences they determine correspond under h, so h induces
   B/↑c ≅ B'/↑h(c).  Only the first subalgebra of each isomorphism type needs
-  its quotients taken.
+  its quotients taken, so each subuniverse is keyed first, off the
+  generator's own tables where `enumeration._subuniverse_key` can, and built
+  only when its key is new.
 - A/↑c is FSI iff c is join-irreducible in the negative cone A⁻.  Negative
   elements are idempotent, so ↑d is closed under fusion for every d in A⁻;
   and a filter of a finite algebra is the up-set of its least element, which
@@ -63,7 +65,7 @@ from .core import (
     validate,
 )
 from .duality import ESubspace, _e_subspace, _lookup, _point_depths, _prime_space, _tower, depth
-from .enumeration import canonical_form
+from .enumeration import _subuniverse_key, canonical_form
 from .errors import (
     HypothesesNotMet,
     NotASubalgebra,
@@ -136,7 +138,9 @@ def fsi_spectrum(spec: VarietySpec) -> FsiSpectrum:
     join-irreducible in B⁻, since the filters above ↑c are the ↑d with
     d ≤ c and ↑a ∩ ↑b = ↑(a∨b); so only those quotients are built.
     Both dedupes compare `canonical_form` keys; neither searches for an
-    isomorphism."""
+    isomorphism.  A subuniverse is keyed before it is built, off the
+    generator's tables by `_subuniverse_key` when it can, so mostly only the
+    subalgebras of new isomorphism types are built."""
     return FsiSpectrum(spec=spec, algebras=spec._fsi_members)
 
 
@@ -145,12 +149,19 @@ def _build_spectrum_members(spec: VarietySpec) -> tuple[FiniteAlgebra, ...]:
     seen_subs: set[tuple] = set()
     seen_members: set[tuple] = set()
     for gen in spec.generators:
+        subuniverse_key = _subuniverse_key(gen)
         for mask in all_subuniverses(gen):
-            sub, _ = _subalgebra(gen, sorted(mask))
-            key = canonical_form(sub)
+            carrier = sorted(mask)
+            sub = None
+            key = subuniverse_key(carrier)
+            if key is None:
+                sub, _ = _subalgebra(gen, carrier)
+                key = canonical_form(sub)
             if key in seen_subs:
                 continue
             seen_subs.add(key)
+            if sub is None:
+                sub, _ = _subalgebra(gen, carrier)
             for flt in all_deductive_filters(sub):
                 c = _least(sub, flt.members)
                 if not _join_irreducible(sub.meet, sub.join, c):
@@ -272,7 +283,14 @@ def decide_es(spec: VarietySpec) -> EsDecision:
     the first member, in spectrum order, that has an epic proper
     subuniverse, with its first epic one in `all_subuniverses` (bitmask)
     order.  Only a mask inside an epic maximal one can be epic, so only
-    such masks are tested on the way to it."""
+    such masks are tested on the way to it.
+
+    Each member's masks are tried against the member itself first, then
+    against the other members in spectrum order.  A mask is epic only when
+    no codomain separates it, so the order of the codomains cannot change
+    a verdict, and so neither the decision nor the witness; it changes only
+    how many hom sets are searched.  Two endomorphisms often separate a
+    mask, as on chains."""
     spectrum = fsi_spectrum(spec)
     for member in spectrum.algebras:
         mask = _first_epic_subuniverse(member, spectrum.algebras)
@@ -285,9 +303,13 @@ def _first_epic_subuniverse(
     member: FiniteAlgebra, codomains: tuple[FiniteAlgebra, ...]
 ) -> Optional[frozenset[int]]:
     """The first epic proper subuniverse of `member` in bitmask order, or
-    None.  Hom(member, C) is searched at most once per codomain C, when a
-    mask first needs it; the masks come from `all_subuniverses`, so they are
-    not checked for closure again."""
+    None.  The codomains are tried with `member` first and the others in
+    the order given: whether a mask is epic does not depend on that order,
+    since it is epic exactly when no codomain separates it.  Hom(member, C)
+    is searched at most once per codomain C, when a mask first needs it;
+    the masks come from `all_subuniverses`, so they are not checked for
+    closure again."""
+    codomains = (member, *(c for c in codomains if c is not member))
     hom_sets: list[list[tuple[int, ...]]] = []
     epic = lambda mask: _refutation(member, mask, codomains, hom_sets) is None
 

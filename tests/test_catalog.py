@@ -20,14 +20,16 @@ from srlkit.catalog import (
     heyting_chain,
     sugihara,
 )
-from srlkit.core import classify, find_isomorphism, validate
+from srlkit.core import _subalgebra, classify, direct_product, find_isomorphism, validate
 from srlkit.documents import export_dot, load, save
 from srlkit.duality import depth
 from srlkit.enumeration import (
     _fusion_search,
     _grown_posets,
+    _iso_invariant,
     _lattice_tables,
     _lattices,
+    _subuniverse_key,
     canonical_form,
     enumerate_models,
     enumerate_posets,
@@ -576,6 +578,47 @@ def test_canonical_form_agrees_with_isomorphism_search(suite):
             same_key = canonical_form(a) == canonical_form(b)
             isomorphic = find_isomorphism(a, b) is not None
             assert same_key == isomorphic, (a.name, b.name)
+
+
+def test_subuniverse_key_is_canonical_forms_one_leaf_case(suite):
+    # `canonical_form` of the built subalgebra is the oracle: the helper
+    # gives its key exactly when the invariants inside the carrier are
+    # distinct, counted here on the subalgebra itself, and None otherwise
+    import random
+
+    from oracles import relabel
+
+    from srlkit.catalog import brouwerian_diamond
+    from srlkit.cones import all_subuniverses
+
+    rng = random.Random(20261020)
+    products = [
+        direct_product(c4(), sugihara(3)),
+        direct_product(brouwerian_diamond(), brouwerian_chain(3)),
+    ]
+    applied = declined = 0
+    for algebra in suite + products:
+        for generator in (algebra, relabel(algebra, rng)):
+            key = _subuniverse_key(generator)
+            for mask in all_subuniverses(generator):
+                carrier = sorted(mask)
+                sub, _ = _subalgebra(generator, carrier)
+                counted = {
+                    _iso_invariant(
+                        sub,
+                        a,
+                        sum(sub.leq(b, a) for b in sub.elements),
+                        sum(sub.leq(a, b) for b in sub.elements),
+                    )
+                    for a in sub.elements
+                }
+                if len(counted) == sub.size:
+                    assert key(carrier) == canonical_form(sub), (generator.name, carrier)
+                    applied += 1
+                else:
+                    assert key(carrier) is None, (generator.name, carrier)
+                    declined += 1
+    assert applied and declined
 
 
 def test_canonical_poset_key_is_relabelling_invariant():

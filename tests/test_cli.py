@@ -114,6 +114,13 @@ def test_dual_wrong_class(capsys):
     assert code == 2 and report["kind"] == "NotBrouwerian"
 
 
+def test_dual_proper_mode_names_the_missing_bottom(capsys):
+    # Brouwerian, so not NotBrouwerian itself: the kind names the bound
+    code, report = run_json(capsys, "dual", "catalog:brouwerian_chain(3)", "--mode", "proper")
+    assert code == 2 and report["kind"] == "NoBottom"
+    assert "bottom" in report["error"]
+
+
 def test_filters_command(capsys):
     code, report = run_json(capsys, "filters", "catalog:c4")
     assert code == 0 and report["count"] == 2

@@ -632,6 +632,45 @@ def test_decide_es_searches_each_hom_set_once(monkeypatch, algebra):
     assert not closure_checks
 
 
+def test_first_epic_subuniverse_does_not_depend_on_codomain_order(suite):
+    # a mask is epic only when no codomain separates it, so the order in
+    # which the codomains are tried cannot change the first epic mask.
+    # `_first_epic_subuniverse` tries the member first whatever the order
+    # given, so a member-first order is the spectrum order's own search;
+    # reversing the others makes a different search once there are two.
+    # The members are relabelled themselves, sparing a second spectrum build
+    rng = random.Random(20261020)
+    for algebra in suite:
+        given = fsi_spectrum(spec_of(algebra)).algebras
+        if len(given) < 3:
+            continue
+        for members in (given, tuple(relabel(m, rng) for m in given)):
+            for member in members:
+                first = varieties._first_epic_subuniverse(member, members)
+                reversed_ = varieties._first_epic_subuniverse(member, members[::-1])
+                assert first == reversed_, (algebra.name, member.name)
+
+
+@pytest.mark.parametrize(
+    "algebra, searches", [(brouwerian_chain(6), 5), (sugihara(7), 3)], ids=["chain6", "sugihara7"]
+)
+def test_decide_es_separates_by_maps_into_the_member_first(monkeypatch, algebra, searches):
+    # every proper subuniverse of these chains is separated by two
+    # endomorphisms, so each member's own hom set is the only one searched
+    # (in spectrum order, 15 and 6 hom sets would be searched)
+    searched = []
+    real_homs = varieties.homomorphisms
+    monkeypatch.setattr(
+        varieties,
+        "homomorphisms",
+        lambda a, b, *args: searched.append((a, b)) or real_homs(a, b, *args),
+    )
+    decision = decide_es(spec_of(algebra))
+    assert decision.surjective
+    assert len(searched) == searches == len(decision.spectrum.algebras)
+    assert all(a is b for a, b in searched)
+
+
 def test_queries_are_relabelling_invariant(suite):
     # every query must give the same answer after the carrier is relabelled;
     # hom sets must transport along the permutation
