@@ -64,17 +64,18 @@ class FiniteAlgebra:
 
     @staticmethod
     def build(size, meet, join, fusion, residual, e, neg=None, bottom=None, name=None):
-        """Construct from possibly-nested lists, deriving the signature."""
-        to_table = lambda t: tuple(tuple(int(x) for x in row) for row in t)
+        """Construct from possibly-nested lists, deriving the signature; the
+        entries are kept as given, for `validate` to check."""
+        to_table = lambda t: tuple(map(tuple, t))
         return FiniteAlgebra(
             size=size,
             meet=to_table(meet),
             join=to_table(join),
             fusion=to_table(fusion),
             residual=to_table(residual),
-            e=int(e),
-            neg=None if neg is None else tuple(int(x) for x in neg),
-            bottom=None if bottom is None else int(bottom),
+            e=e,
+            neg=None if neg is None else tuple(neg),
+            bottom=bottom,
             signature=Signature(neg is not None, bottom is not None),
             name=name,
         )
@@ -697,11 +698,10 @@ def _constraint_schedule(source: FiniteAlgebra, pinned: frozenset[int]) -> tuple
     return schedule
 
 
-def _map_search(source, target, pins, candidates, injective):
-    """Every map source -> target that sends each pinned element to its pin,
-    each other element a to a value in `candidates[a]` (no value used twice
-    when `injective`), and preserves every operation, in lexicographic order
-    by map array.
+def _map_search(source, target, pins, injective):
+    """Every map source -> target that sends each pinned element to its pin
+    (no value used twice when `injective`) and preserves every operation, in
+    lexicographic order by map array.
 
     The unpinned elements are assigned in ascending order, so every
     constraint becomes fully assigned at one known element: the largest
@@ -716,6 +716,7 @@ def _map_search(source, target, pins, candidates, injective):
     pre, slots = _constraint_schedule(source, frozenset(pins))
     tables = _binary_tables(target)
     tneg = target.neg
+    values = target.elements
     free = [a for a in source.elements if mapping[a] < 0]
 
     def holds(slot) -> bool:
@@ -736,7 +737,7 @@ def _map_search(source, target, pins, candidates, injective):
     # Depth-first, one candidate iterator per assigned level.  A loop, not
     # recursion: a self-referencing closure would be a reference cycle that
     # keeps the source, and its schedules, alive until the next collection.
-    levels = [iter(candidates[free[0]])]
+    levels = [iter(values)]
     while levels:
         i = len(levels) - 1
         x = free[i]
@@ -753,7 +754,7 @@ def _map_search(source, target, pins, candidates, injective):
                 mapping[free[i - 1]] = -1
             continue
         if i + 1 < len(free):
-            levels.append(iter(candidates[free[i + 1]]))
+            levels.append(iter(values))
         else:
             yield Homomorphism(source, target, tuple(mapping))
             mapping[x] = -1
@@ -775,8 +776,7 @@ def _homomorphism_search(source, target, partial=None, injective=False):
         pins[k] = v
     if injective and len(set(pins.values())) < len(pins):
         return
-    candidates = [target.elements] * source.size
-    yield from _map_search(source, target, pins, candidates, injective)
+    yield from _map_search(source, target, pins, injective)
 
 
 def homomorphisms(

@@ -15,7 +15,9 @@ every other cell and makes every complete table isotone.  Involutive
 algebras expand each SRL by every involution (which is always the residual
 into the negation of the identity).  Canonical forms are the least
 relabelled tables over the leaves of one colour-refinement and
-individualisation search, shared by algebras and posets.
+individualisation search, shared by algebras and posets; an algebra's search
+runs on a carrier inside its tables, so a subuniverse is keyed without its
+subalgebra being built.
 """
 
 from __future__ import annotations
@@ -40,27 +42,33 @@ LeqMatrix = tuple[tuple[bool, ...], ...]
 # canonical labelling
 
 
-def _canonical_labelling(colours: list, signature, key_of) -> tuple:
+def _rank(values: list) -> list[int]:
+    index = {v: i for i, v in enumerate(sorted(set(values)))}
+    return [index[v] for v in values]
+
+
+def _canonical_labelling(colours: list, signatures, key_of) -> tuple:
     """The least `key_of(perm)` over the discrete colourings, `perm[a]`
     being a's colour, at the leaves of a refine-and-individualise search
     (McKay & Piperno, "Practical graph isomorphism, II", J. Symbolic
-    Computation 60, 2014).  Colours are re-ranked by `(colour,
-    signature(colour, a))` until no class splits; then each element of the
-    first class with several elements gets a colour of its own in turn.
+    Computation 60, 2014).  Colours are re-ranked by each element's
+    `(colour, signature)`, `signatures(colour)` giving every element's in
+    order, until no class splits; then each element of the first class with
+    several elements gets a colour of its own in turn.
     Every step is label-free, so isomorphic inputs get equal keys.  A leaf
     whose key equals the best differs from it by an automorphism, which
     maps the best leaf's finished branch onto the branch where their paths
-    part, so the rest of that branch is dropped.
+    part, so the rest of that branch is dropped.  A discrete seed colouring
+    is the one leaf, and its key is returned at once.
     """
     n = len(colours)
-
-    def rank(values: list) -> list[int]:
-        index = {v: i for i, v in enumerate(sorted(set(values)))}
-        return [index[v] for v in values]
+    seed = _rank(colours)
+    if len(set(seed)) == n:
+        return key_of(tuple(seed))
 
     def refine(colour: list[int]) -> list[int]:
         while len(set(colour)) < n:
-            refined = rank([(colour[a], signature(colour, a)) for a in range(n)])
+            refined = _rank(list(zip(colour, signatures(colour))))
             if refined == colour:  # no class split
                 break
             colour = refined
@@ -95,7 +103,7 @@ def _canonical_labelling(colours: list, signature, key_of) -> tuple:
                 return back
         return depth - 1
 
-    search(rank(colours))
+    search(seed)
     return best
 
 
@@ -110,14 +118,17 @@ def canonical_poset_key(leq: LeqMatrix) -> tuple:
         for a in range(n)
     ]
 
-    def signature(colour: list[int], a: int) -> tuple:
-        return tuple(sorted((colour[b], leq[a][b], leq[b][a]) for b in range(n)))
+    def signatures(colour: list[int]) -> list[tuple]:
+        return [
+            tuple(sorted((colour[b], leq[a][b], leq[b][a]) for b in range(n)))
+            for a in range(n)
+        ]
 
     def key_of(perm: tuple[int, ...]) -> tuple:
         at = sorted(range(n), key=perm.__getitem__)  # the point labelled i
         return tuple([leq[a][b] for a in at for b in at])
 
-    return (n, _canonical_labelling(counts, signature, key_of))
+    return (n, _canonical_labelling(counts, signatures, key_of))
 
 
 def _down_sets(leq: LeqMatrix) -> list[frozenset[int]]:
@@ -243,61 +254,53 @@ def _labelled_key(algebra: FiniteAlgebra, at: list[int], label: Sequence[int]) -
 def canonical_form(algebra: FiniteAlgebra) -> tuple:
     """A permutation-invariant key: isomorphic algebras of the same
     signature get equal keys, non-isomorphic ones distinct keys."""
-    n = algebra.size
-    meet, fusion, neg = algebra.meet, algebra.fusion, algebra.neg
-
-    def signature(colour: list[int], a: int) -> tuple:
-        # order and fusion determine join and residual
-        row = tuple(sorted(
-            (colour[b], meet[a][b] == a, meet[a][b] == b, colour[fusion[a][b]])
-            for b in range(n)
-        ))
-        return row if neg is None else (colour[neg[a]], row)
-
-    def key_of(perm: tuple[int, ...]) -> tuple:
-        # perm[a] is a's label, so the element labelled i comes i-th
-        return _labelled_key(algebra, sorted(range(n), key=perm.__getitem__), perm)
-
-    inv = [
-        _iso_invariant(algebra, a, sum(1 for b, m in enumerate(row) if m == b), row.count(a))
-        for a, row in enumerate(meet)
-    ]
-    best = _canonical_labelling(inv, signature, key_of)
-    return (n, algebra.signature.has_involution, algebra.signature.has_bottom, best)
+    return _subuniverse_key(algebra)(algebra.elements)
 
 
 def _subuniverse_key(algebra: FiniteAlgebra):
     """`key(carrier)`: the `canonical_form` of the subalgebra on the
-    ascending subuniverse `carrier`, read off `algebra`'s own tables, or
-    None.
+    ascending subuniverse `carrier`, found in place on `algebra`'s tables.
 
-    `canonical_form` seeds its search with `_iso_invariant`.  When those
-    invariants, counted inside the carrier, are all distinct, the search
-    has one leaf, which labels each element by its invariant's rank; `key`
-    returns that leaf's key without building the subalgebra.  Otherwise it
-    returns None, and the caller builds the subalgebra and keys it with
-    `canonical_form`, which stays the one labelling search and is this
-    helper's oracle."""
-    meet = algebra.meet
-    below = [sum(1 << b for b, m in enumerate(row) if m == b) for row in meet]
-    above = [sum(1 << b for b, m in enumerate(row) if m == a) for a, row in enumerate(meet)]
+    Position i of the carrier stands for the subalgebra's element i: the
+    invariants are counted inside the carrier, and the labelling search
+    reads `algebra`'s rows with each value's colour or label kept at the
+    value itself, so the key is the built subalgebra's, byte for byte."""
+    meet, fusion, neg = algebra.meet, algebra.fusion, algebra.neg
     head = (algebra.signature.has_involution, algebra.signature.has_bottom)
-    label = [0] * algebra.size
+    painted = [0] * algebra.size  # painted[x]: the colour or label of x's position
 
-    def key(carrier: list[int]) -> Optional[tuple]:
-        mask = sum(1 << x for x in carrier)
-        by_invariant = {
-            _iso_invariant(
-                algebra, x, (below[x] & mask).bit_count(), (above[x] & mask).bit_count()
-            ): x
-            for x in carrier
-        }
-        if len(by_invariant) < len(carrier):
-            return None
-        at = [by_invariant[v] for v in sorted(by_invariant)]
-        for i, x in enumerate(at):
-            label[x] = i
-        return (len(at), *head, _labelled_key(algebra, at, label))
+    def key(carrier: Sequence[int]) -> tuple:
+        def signatures(colour: list[int]) -> list[tuple]:
+            # order and fusion determine join and residual
+            for x, c in zip(carrier, colour):
+                painted[x] = c
+            rows = []
+            for x in carrier:
+                meet_x, fusion_x = meet[x], fusion[x]
+                row = tuple(sorted(
+                    (painted[y], meet_x[y] == x, meet_x[y] == y, painted[fusion_x[y]])
+                    for y in carrier
+                ))
+                rows.append(row if neg is None else (painted[neg[x]], row))
+            return rows
+
+        def key_of(perm: tuple[int, ...]) -> tuple:
+            # perm[i] is position i's label, so the element labelled i comes i-th
+            for x, c in zip(carrier, perm):
+                painted[x] = c
+            at = [carrier[i] for i in sorted(range(len(carrier)), key=perm.__getitem__)]
+            return _labelled_key(algebra, at, painted)
+
+        invariants = []
+        for x in carrier:
+            meet_x = meet[x]
+            below = above = 0
+            for y in carrier:
+                m = meet_x[y]
+                below += m == y
+                above += m == x
+            invariants.append(_iso_invariant(algebra, x, below, above))
+        return (len(carrier), *head, _canonical_labelling(invariants, signatures, key_of))
 
     return key
 

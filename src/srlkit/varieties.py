@@ -16,9 +16,9 @@ The spectrum build rests on two more facts.
   h: B -> B' carries each filter ↑c of B onto the filter ↑h(c) of B', and
   the congruences they determine correspond under h, so h induces
   B/↑c ≅ B'/↑h(c).  Only the first subalgebra of each isomorphism type needs
-  its quotients taken, so each subuniverse is keyed first, off the
-  generator's own tables where `enumeration._subuniverse_key` can, and built
-  only when its key is new.
+  its quotients taken, so each subuniverse is keyed first, in place on the
+  generator's own tables by `enumeration._subuniverse_key`, and built only
+  when its key is new.
 - A/↑c is FSI iff c is join-irreducible in the negative cone A⁻.  Negative
   elements are idempotent, so ↑d is closed under fusion for every d in A⁻;
   and a filter of a finite algebra is the up-set of its least element, which
@@ -138,9 +138,9 @@ def fsi_spectrum(spec: VarietySpec) -> FsiSpectrum:
     join-irreducible in B⁻, since the filters above ↑c are the ↑d with
     d ≤ c and ↑a ∩ ↑b = ↑(a∨b); so only those quotients are built.
     Both dedupes compare `canonical_form` keys; neither searches for an
-    isomorphism.  A subuniverse is keyed before it is built, off the
-    generator's tables by `_subuniverse_key` when it can, so mostly only the
-    subalgebras of new isomorphism types are built."""
+    isomorphism.  A subuniverse is keyed before it is built, in place on the
+    generator's tables by `_subuniverse_key`, so only the subalgebras of new
+    isomorphism types are built."""
     return FsiSpectrum(spec=spec, algebras=spec._fsi_members)
 
 
@@ -152,16 +152,11 @@ def _build_spectrum_members(spec: VarietySpec) -> tuple[FiniteAlgebra, ...]:
         subuniverse_key = _subuniverse_key(gen)
         for mask in all_subuniverses(gen):
             carrier = sorted(mask)
-            sub = None
             key = subuniverse_key(carrier)
-            if key is None:
-                sub, _ = _subalgebra(gen, carrier)
-                key = canonical_form(sub)
             if key in seen_subs:
                 continue
             seen_subs.add(key)
-            if sub is None:
-                sub, _ = _subalgebra(gen, carrier)
+            sub, _ = _subalgebra(gen, carrier)
             for flt in all_deductive_filters(sub):
                 c = _least(sub, flt.members)
                 if not _join_irreducible(sub.meet, sub.join, c):

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 
 import pytest
+from answers import moved
 from oracles import (
     crystal_completion_search,
     fusion_search_rescan,
@@ -580,10 +581,12 @@ def test_canonical_form_agrees_with_isomorphism_search(suite):
             assert same_key == isomorphic, (a.name, b.name)
 
 
-def test_subuniverse_key_is_canonical_forms_one_leaf_case(suite):
-    # `canonical_form` of the built subalgebra is the oracle: the helper
-    # gives its key exactly when the invariants inside the carrier are
-    # distinct, counted here on the subalgebra itself, and None otherwise
+def test_subuniverse_key_is_the_built_subalgebras_canonical_form(suite):
+    # `canonical_form` of the built subalgebra is the oracle for every
+    # subuniverse, whether the invariants inside the carrier already tell
+    # its elements apart (a discrete seed colouring) or the search refines
+    # them; `test_canonical_form_agrees_with_isomorphism_search` checks
+    # `canonical_form` itself against the isomorphism search
     import random
 
     from oracles import relabel
@@ -596,14 +599,15 @@ def test_subuniverse_key_is_canonical_forms_one_leaf_case(suite):
         direct_product(c4(), sugihara(3)),
         direct_product(brouwerian_diamond(), brouwerian_chain(3)),
     ]
-    applied = declined = 0
+    discrete = refined = 0
     for algebra in suite + products:
         for generator in (algebra, relabel(algebra, rng)):
             key = _subuniverse_key(generator)
             for mask in all_subuniverses(generator):
                 carrier = sorted(mask)
                 sub, _ = _subalgebra(generator, carrier)
-                counted = {
+                assert key(carrier) == canonical_form(sub), (generator.name, carrier)
+                seed = {
                     _iso_invariant(
                         sub,
                         a,
@@ -612,13 +616,16 @@ def test_subuniverse_key_is_canonical_forms_one_leaf_case(suite):
                     )
                     for a in sub.elements
                 }
-                if len(counted) == sub.size:
-                    assert key(carrier) == canonical_form(sub), (generator.name, carrier)
-                    applied += 1
+                if len(seed) == sub.size:
+                    discrete += 1
                 else:
-                    assert key(carrier) is None, (generator.name, carrier)
-                    declined += 1
-    assert applied and declined
+                    refined += 1
+    assert discrete and refined
+
+
+def test_canonical_keys_match_the_recorded_family():
+    changed = moved("canonical_keys")
+    assert not changed, f"{len(changed)} keys moved, the first at {changed[0]}"
 
 
 def test_canonical_poset_key_is_relabelling_invariant():

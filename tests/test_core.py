@@ -394,6 +394,25 @@ def test_validate_names_a_constant_or_involution_entry_that_is_not_an_int(
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("meet", [[0, 0], [0, 1.7]], "meet table row 1 column 1 is 1.7, not an int"),
+    ("e", True, "identity element is True, not an int"),
+])
+def test_build_keeps_entries_for_validate_to_name(field, value, message):
+    # `build` stores entries as given: it once stored 1.7 and True as 1,
+    # and `validate` then passed
+    meet = ((0, 0), (0, 1))
+    fields = dict(
+        size=2, meet=meet, join=((0, 1), (1, 1)), fusion=meet,
+        residual=((1, 1), (0, 1)), e=1,
+    )
+    assert validate(FiniteAlgebra.build(**fields)).ok
+    fields[field] = value
+    with pytest.raises(MalformedTable) as exc:
+        validate(FiniteAlgebra.build(**fields))
+    assert str(exc.value) == message
+
+
 def test_one_element_subalgebra():
     # a restriction to one element reads its one cell without itemgetter,
     # which returns a bare entry for a single index

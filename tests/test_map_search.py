@@ -55,9 +55,10 @@ def test_map_search_matches_rescanning_oracle(suite):
             free = [k for k in source.elements if k not in pins]
             if pinned and free:
                 pins[rng.choice(free)] = rng.randrange(target.size)
-            candidates = [target.elements] * source.size
-            fast = _map_search(source, target, pins, candidates, injective)
-            slow = scan_homomorphisms(source, target, pins, candidates, injective)
+            fast = _map_search(source, target, pins, injective)
+            slow = scan_homomorphisms(
+                source, target, pins, [target.elements] * source.size, injective
+            )
             assert [h.mapping for h in fast] == [h.mapping for h in slow]
             kinds[injective, pinned, relabelled] += 1
     assert len(kinds) == 8 and min(kinds.values()) > 800
