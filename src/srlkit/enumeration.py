@@ -11,7 +11,12 @@ lattices (as in Heitzig & Reinhold, "Counting finite lattices", Algebra
 Universalis 48, 2002).  The fusion search branches on the cells between
 join-irreducibles, checks each new cell only against the associativity
 instances it completes, and propagates join-distributivity, which forces
-every other cell and makes every complete table isotone.  Involutive
+every other cell and makes every complete table isotone.  The lattices are
+pairwise non-isomorphic, so two SRLs are isomorphic only through an
+automorphism of their common lattice; each isomorphism type is therefore
+searched at the least identity of its automorphism orbit and built from the
+least table of its orbit there, and the tables an automorphism sends lower
+are skipped unbuilt.  Involutive
 algebras expand each SRL by every involution (which is always the residual
 into the negation of the identity).  Canonical forms are the least
 relabelled tables over the leaves of one colour-refinement and
@@ -27,8 +32,8 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .core import (
-    FiniteAlgebra, Signature, _join_irreducible, brouwerian_reduct, residual_from_fusion,
-    validate,
+    FiniteAlgebra, Signature, _join_irreducible, _map_search, brouwerian_reduct,
+    residual_from_fusion, validate,
 )
 from .duality import PointedPoset, all_up_sets, dual_algebra
 from .errors import BoundExceeded, NotResiduated, VerificationFailure
@@ -442,13 +447,54 @@ def _search_failure(fusion: tuple, e: int, what: str) -> VerificationFailure:
     )
 
 
+def _automorphisms(meet, join) -> list[tuple[int, ...]]:
+    """Every automorphism of the lattice, in lexicographic order by map
+    array, so the identity comes first: the injective maps of the lattice to
+    itself that `_map_search` finds, reading the lattice as an algebra whose
+    fusion is its meet and whose residual is its join."""
+    lattice = FiniteAlgebra(
+        size=len(meet), meet=meet, join=join, fusion=meet, residual=join, e=0
+    )
+    return [h.mapping for h in _map_search(lattice, lattice, {}, True)]
+
+
 def _enumerate_srl(max_size: int) -> list[FiniteAlgebra]:
+    """Every SRL of at most `max_size` elements up to isomorphism: the first
+    table of each type in the order (size, lattice, e, table), and only it
+    is built.
+
+    Lattices of one size are pairwise non-isomorphic, so two SRLs on one
+    lattice are isomorphic only through an automorphism s of it, which sends
+    e to s(e) and the table f to s.f, where (s.f)(s(a), s(b)) = s(f(a, b)).
+    The search is complete, so s.f is among the tables found for s(e).  With
+    e ascending and each search's tables ascending, the first table of a
+    type thus has the least e of its orbit, and is the least table of its
+    orbit under the automorphisms that fix e.  So an e that an automorphism
+    sends lower is not searched, and a table is skipped only when an
+    automorphism fixing e sends it to a lesser table of the same search.
+    A key met twice means the reduction is wrong: VerificationFailure."""
     found: dict[tuple, FiniteAlgebra] = {}
     for n in range(1, max_size + 1):
         for leq in _lattices(n):
             meet, join = _lattice_tables(leq)
+            automorphisms = _automorphisms(meet, join)
             for e in range(n):
-                for fusion in _fusion_search(meet, join, e):
+                if any(s[e] < e for s in automorphisms):
+                    continue
+                # the automorphisms other than the identity that fix e, each with its inverse
+                stabiliser = [
+                    (s, sorted(range(n), key=s.__getitem__))
+                    for s in automorphisms[1:] if s[e] == e
+                ]
+                tables = _fusion_search(meet, join, e)
+                searched = set(tables)
+                for fusion in tables:
+                    moved = (
+                        tuple(tuple(s[fusion[a][b]] for b in inverse) for a in inverse)
+                        for s, inverse in stabiliser
+                    )
+                    if any(m < fusion and m in searched for m in moved):
+                        continue
                     try:
                         residual = residual_from_fusion(n, meet, fusion)
                     except NotResiduated as exc:
@@ -461,7 +507,12 @@ def _enumerate_srl(max_size: int) -> list[FiniteAlgebra]:
                     if not report.ok:
                         first = report.failures()[0]
                         raise _search_failure(fusion, e, f"fails {first.law} at {first.witness}")
-                    found.setdefault(canonical_form(algebra), algebra)
+                    kept = found.setdefault(canonical_form(algebra), algebra)
+                    if kept is not algebra:
+                        raise _search_failure(
+                            fusion, e, f"is isomorphic to the kept table {kept.fusion} "
+                            f"with e = {kept.e}"
+                        )
     return [found[k] for k in sorted(found)]
 
 

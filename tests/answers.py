@@ -28,6 +28,7 @@ from srlkit.catalog import (
 )
 from srlkit.cones import all_subuniverses
 from srlkit.core import _subalgebra, direct_product
+from srlkit.documents import save
 from srlkit.enumeration import canonical_form, enumerate_models
 
 RECORDS = Path(__file__).parent / "answers"
@@ -60,7 +61,15 @@ def canonical_keys():
             yield f"{name}|{','.join(map(str, carrier))}", canonical_form(sub)
 
 
-FAMILIES = {"canonical_keys": canonical_keys}
+def enumerated_models():
+    """The saved document of each model of SRL <= 6, SIRL <= 6 and
+    Brouwerian <= 10, in enumeration order: the bytes of `enumerate --dump`."""
+    for kind, size in (("srl", 6), ("sirl", 6), ("brouwerian", 10)):
+        for index, model in enumerate(enumerate_models(kind, size, bound=size)):
+            yield f"{kind}{size}#{index}", save(model)
+
+
+FAMILIES = {"canonical_keys": canonical_keys, "enumerated_models": enumerated_models}
 
 
 def short_hash(answer) -> str:

@@ -22,11 +22,21 @@ from srlkit.core import (
     find_isomorphism,
     homomorphisms,
     is_subuniverse,
+    residual_from_fusion,
     subalgebra,
     validate,
 )
 from srlkit.duality import PointedPoset, all_up_sets
-from srlkit.enumeration import LeqMatrix, _fusion_search, enumerate_posets, is_lattice
+from srlkit.enumeration import (
+    LeqMatrix,
+    _fusion_search,
+    _lattice_tables,
+    _lattices,
+    _search_failure,
+    canonical_form,
+    enumerate_posets,
+    is_lattice,
+)
 from srlkit.errors import NotResiduated, SrlkitError, VerificationFailure
 from srlkit.filters import (
     Congruence,
@@ -575,6 +585,32 @@ def fusion_search_rescan(meet, join, e: int) -> list[tuple]:
 
     fill(0)
     return results
+
+
+def enumerate_srl_unreduced(max_size: int) -> list[FiniteAlgebra]:
+    """`enumeration._enumerate_srl` without its orbit reduction: every table
+    of every (lattice, e) search is residuated, validated and keyed, and the
+    first of each isomorphism type is kept."""
+    found: dict[tuple, FiniteAlgebra] = {}
+    for n in range(1, max_size + 1):
+        for leq in _lattices(n):
+            meet, join = _lattice_tables(leq)
+            for e in range(n):
+                for fusion in _fusion_search(meet, join, e):
+                    try:
+                        residual = residual_from_fusion(n, meet, fusion)
+                    except NotResiduated as exc:
+                        raise _search_failure(fusion, e, f"is not residuated: {exc}") from exc
+                    algebra = FiniteAlgebra(
+                        size=n, meet=meet, join=join, fusion=fusion,
+                        residual=residual, e=e, name=f"srl#{n}",
+                    )
+                    report = validate(algebra)
+                    if not report.ok:
+                        first = report.failures()[0]
+                        raise _search_failure(fusion, e, f"fails {first.law} at {first.witness}")
+                    found.setdefault(canonical_form(algebra), algebra)
+    return [found[k] for k in sorted(found)]
 
 
 def residual_from_fusion_pairwise(size: int, meet, fusion):

@@ -5,6 +5,7 @@ import pytest
 from answers import moved
 from oracles import (
     crystal_completion_search,
+    enumerate_srl_unreduced,
     fusion_search_rescan,
     lattices_by_filter,
     poset_from_pairs,
@@ -25,6 +26,7 @@ from srlkit.core import _subalgebra, classify, direct_product, find_isomorphism,
 from srlkit.documents import export_dot, load, save
 from srlkit.duality import depth
 from srlkit.enumeration import (
+    _automorphisms,
     _fusion_search,
     _grown_posets,
     _iso_invariant,
@@ -32,6 +34,7 @@ from srlkit.enumeration import (
     _lattices,
     _subuniverse_key,
     canonical_form,
+    canonical_poset_key,
     enumerate_models,
     enumerate_posets,
     is_lattice,
@@ -433,6 +436,80 @@ def test_srl_enumeration_raises_on_a_table_that_is_no_srl(monkeypatch, table, me
         enumeration._enumerate_srl(2)
 
 
+def test_srl_enumeration_raises_on_an_isomorphic_copy(monkeypatch):
+    # the reduction builds one table per isomorphism type, so a search that
+    # returns the 2-chain's Brouwerian table twice trips the key check
+    from srlkit import enumeration
+
+    chain = ((0, 0), (0, 1))
+    monkeypatch.setattr(
+        enumeration, "_fusion_search",
+        lambda meet, join, e: [chain, chain] if (meet, e) == (chain, 1) else [],
+    )
+    with pytest.raises(
+        VerificationFailure,
+        match=r"table \(\(0, 0\), \(0, 1\)\) on 2 elements with e = 1 is isomorphic to the kept",
+    ):
+        enumeration._enumerate_srl(2)
+
+
+def test_srl_enumeration_keeps_every_type_a_faulty_search_returns(monkeypatch):
+    # a table is skipped only for a lesser image that the same search
+    # returned, so a search that loses the least table of an orbit loses no
+    # type while another table of the orbit comes back
+    from srlkit import enumeration
+
+    search = enumeration._fusion_search
+
+    def faulty(meet, join, e):
+        tables = search(meet, join, e)
+        n = len(meet)
+        cells = [(a, b) for a in range(n) for b in range(n)]
+        fixing = [  # (automorphism fixing e, its inverse)
+            (p, sorted(range(n), key=p.__getitem__))
+            for p in itertools.permutations(range(n))
+            if p[e] == e and all(p[meet[a][b]] == meet[p[a]][p[b]] for a, b in cells)
+        ]
+        for i, f in enumerate(tables):
+            if any(tuple(tuple(p[f[a][b]] for b in q) for a in q) != f for p, q in fixing):
+                return tables[:i] + tables[i + 1:]
+        return tables
+
+    monkeypatch.setattr(enumeration, "_fusion_search", faulty)
+    models = enumeration._enumerate_srl(5)
+    assert sorted(map(canonical_form, models)) == [
+        canonical_form(m) for m in enumerate_srl_unreduced(5)
+    ]
+
+
+def test_srl_enumeration_matches_the_unreduced_oracle(monkeypatch):
+    # the same tables in the same order as keying every table of every
+    # search, with one canonical form per model
+    from srlkit import enumeration
+
+    keyed = []
+    monkeypatch.setattr(
+        enumeration, "canonical_form", lambda a: keyed.append(a) or canonical_form(a)
+    )
+    models = enumeration._enumerate_srl(5)
+    assert len(keyed) == len(models) == 75
+    assert [(m, m.name) for m in models] == [(m, m.name) for m in enumerate_srl_unreduced(5)]
+
+
+def test_lattices_are_pairwise_non_isomorphic_with_the_scanned_automorphisms():
+    # the two premises of the reduction: an isomorphism between SRLs found on
+    # different lattices is impossible, and every automorphism is listed
+    for n in range(1, 7):
+        lattices = _lattices(n)
+        assert len({canonical_poset_key(leq) for leq in lattices}) == len(lattices), n
+        for leq in lattices:
+            scanned = [
+                p for p in itertools.permutations(range(n))
+                if all(leq[p[a]][p[b]] == leq[a][b] for a in range(n) for b in range(n))
+            ]
+            assert _automorphisms(*_lattice_tables(leq)) == scanned, leq
+
+
 def test_sirl_enumeration_against_involution_scan():
     # every involution is determined by where it sends the identity, so the
     # oracle scans all unary tables outright for each size-3 base
@@ -628,10 +705,13 @@ def test_canonical_keys_match_the_recorded_family():
     assert not changed, f"{len(changed)} keys moved, the first at {changed[0]}"
 
 
+def test_enumerated_models_match_the_recorded_family():
+    changed = moved("enumerated_models")
+    assert not changed, f"{len(changed)} models moved, the first at {changed[0]}"
+
+
 def test_canonical_poset_key_is_relabelling_invariant():
     import random
-
-    from srlkit.enumeration import canonical_poset_key
 
     rng = random.Random(7)
     for leq in enumerate_posets(5):
@@ -652,7 +732,6 @@ def test_canonical_form_on_symmetric_products():
 
     from srlkit.catalog import brouwerian_diamond
     from srlkit.core import direct_product
-    from srlkit.enumeration import canonical_poset_key
 
     diamond, chain3 = brouwerian_diamond(), brouwerian_chain(3)
     diamond2 = direct_product(diamond, diamond)
