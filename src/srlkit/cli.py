@@ -69,6 +69,8 @@ def _resolve(token: str) -> FiniteAlgebra:
 def _resolve_sub(algebra: FiniteAlgebra, token: str) -> frozenset[int]:
     """Comma-separated element indices naming a subuniverse, or an algebra
     to embed."""
+    if not token.strip():
+        raise ParseError(f"--sub must be indices i,j,... or an algebra, got {token!r}")
     if re.fullmatch(r"\d+(,\d+)*", token):
         indices = [int(x) for x in token.split(",")]
         for i in indices:

@@ -96,10 +96,8 @@ def negative_cone(algebra: FiniteAlgebra) -> tuple[FiniteAlgebra, tuple[int, ...
     k = len(carrier)
     meet = _restricted(algebra.meet, carrier, back)
     join = _restricted(algebra.join, carrier, back)
-    residual = tuple(
-        tuple(back[algebra.meet[algebra.residual[a][b]][algebra.e]] for b in carrier)
-        for a in carrier
-    )
+    # the residual relativized: (a -> b) meet e
+    residual = _restricted(algebra.residual, carrier, [back[row[algebra.e]] for row in algebra.meet])
     cone = FiniteAlgebra(
         size=k,
         meet=meet,

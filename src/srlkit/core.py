@@ -605,8 +605,9 @@ def is_homomorphism(source: FiniteAlgebra, target: FiniteAlgebra, mapping: Seque
                 return False
     for s_table, t_table in zip(_binary_tables(source), _binary_tables(target)):
         for a in elements:
+            s_row, t_row = s_table[a], t_table[mapping[a]]
             for b in elements:
-                if mapping[s_table[a][b]] != t_table[mapping[a]][mapping[b]]:
+                if mapping[s_row[b]] != t_row[mapping[b]]:
                     return False
     return True
 

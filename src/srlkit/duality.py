@@ -208,7 +208,7 @@ def canonical_iso(algebra: FiniteAlgebra, mode: str = "pointed") -> Homomorphism
         frozenset(i for i, c in enumerate(least) if algebra.leq(c, a)) for a in algebra.elements
     ]
     return _onto_up_sets(
-        algebra, images, space, mode,
+        algebra, images, _up_set_algebra(space, mode),
         "canonical image is not an up-set", "canonical map is not an isomorphism",
     )
 
@@ -223,11 +223,12 @@ def _lookup(index: dict, keys, message: str) -> tuple[int, ...]:
     return tuple(found)
 
 
-def _onto_up_sets(source, images, poset, mode, not_up_set, not_iso) -> Homomorphism:
-    """The map sending element i of `source` to the up-set `images[i]` of
-    `poset`, verified to be an isomorphism onto the up-set algebra in `mode`:
-    `not_up_set` when an image is not one of its elements, else `not_iso`."""
-    target, index = _up_set_algebra(poset, mode)
+def _onto_up_sets(source, images, up_set_algebra, not_up_set, not_iso) -> Homomorphism:
+    """The map sending element i of `source` to the up-set `images[i]`,
+    verified to be an isomorphism onto the up-set algebra, given with its
+    index as `_up_set_algebra` returns them: `not_up_set` when an image is
+    not one of its elements, else `not_iso`."""
+    target, index = up_set_algebra
     hom = Homomorphism(source, target, _lookup(index, images, not_up_set))
     if not (hom.is_bijective and is_homomorphism(source, target, hom.mapping)):
         raise VerificationFailure(not_iso)
@@ -283,10 +284,12 @@ def e_subspace(
             "e_subspace works in pointed mode; pass the unbounded reduct"
         )
     least, _, space = _prime_space(algebra, "pointed")
-    subspace = _e_subspace(algebra, least, space, flt)
+    up_sets: dict = {}
+    subspace = _e_subspace(algebra, least, space, flt, up_sets)
     if chain_filter is not None:
         upper = _e_subspace(
-            algebra, least, space, chain_filter, "tower verification needs a deductive filter"
+            algebra, least, space, chain_filter, up_sets,
+            "tower verification needs a deductive filter",
         )
         if not flt.members <= chain_filter.members:
             raise NotAFilter("tower verification needs a filter extending the first")
@@ -299,12 +302,15 @@ def _e_subspace(
     least: tuple[int, ...],
     space: PointedPoset,
     flt: DeductiveFilter,
+    up_sets: dict,
     not_a_filter: str = "e_subspace needs a deductive filter",
 ) -> ESubspace:
     """`e_subspace` without `chain_filter`, given the least elements of the
     prime filters and the dual space from `_prime_space(algebra, "pointed")`:
-    the points above ↑c are the ↑j with j ≤ c.  A `flt` that is not a
-    deductive filter raises `not_a_filter`."""
+    the points above ↑c are the ↑j with j ≤ c.  `up_sets` maps each subspace
+    poset met so far to its pointed `_up_set_algebra`, which a new poset
+    joins; the isomorphism onto it is checked on every call.  A `flt` that
+    is not a deductive filter raises `not_a_filter`."""
     if not is_deductive_filter(algebra, flt.members):
         raise NotAFilter(not_a_filter)
     c = _least(algebra, flt.members)
@@ -324,8 +330,11 @@ def _e_subspace(
 
     by_class = tuple(point_sets[cls] for cls in q_algebra.elements)
     local_sets = [frozenset([local[p] for p in image]) for image in by_class]
+    up_set_algebra = up_sets.get(sub_poset)
+    if up_set_algebra is None:
+        up_set_algebra = up_sets[sub_poset] = _up_set_algebra(sub_poset, "pointed")
     iso = _onto_up_sets(
-        q_algebra, local_sets, sub_poset, "pointed",
+        q_algebra, local_sets, up_set_algebra,
         "quotient image is not a non-empty up-set", "subspace map is not an isomorphism",
     )
     return ESubspace(sub_poset, parent_ids, q_algebra, q_map, iso, by_class)

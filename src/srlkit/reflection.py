@@ -11,6 +11,7 @@ them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable
 
 from .core import (
@@ -63,68 +64,48 @@ def reflect(base: FiniteAlgebra) -> ReflectionAlgebra:
     n = base.size
     size = 2 * n + 2
     bot, top = 0, 2 * n + 1
-    b = lambda a: 1 + a          # base block index
-    p = lambda a: n + 1 + a      # primed block index
-
-    kind = [None] * size
-    kind[bot] = ("bot",)
-    kind[top] = ("top",)
-    for a in range(n):
-        kind[b(a)] = ("base", a)
-        kind[p(a)] = ("primed", a)
-
-    def meet_op(x: int, y: int) -> int:
-        """The ordinal sum bottom < base < primed (reversed) < top."""
-        if x == bot or y == top:
-            return x
-        if y == bot or x == top:
-            return y
-        kx, ky = kind[x], kind[y]
-        if kx[0] != ky[0]:  # each base element lies below every primed one
-            return x if kx[0] == "base" else y
-        if kx[0] == "base":
-            return b(base.meet[kx[1]][ky[1]])
-        return p(base.join[kx[1]][ky[1]])
-
-    def fusion_op(x: int, y: int) -> int:
-        if x == bot or y == bot:
-            return bot
-        if x == top or y == top:
-            return top
-        kx, ky = kind[x], kind[y]
-        if kx[0] == "base" and ky[0] == "base":
-            return b(base.fusion[kx[1]][ky[1]])
-        if kx[0] == "primed" and ky[0] == "primed":
-            return top
-        if kx[0] == "primed":
-            kx, ky = ky, kx
-        return p(base.residual[kx[1]][ky[1]])  # a * b' = (a -> b)'
-
-    neg = [0] * size
-    neg[bot], neg[top] = top, bot
-    for a in range(n):
-        neg[b(a)] = p(a)
-        neg[p(a)] = b(a)
-
-    meet = tuple(tuple(meet_op(x, y) for y in range(size)) for x in range(size))
-    # neg reverses the order, so it turns meets into joins (De Morgan)
-    join = tuple(tuple(neg[meet[neg[x]][neg[y]]] for y in range(size)) for x in range(size))
-    fusion = tuple(tuple(fusion_op(x, y) for y in range(size)) for x in range(size))
-    residual = tuple(
-        tuple(neg[fusion[x][neg[y]]] for y in range(size)) for x in range(size)
+    based, primed = tuple(range(1, n + 1)), tuple(range(n + 1, 2 * n + 1))  # index of a
+    tags = (
+        ("bot",), *(("base", a) for a in range(n)), *(("primed", a) for a in range(n)), ("top",)
     )
+    neg = (top, *primed, *based, bot)
+
+    # each table row by blocks (bottom, base, primed, top), from base rows
+    lift = lambda block, row: tuple(map(block.__getitem__, row))
+    # the ordinal sum bottom < base < primed (reversed) < top
+    meet = (
+        (bot,) * size,
+        *((bot, *lift(based, base.meet[a]), *(based[a],) * (n + 1)) for a in range(n)),
+        *((bot, *based, *lift(primed, base.join[a]), primed[a]) for a in range(n)),
+        tuple(range(size)),
+    )
+    # a * b' = b' * a = (a -> b)', and the product of two primed elements is the top
+    columns = tuple(zip(*base.residual))
+    fusion = (
+        (bot,) * size,
+        *((bot, *lift(based, base.fusion[a]), *lift(primed, base.residual[a]), top)
+          for a in range(n)),
+        *((bot, *lift(primed, columns[a]), *(top,) * (n + 1)) for a in range(n)),
+        (bot, *(top,) * (size - 1)),
+    )
+    # neg reverses the order, so it turns meets into joins (De Morgan), and
+    # x -> y = (x * y')'; the row of x is read at neg[y] and negated
+    at_neg = itemgetter(*neg)
+    dual = lambda row: lift(neg, at_neg(row))
+    join = tuple(dual(meet[x]) for x in neg)
+    residual = tuple(map(dual, fusion))
     result = FiniteAlgebra(
         size=size,
         meet=meet,
         join=join,
         fusion=fusion,
-        residual=tuple(residual),
-        e=b(base.e),
-        neg=tuple(neg),
+        residual=residual,
+        e=based[base.e],
+        neg=neg,
         signature=Signature(True, False),
         name=None if base.name is None else f"reflection({base.name})",
     )
-    return ReflectionAlgebra(base=base, algebra=result, tags=tuple(kind))
+    return ReflectionAlgebra(base=base, algebra=result, tags=tags)
 
 
 def reflect_subalgebra(

@@ -369,7 +369,10 @@ class _ParentSide:
     `_cone_prime_data`, the index of each cone element by parent element,
     the depth of each dual point, the e-subspaces already built and verified
     on the cone, by cone-filter members, and the `_KernelSide` of each
-    kernel already met, by its members."""
+    kernel already met, by its members.  `up_sets` holds the pointed
+    up-set algebra, with its index, of each e-subspace poset met so far on
+    the parent's cone or a subalgebra's, by poset; it is a pure function of
+    the poset, and every map onto it is still checked on every call."""
 
     def __init__(self, algebra: FiniteAlgebra):
         self.fsi = is_fsi(algebra)
@@ -381,12 +384,13 @@ class _ParentSide:
             self.depths = tuple(_point_depths(self.space))
         self._subspaces: dict[frozenset[int], ESubspace] = {}
         self._kernels: dict[frozenset[int], _KernelSide] = {}
+        self.up_sets: dict = {}
 
     def subspace(self, members: frozenset[int]) -> ESubspace:
         found = self._subspaces.get(members)
         if found is None:
             flt = DeductiveFilter(self.cone, members)
-            found = _e_subspace(self.cone, self.cone_least, self.space, flt)
+            found = _e_subspace(self.cone, self.cone_least, self.space, flt, self.up_sets)
             self._subspaces[members] = found
         return found
 
@@ -440,17 +444,19 @@ def epi_analysis(algebra: FiniteAlgebra, members: Iterable[int]) -> EpiAnalysis:
 
     Consecutive calls on one algebra object reuse what depends on the
     algebra alone: whether it is FSI and negatively generated, its cone with
-    the cone's prime filters, dual space and point depths, and each
-    e-subspace of the cone that the retract square has already built and
-    verified, by filter.  They also reuse what depends on the algebra and
-    the kernel (the meet of the two chosen filters) alone, by kernel: the
-    congruence θ it generates, A/θ with its quotient map, the kernel's
-    e-subspace and the identification of A/θ's cone with that subspace's
-    quotient.  That is sound because an algebra is immutable and these are
-    functions of it and of the filter or kernel: every check still runs
-    once on each distinct input, and a build that fails its checks raises
-    before it is stored.  Every check on the subalgebra side runs on every
-    call.  A call on another algebra replaces them all.
+    the cone's prime filters, dual space and point depths, each e-subspace
+    of the cone that the retract square has already built and verified, by
+    filter, and the up-set algebra of each e-subspace poset met so far, on
+    its cone or on a subalgebra's, by poset.  They also reuse what depends
+    on the algebra and the kernel (the meet of the two chosen filters)
+    alone, by kernel: the congruence θ it generates, A/θ with its quotient
+    map, the kernel's e-subspace and the identification of A/θ's cone with
+    that subspace's quotient.  That is sound because an algebra is
+    immutable and these are functions of it and of the filter, kernel or
+    poset: every check still runs once on each distinct input, and a build
+    that fails its checks raises before it is stored.  Every check on the
+    subalgebra side runs on every call, the isomorphism onto a kept up-set
+    algebra included.  A call on another algebra replaces them all.
 
     `refute_epic` relies on the gap and cover checks here when it takes its
     retraction from `_separating_retraction`, which skips re-proving them."""
@@ -557,7 +563,9 @@ def _verify_retract_square(parent, side, traces, first, qe):
         i for i, x in enumerate(b_carrier)
         if inclusion.mapping[x] in first
     )
-    sub_z = _e_subspace(b_cone, b_least, b_space, DeductiveFilter(b_cone, trace_local))
+    sub_z = _e_subspace(
+        b_cone, b_least, b_space, DeductiveFilter(b_cone, trace_local), parent.up_sets
+    )
 
     # i_* on dual points: intersect with the subalgebra's cone; B's primes
     # are distinct sets, so a trace matches at most one of them

@@ -26,10 +26,13 @@ from srlkit.catalog import (
     sugihara,
     trivial,
 )
-from srlkit.cones import all_subuniverses
+from srlkit.cones import all_subuniverses, is_negatively_generated
 from srlkit.core import _subalgebra, direct_product
 from srlkit.documents import save
 from srlkit.enumeration import canonical_form, enumerate_models
+from srlkit.errors import HypothesesNotMet
+from srlkit.filters import is_fsi
+from srlkit.varieties import refute_epic
 
 RECORDS = Path(__file__).parent / "answers"
 
@@ -69,7 +72,45 @@ def enumerated_models():
             yield f"{kind}{size}#{index}", save(model)
 
 
-FAMILIES = {"canonical_keys": canonical_keys, "enumerated_models": enumerated_models}
+def certificates(sizes=(("brouwerian", 9), ("srl", 6), ("sirl", 6))):
+    """`refute_epic` on each pair of the `certify` sweep, unrelabelled: every
+    FSI, negatively generated model of each (class, largest size) in `sizes`
+    with each proper subuniverse whose subalgebra is negatively generated.
+    The id is the class, the model's size, its index among the models of
+    that size, and the subuniverse; the answer is the target's tables, both
+    maps, the witness, the case, both filters and the gap, or the refusal."""
+    for kind, max_size in sizes:
+        seen = {}
+        for model in enumerate_models(kind, max_size, bound=max_size):
+            index = seen[model.size] = seen.get(model.size, -1) + 1
+            if not (is_fsi(model) and is_negatively_generated(model)):
+                continue
+            for mask in all_subuniverses(model):
+                if len(mask) == model.size:
+                    continue
+                sub, _ = _subalgebra(model, sorted(mask))
+                if not is_negatively_generated(sub):
+                    continue
+                id_ = f"{kind}{model.size}#{index}|{','.join(map(str, sorted(mask)))}"
+                try:
+                    cert = refute_epic(model, mask)
+                except HypothesesNotMet as exc:
+                    yield id_, str(exc)
+                    continue
+                target, analysis = cert.target, cert.analysis
+                yield id_, [
+                    [target.meet, target.join, target.fusion, target.residual, target.neg],
+                    cert.first_map.mapping, cert.second_map.mapping, cert.witness,
+                    analysis.case, sorted(analysis.first_filter),
+                    sorted(analysis.second_filter), sorted(analysis.gap),
+                ]
+
+
+FAMILIES = {
+    "canonical_keys": canonical_keys,
+    "enumerated_models": enumerated_models,
+    "certificates": certificates,
+}
 
 
 def short_hash(answer) -> str:
@@ -77,15 +118,22 @@ def short_hash(answer) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _lines(family: str) -> list[str]:
-    return [f"{id_}\t{short_hash(answer)}" for id_, answer in FAMILIES[family]()]
+def _lines(family: str, **options) -> list[str]:
+    return [f"{id_}\t{short_hash(answer)}" for id_, answer in FAMILIES[family](**options)]
 
 
-def moved(family: str) -> list[str]:
+def moved(family: str, sizes=None) -> list[str]:
     """The ids whose answers differ from the record, in record order, plus
-    any input that was added to or dropped from the family."""
+    any input that was added to or dropped from the family.  `sizes`, given
+    to a family that takes it, checks only the recorded ids of models of
+    those (class, largest size) pairs."""
     recorded = (RECORDS / f"{family}.txt").read_text().splitlines()
-    current = _lines(family)
+    if sizes is None:
+        current = _lines(family)
+    else:
+        heads = {f"{kind}{n}" for kind, top in sizes for n in range(top + 1)}
+        recorded = [line for line in recorded if line.split("#")[0] in heads]
+        current = _lines(family, sizes=sizes)
     changed = [line.split("\t")[0] for line, now in zip(recorded, current) if line != now]
     extra = recorded[len(current):] + current[len(recorded):]
     return changed + [line.split("\t")[0] for line in extra]

@@ -366,6 +366,69 @@ def cone_join_irreducibles(algebra: FiniteAlgebra) -> set[int]:
     return out
 
 
+def negative_cone_cells(algebra: FiniteAlgebra) -> tuple[FiniteAlgebra, tuple[int, ...]]:
+    """`cones.negative_cone`, each cell on its own: meet and join restricted
+    to the elements below e, and the residual relativized, (a -> b) meet e."""
+    carrier = algebra.below_e
+    back = {x: i for i, x in enumerate(carrier)}
+    cells = lambda op: tuple(tuple(back[op(a, b)] for b in carrier) for a in carrier)
+    meet = cells(lambda a, b: algebra.meet[a][b])
+    cone = FiniteAlgebra(
+        size=len(carrier),
+        meet=meet,
+        join=cells(lambda a, b: algebra.join[a][b]),
+        fusion=meet,
+        residual=cells(lambda a, b: algebra.meet[algebra.residual[a][b]][algebra.e]),
+        e=back[algebra.e],
+        bottom=None if algebra.bottom is None else back[algebra.bottom],
+        signature=Signature(False, algebra.signature.has_bottom),
+    )
+    return cone, carrier
+
+
+def reflect_cells(base: FiniteAlgebra):
+    """The meet and fusion tables of `reflection.reflect(base)`, each cell
+    by cases on the blocks of its row and column: bottom, base, primed,
+    top."""
+    n = base.size
+    size = 2 * n + 2
+    bot, top = 0, 2 * n + 1
+    b = lambda a: 1 + a          # base block index
+    p = lambda a: n + 1 + a      # primed block index
+    kind = [("bot",)] + [("base", a) for a in range(n)] + [("primed", a) for a in range(n)]
+    kind.append(("top",))
+
+    def meet_op(x: int, y: int) -> int:
+        """The ordinal sum bottom < base < primed (reversed) < top."""
+        if x == bot or y == top:
+            return x
+        if y == bot or x == top:
+            return y
+        kx, ky = kind[x], kind[y]
+        if kx[0] != ky[0]:  # each base element lies below every primed one
+            return x if kx[0] == "base" else y
+        if kx[0] == "base":
+            return b(base.meet[kx[1]][ky[1]])
+        return p(base.join[kx[1]][ky[1]])
+
+    def fusion_op(x: int, y: int) -> int:
+        if x == bot or y == bot:
+            return bot
+        if x == top or y == top:
+            return top
+        kx, ky = kind[x], kind[y]
+        if kx[0] == "base" and ky[0] == "base":
+            return b(base.fusion[kx[1]][ky[1]])
+        if kx[0] == "primed" and ky[0] == "primed":
+            return top
+        if kx[0] == "primed":
+            kx, ky = ky, kx
+        return p(base.residual[kx[1]][ky[1]])  # a * b' = (a -> b)'
+
+    table = lambda op: tuple(tuple(op(x, y) for y in range(size)) for x in range(size))
+    return table(meet_op), table(fusion_op)
+
+
 def reflection_meet_by_order(base: FiniteAlgebra):
     """The meet table of `reflection.reflect(base)`, as the greatest lower
     bound under the reflection order: bottom, the base block, the primed

@@ -253,6 +253,19 @@ def test_sub_index_outside_the_carrier_is_an_input_error(capsys):
         assert report["error"] == "element 99 is outside 0..3 (size 4)"
 
 
+@pytest.mark.parametrize("sub", ["", " "])
+def test_empty_sub_is_a_parse_error(capsys, sub):
+    # an empty --sub used to be opened as a document path: FileNotFoundError
+    for argv in (
+        ("epic", "catalog:brouwerian_chain(4)", "--sub", sub,
+         "--variety", "catalog:brouwerian_chain(4)"),
+        ("refute-epic", "catalog:brouwerian_chain(4)", "--sub", sub),
+    ):
+        code, report = run_json(capsys, *argv)
+        assert code == 2 and report["kind"] == "ParseError"
+        assert report["error"] == f"--sub must be indices i,j,... or an algebra, got {sub!r}"
+
+
 @pytest.mark.parametrize(
     "name, sub, members", [("brouwerian_chain(4)", "0,1", [0, 1]), ("crystal", "0,1,5", [0, 1, 5])]
 )

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from oracles import (
     BinOp,
@@ -7,6 +9,8 @@ from oracles import (
     eval_term,
     generate_subalgebra,
     lattice_filters,
+    negative_cone_cells,
+    relabel,
     term_size,
     term_variables,
 )
@@ -57,6 +61,15 @@ def test_negative_cone_validates_on_suite(suite):
         assert flags.integral
         if algebra.signature.has_bottom:
             assert flags.heyting
+
+
+def test_negative_cone_matches_the_cell_oracle(suite):
+    # the cone's tables are restricted a row at a time; the oracle forms
+    # each cell, on the suite as given and relabelled
+    rng = random.Random(2501)
+    for algebra in suite:
+        for image in (algebra, relabel(algebra, rng)):
+            assert negative_cone(image) == negative_cone_cells(image)
 
 
 def test_generate_c4_from_cone():

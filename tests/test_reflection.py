@@ -1,11 +1,11 @@
 import random
 
 import pytest
-from oracles import relabel
+from oracles import reflect_cells, reflection_meet_by_order, relabel
 
 from srlkit.catalog import brouwerian_chain, c4, heyting_chain, trivial
 from srlkit.cones import all_subuniverses, subuniverse_closure
-from srlkit.core import classify, find_isomorphism, subalgebra, validate
+from srlkit.core import Signature, classify, find_isomorphism, subalgebra, validate
 from srlkit.enumeration import enumerate_models
 from srlkit.errors import NotASubalgebra, WrongSignature
 from srlkit.filters import Congruence, all_congruences, is_fsi
@@ -31,6 +31,18 @@ def test_reflect_two_chain():
     assert validate(refl.algebra).ok
     flags = classify(refl.algebra)
     assert flags.de_morgan_monoid
+
+
+def test_reflect_matches_the_cell_oracle(srl5, catalog_algebras):
+    # meet and fusion are built a block row at a time; the oracle forms each
+    # cell by cases, and the meet is also the order's greatest lower bound
+    rng = random.Random(2502)
+    bases = [a for a in catalog_algebras if a.signature == Signature(False, False)]
+    assert len(bases) == 5
+    for base in bases + [b for a in srl5 for b in (a, relabel(a, rng))]:
+        algebra = reflect(base).algebra
+        assert (algebra.meet, algebra.fusion) == reflect_cells(base)
+        assert algebra.meet == reflection_meet_by_order(base)
 
 
 def test_reflect_rejects_wrong_signature():

@@ -1,12 +1,14 @@
 import dataclasses
 import gc
 import hashlib
+import itertools
 import json
 import random
 import sys
 import weakref
 
 import pytest
+from answers import moved
 from oracles import (
     decide_es_per_mask,
     epic_refutation_scan,
@@ -16,7 +18,7 @@ from oracles import (
     relabelling,
 )
 
-from srlkit import varieties
+from srlkit import duality, varieties
 from srlkit.catalog import brouwerian_chain, brouwerian_diamond, c4, crystal, sugihara, trivial
 from srlkit.cones import all_subuniverses, is_negatively_generated
 from srlkit.core import (
@@ -456,6 +458,18 @@ def _certificate_answer(cert):
     return maps, _tables(cert.target), _analysis_answer(analysis), analysis.sub_quotient_map.mapping
 
 
+def test_certificates_match_the_recorded_family():
+    # recorded before the up-set algebras were kept per parent
+    changed = moved("certificates", sizes=(("brouwerian", 7), ("srl", 5), ("sirl", 5)))
+    assert not changed, f"{len(changed)} certificates moved, the first at {changed[0]}"
+
+
+@pytest.mark.slow
+def test_every_certificate_matches_the_recorded_family():
+    changed = moved("certificates")
+    assert not changed, f"{len(changed)} certificates moved, the first at {changed[0]}"
+
+
 def test_refute_epic_matches_the_public_rebuild(suite):
     # θ, A/θ and the cone identification are kept per (algebra, kernel), and
     # the retraction skips the hypotheses `epi_analysis` has checked; the
@@ -512,6 +526,48 @@ def test_epi_analysis_gives_each_parent_its_own_verdict():
     assert _refutation_answer(chain, {0, 1}) == "B is not a subalgebra"
     assert _refutation_answer(chain, {0, 1, 2}) == "B is not proper"
     assert _refutation_answer(chain, {0, 2}, analyse=True) == fresh
+
+
+def test_kept_up_set_algebras_match_fresh_builds(suite, monkeypatch):
+    # each parent side keeps the up-set algebra of every e-subspace poset it
+    # meets; on a sweep that alternates parents, each one taken from the
+    # store equals a fresh build, and a move to another algebra empties it
+    reused = []
+    build = varieties._e_subspace
+
+    def checked(algebra, least, space, flt, up_sets, *message):
+        kept = dict(up_sets)
+        subspace = build(algebra, least, space, flt, up_sets, *message)
+        if subspace.poset in kept:
+            target, index = kept[subspace.poset]
+            assert (target, index) == duality._up_set_algebra(subspace.poset, "pointed")
+            assert subspace.iso.target is target
+            reused.append(subspace.poset)
+        return subspace
+
+    monkeypatch.setattr(varieties, "_e_subspace", checked)
+    rng = random.Random(2503)
+    parents = [
+        image for algebra in suite if algebra.size == 6 and is_fsi(algebra)
+        for image in (algebra, relabel(algebra, rng))
+    ]
+    # each parent's pairs in runs of four, the runs of all parents in turn
+    masks = [[m for m in all_subuniverses(a) if len(m) < a.size] for a in parents]
+    runs = [[(a, ms[k:k + 4]) for k in range(0, len(ms), 4)] for a, ms in zip(parents, masks)]
+    calls = 0
+    for algebra, run in filter(None, itertools.chain(*itertools.zip_longest(*runs))):
+        for mask in run:
+            try:
+                refute_epic(algebra, mask)
+            except HypothesesNotMet:
+                continue
+            calls += 1
+    assert (len(parents), calls, len(reused)) == (8, 130, 132)
+
+    assert varieties._last_parent[1].up_sets
+    with pytest.raises(HypothesesNotMet, match="A is not negatively generated"):
+        epi_analysis(crystal(), {0, 1, 4, 5})
+    assert varieties._last_parent[1].up_sets == {}
 
 
 def test_epi_analysis_keeps_no_algebra_but_the_latest():
