@@ -3,15 +3,16 @@ cone/quotient isomorphism, whose map `_identify_cones` builds and checks
 for `cone_quotient_iso` and for the retract square of `epi_analysis`.
 
 Closures run on int bitmasks (bit a set when a is a member).
-`all_subuniverses` enumerates them close-by-one through `core.closed_sets`,
-and its closure by a gives up at the first element below a that the
-closed set lacks, since the result could not be canonical.
+`_subuniverse_masks` enumerates the subuniverses close-by-one through
+`core.closed_sets`, lazily and in ascending order, and `all_subuniverses`
+lists them as sets; the closure by a gives up at the first element below a
+that the closed set lacks, since the result could not be canonical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .core import (
     FiniteAlgebra, Signature, _bits, _is_element, _members, _restricted, brouwerian_reduct,
@@ -76,12 +77,17 @@ def _generated(algebra: FiniteAlgebra, generators: Iterable[int]) -> int:
 
 def all_subuniverses(algebra: FiniteAlgebra) -> list[frozenset[int]]:
     """Every subuniverse, ordered by subset bitmask."""
-    masks = closed_sets(
+    return [_members(m) for m in _subuniverse_masks(algebra)]
+
+
+def _subuniverse_masks(algebra: FiniteAlgebra) -> Iterator[int]:
+    """Every subuniverse as an int bitmask, ascending, each closed only when
+    the one before it has been taken."""
+    return closed_sets(
         algebra.size,
         _generated(algebra, ()),
         lambda s, a: _close(algebra, s, (a,), ((1 << a) - 1) & ~s),
     )
-    return [_members(m) for m in masks]
 
 
 def negative_cone(algebra: FiniteAlgebra) -> tuple[FiniteAlgebra, tuple[int, ...]]:

@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
+from heapq import heappop, heappush
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     DerivedLawFailure, MalformedTable, NotASubalgebra, NotResiduated, VerificationFailure,
@@ -821,24 +822,25 @@ def is_subuniverse(algebra: FiniteAlgebra, members: Iterable[int]) -> bool:
 
 def closed_sets(
     size: int, least: int, extend: Callable[[int, int], Optional[int]]
-) -> list[int]:
+) -> Iterator[int]:
     """Every closed set of a closure system on 0..size-1, as ascending int
-    bitmasks (bit a set when a is a member).  `least` is the least closed
-    set and `extend(s, a)` the least closed set containing the closed set
-    `s` and the element `a`, or None once that closure is known to take in
-    an element below a that is not in `s`.
+    bitmasks (bit a set when a is a member), made as they are asked for.
+    `least` is the least closed set and `extend(s, a)` the least closed set
+    containing the closed set `s` and the element `a`, or None once that
+    closure is known to take in an element below a that is not in `s`.
 
     Close-by-one (S. O. Kuznetsov, 1993; Outrata and Vychodil, Inf. Sci.
     185, 2012): a set reached by adding y is extended only by elements
     a >= y, and its extension by a is kept only when it agrees with it
     below a.  So each closed set is reached once, from one parent, with no
     record of the sets seen, and the cost follows the number of closed
-    sets, not 2^size.  That needs `extend` to be extensive: a closure that
-    misses s or a raises VerificationFailure."""
-    found = [least]
-    stack = [(least, 0)]
-    while stack:
-        s, y = stack.pop()
+    sets, not 2^size.  A child's mask exceeds its parent's, so the nodes
+    come out of a min-heap ascending; each is yielded before it is extended.
+    `extend` must be extensive: one missing s or a raises VerificationFailure."""
+    heap = [(least, 0)]
+    while heap:
+        s, y = heappop(heap)
+        yield s
         for a in range(y, size):
             bit = 1 << a
             if s & bit:
@@ -849,9 +851,7 @@ def closed_sets(
             if t & (s | bit) != s | bit:
                 raise VerificationFailure(f"extend({_bits(s)}, {a}) misses {_bits((s | bit) & ~t)}")
             if not t & (bit - 1) & ~s:
-                found.append(t)
-                stack.append((t, a + 1))
-    return sorted(found)
+                heappush(heap, (t, a + 1))
 
 
 def _bits(mask: int) -> list[int]:

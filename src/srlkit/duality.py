@@ -66,7 +66,7 @@ def _up_masks(poset: PointedPoset, include_empty: bool) -> list[int]:
     the order below a that lies outside s."""
     n = poset.size
     up = [sum(1 << b for b in range(n) if poset.leq[a][b]) for a in range(n)]
-    ups = closed_sets(n, 0, lambda s, a: None if up[a] & ((1 << a) - 1) & ~s else s | up[a])
+    ups = list(closed_sets(n, 0, lambda s, a: None if up[a] & ((1 << a) - 1) & ~s else s | up[a]))
     return ups if include_empty else ups[1:]  # the empty set sorts first
 
 

@@ -10,7 +10,7 @@ subdirectly irreducible (hence FSI) factor, so epicity only needs checking
 against the spectrum.  `_refutation` makes that check for both
 `is_epic_subalgebra` and `decide_es`.
 
-The spectrum build rests on two more facts.
+The spectrum build rests on three more facts.
 
 - Isomorphic subalgebras have isomorphic quotients.  An isomorphism
   h: B -> B' carries each filter ↑c of B onto the filter ↑h(c) of B', and
@@ -31,6 +31,26 @@ The spectrum build rests on two more facts.
   a, b < c.  The least element of A, whose quotient is trivial, is the
   empty join and so not join-irreducible.  Everything below c lies in A⁻,
   so c is join-irreducible in A⁻ exactly when it is in A's lattice.
+- V(A) is generated by A's top SI quotients, the A/↑c with c maximal among
+  the join-irreducibles of A⁻.  Residuated lattices have lattice reducts,
+  so every variety of them is congruence-distributive, and by Jónsson's
+  lemma (B. Jónsson, "Algebras whose congruence lattices are distributive",
+  Math. Scand. 21, 1967) the FSI members of V(K), for a finite set K of
+  finite algebras, lie in HS(K), up to isomorphism.  The ↑c with c
+  join-irreducible meet in ↑e, the filter of the least congruence, because
+  e is the join of the join-irreducibles below it; so A is a subdirect
+  product of its quotients A/↑c.  When c ≤ c', ↑c contains ↑c', so A/↑c
+  is a quotient of A/↑c'.  So A lies in SP of its top quotients, which lie
+  in H(A), and V(A) and V(top quotients) have the same FSI spectrum up to
+  isomorphism.  An FSI A has e as its one maximal join-irreducible, so it
+  stands for itself.  The build first learns the spectrum's key set from
+  the full build on the top quotients, which are small; the build on the
+  generators then stops as soon as it has met every key of that set.  The
+  full build would meet no key outside it, so what the stopped build has
+  emitted by then, members, order and names, is what the full build emits.
+  A key outside the set, or a set left partly unmet, raises
+  VerificationFailure.  When every generator is FSI, there is nothing to
+  learn, and the build runs once, to its end.
 """
 
 from __future__ import annotations
@@ -39,10 +59,11 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import permutations
 from operator import itemgetter
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .cones import (
     _identify_cones,
+    _subuniverse_masks,
     all_subuniverses,
     is_negatively_generated,
     negative_cone,
@@ -51,6 +72,7 @@ from .cones import (
 from .core import (
     FiniteAlgebra,
     Homomorphism,
+    _bits,
     _covers,
     _extend,
     _is_element,
@@ -140,18 +162,81 @@ def fsi_spectrum(spec: VarietySpec) -> FsiSpectrum:
     Both dedupes compare `canonical_form` keys; neither searches for an
     isomorphism.  A subuniverse is keyed before it is built, in place on the
     generator's tables by `_subuniverse_key`, so only the subalgebras of new
-    isomorphism types are built."""
+    isomorphism types are built.
+
+    A third fact, Jónsson's lemma, stops the build early.  The generators'
+    top SI quotients, A/↑c with c maximal among the join-irreducibles of
+    A⁻ (an FSI generator standing for itself), generate the same variety;
+    the key set of their spectrum is learned first, and the build above
+    stops once it has met every key, which leaves the members, their order
+    and names as the full build gives them.  A key outside the set, or one
+    left unmet, raises VerificationFailure.  Subuniverses are closed only as
+    the build asks for them, in ascending bitmask order."""
     return FsiSpectrum(spec=spec, algebras=spec._fsi_members)
 
 
 def _build_spectrum_members(spec: VarietySpec) -> tuple[FiniteAlgebra, ...]:
+    wanted = _key_set(spec.generators)
+    found = _spectrum_scan(spec.generators)
+    if wanted is None:
+        return tuple(replace(m, name=f"fsi{i}") for i, (_, m) in enumerate(found))
     members: list[FiniteAlgebra] = []
+    unmet = set(wanted)
+    while unmet:
+        key, candidate = next(found, (None, None))
+        if candidate is None:
+            raise VerificationFailure(
+                f"the spectrum build ended with {len(unmet)} of the {len(wanted)} keys "
+                "of the generators' top SI quotients unmet"
+            )
+        if key not in unmet:
+            raise VerificationFailure(
+                f"the spectrum build met a {candidate.size}-element member outside the "
+                "key set of the generators' top SI quotients"
+            )
+        unmet.remove(key)
+        members.append(replace(candidate, name=f"fsi{len(members)}"))
+    return tuple(members)
+
+
+def _key_set(generators: tuple[FiniteAlgebra, ...]) -> Optional[set[tuple]]:
+    """The `canonical_form` keys of the FSI spectrum, from the full build on
+    the generators' top SI quotients, an FSI generator standing for itself;
+    None when every generator is FSI, when that build is the build itself."""
+    if all(map(is_fsi, generators)):
+        return None
+    tops = [q for gen in generators for q in _top_si_quotients(gen)]
+    return {key for key, _ in _spectrum_scan(tops)}
+
+
+def _top_si_quotients(algebra: FiniteAlgebra) -> list[FiniteAlgebra]:
+    """A/↑c for each c maximal among the join-irreducibles of A⁻, in
+    `all_deductive_filters` order; an FSI algebra, whose one such c is e,
+    stands for itself."""
+    if is_fsi(algebra):
+        return [algebra]
+    meet, join = algebra.meet, algebra.join
+    irreducible = [c for c in algebra.below_e if _join_irreducible(meet, join, c)]
+    tops = []
+    for flt in all_deductive_filters(algebra):
+        c = _least(algebra, flt.members)
+        if c in irreducible and not any(d != c and meet[c][d] == c for d in irreducible):
+            tops.append(quotient(algebra, flt)[0])
+    return tops
+
+
+def _spectrum_scan(
+    generators: Iterable[FiniteAlgebra],
+) -> Iterator[tuple[tuple, FiniteAlgebra]]:
+    """(key, quotient) for the first FSI quotient of each isomorphism type,
+    unnamed, in spectrum order, each made only when the one before it has
+    been taken."""
     seen_subs: set[tuple] = set()
     seen_members: set[tuple] = set()
-    for gen in spec.generators:
+    for gen in generators:
         subuniverse_key = _subuniverse_key(gen)
-        for mask in all_subuniverses(gen):
-            carrier = sorted(mask)
+        for mask in _subuniverse_masks(gen):
+            carrier = _bits(mask)
             key = subuniverse_key(carrier)
             if key in seen_subs:
                 continue
@@ -168,11 +253,9 @@ def _build_spectrum_members(spec: VarietySpec) -> tuple[FiniteAlgebra, ...]:
                         f"though {c} is join-irreducible in the negative cone"
                     )
                 key = canonical_form(candidate)
-                if key in seen_members:
-                    continue
-                seen_members.add(key)
-                members.append(replace(candidate, name=f"fsi{len(members)}"))
-    return tuple(members)
+                if key not in seen_members:
+                    seen_members.add(key)
+                    yield key, candidate
 
 
 def variety_depth(spec: VarietySpec) -> int:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import random
 from pathlib import Path
 
 from srlkit.catalog import (
@@ -26,13 +27,15 @@ from srlkit.catalog import (
     sugihara,
     trivial,
 )
+from oracles import relabel
+
 from srlkit.cones import all_subuniverses, is_negatively_generated
 from srlkit.core import _subalgebra, direct_product
 from srlkit.documents import save
 from srlkit.enumeration import canonical_form, enumerate_models
 from srlkit.errors import HypothesesNotMet
 from srlkit.filters import is_fsi
-from srlkit.varieties import refute_epic
+from srlkit.varieties import VarietySpec, decide_es, refute_epic
 
 RECORDS = Path(__file__).parent / "answers"
 
@@ -106,10 +109,79 @@ def certificates(sizes=(("brouwerian", 9), ("srl", 6), ("sirl", 6))):
                 ]
 
 
+def spectrum_specs():
+    """The 756 generator tuples of the `spectra` family, as (group, name,
+    generators): the catalog algebras, the models of Brouwerian <= 8, SRL
+    <= 6 and SIRL <= 6, and sugihara(7)^2, each alone; then
+    `benchmark_varieties`."""
+    catalog = (
+        trivial(), brouwerian_chain(2), brouwerian_chain(3), brouwerian_chain(4),
+        brouwerian_diamond(), c4(), crystal(), sugihara(3), sugihara(5),
+        heyting_chain(2), heyting_chain(4),
+    )
+    specs = [("catalog", a.name, (a,)) for a in catalog]
+    for kind, size in (("brouwerian", 8), ("srl", 6), ("sirl", 6)):
+        specs += [(f"{kind}{size}", None, (m,)) for m in enumerate_models(kind, size, bound=size)]
+    specs.append(("sugihara(7)^2", None, (direct_product(sugihara(7), sugihara(7)),)))
+    return specs + benchmark_varieties()
+
+
+def benchmark_varieties():
+    """The 27 varieties of the benchmark's `decide` workload and its six
+    `products`, as (group, name, generators), copied here so that a record
+    does not move with the benchmark."""
+    chain, sug, diamond, heyting = brouwerian_chain, sugihara, brouwerian_diamond, heyting_chain
+    product = lambda group, a, b: (group, f"{a.name}*{b.name}", (direct_product(a, b),))
+    singles = (
+        *map(chain, range(3, 10)), *map(sug, (3, 5, 7, 9, 11)),
+        *map(heyting, (3, 5, 7, 9)), crystal(), c4(), diamond(),
+    )
+    specs = [("decide", a.name, (a,)) for a in singles]
+    for a, b in ((chain(3), chain(3)), (chain(3), chain(4)), (diamond(), chain(3)), (c4(), sug(3))):
+        specs.append(product("decide", a, b))
+    for a, b in ((c4(), sug(7)), (crystal(), c4()), (crystal(), sug(5)), (chain(4), diamond())):
+        specs.append(("decide", f"{a.name}+{b.name}", (a, b)))
+    for a, b in (
+        (c4(), c4()), (diamond(), diamond()), (chain(4), chain(4)),
+        (heyting(4), heyting(4)), (crystal(), sug(3)), (c4(), sug(5)),
+    ):
+        specs.append(product("products", a, b))
+    return specs
+
+
+def spectra(groups=None):
+    """The FSI spectrum and ES decision of each spec of `spectrum_specs`,
+    first as given, then with its generators relabelled by one shared
+    `random.Random(f"identity:{index}")`, index being the spec's position.
+    The id is the group, the position in the group, the name if any and
+    the variant; the answer is each member's name and tables in order, the
+    verdict, and the witness's member name and mask.  `groups` keeps only
+    the specs of those groups."""
+    counts: dict = {}
+    for index, (group, name, generators) in enumerate(spectrum_specs()):
+        k = counts[group] = counts.get(group, -1) + 1
+        if groups is not None and group not in groups:
+            continue
+        rng = random.Random(f"identity:{index}")
+        head = f"{group}#{k}" if name is None else f"{group}#{k} {name}"
+        for variant, gens in (("given", generators), ("relabelled", [relabel(g, rng) for g in generators])):
+            decision = decide_es(VarietySpec(tuple(gens)))
+            witness = decision.witness
+            yield f"{head}|{variant}", {
+                "members": [
+                    [m.name, m.size, m.meet, m.join, m.fusion, m.residual, m.e, m.neg, m.bottom]
+                    for m in decision.spectrum.algebras
+                ],
+                "es": decision.surjective,
+                "witness": None if witness is None else [witness[0].name, sorted(witness[1])],
+            }
+
+
 FAMILIES = {
     "canonical_keys": canonical_keys,
     "enumerated_models": enumerated_models,
     "certificates": certificates,
+    "spectra": spectra,
 }
 
 
@@ -122,18 +194,22 @@ def _lines(family: str, **options) -> list[str]:
     return [f"{id_}\t{short_hash(answer)}" for id_, answer in FAMILIES[family](**options)]
 
 
-def moved(family: str, sizes=None) -> list[str]:
+def moved(family: str, sizes=None, groups=None) -> list[str]:
     """The ids whose answers differ from the record, in record order, plus
     any input that was added to or dropped from the family.  `sizes`, given
     to a family that takes it, checks only the recorded ids of models of
-    those (class, largest size) pairs."""
+    those (class, largest size) pairs; `groups` likewise checks only the
+    recorded ids of those groups."""
     recorded = (RECORDS / f"{family}.txt").read_text().splitlines()
-    if sizes is None:
-        current = _lines(family)
-    else:
+    if sizes is not None:
         heads = {f"{kind}{n}" for kind, top in sizes for n in range(top + 1)}
         recorded = [line for line in recorded if line.split("#")[0] in heads]
         current = _lines(family, sizes=sizes)
+    elif groups is not None:
+        recorded = [line for line in recorded if line.split("#")[0] in groups]
+        current = _lines(family, groups=groups)
+    else:
+        current = _lines(family)
     changed = [line.split("\t")[0] for line, now in zip(recorded, current) if line != now]
     extra = recorded[len(current):] + current[len(recorded):]
     return changed + [line.split("\t")[0] for line in extra]

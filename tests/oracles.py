@@ -17,6 +17,8 @@ from srlkit.core import (
     Homomorphism,
     Signature,
     _binary_tables,
+    _join_irreducible,
+    _subalgebra,
     classify,
     compose,
     find_isomorphism,
@@ -33,6 +35,7 @@ from srlkit.enumeration import (
     _lattice_tables,
     _lattices,
     _search_failure,
+    _subuniverse_key,
     canonical_form,
     enumerate_posets,
     is_lattice,
@@ -41,10 +44,12 @@ from srlkit.errors import NotResiduated, SrlkitError, VerificationFailure
 from srlkit.filters import (
     Congruence,
     DeductiveFilter,
+    _least,
     _normalize_blocks,
     all_deductive_filters,
     generated_filter,
     is_congruence,
+    is_fsi,
     leibniz_congruence,
     prime_deductive_filters,
     quotient,
@@ -565,6 +570,38 @@ def fsi_spectrum_pairwise(spec: VarietySpec) -> tuple[FiniteAlgebra, ...]:
                     continue
                 if any(find_isomorphism(m, candidate) is not None for m in members):
                     continue
+                members.append(replace(candidate, name=f"fsi{len(members)}"))
+    return tuple(members)
+
+
+def fsi_spectrum_loop(spec: VarietySpec) -> tuple[FiniteAlgebra, ...]:
+    """`varieties.fsi_spectrum`'s members by the full build, without the key
+    set of the top SI quotients: every subuniverse of every generator in
+    bitmask order, keyed in place and built when its key is new, each
+    quotient by ↑c with c join-irreducible kept when its key is new."""
+    members: list[FiniteAlgebra] = []
+    seen_subs: set[tuple] = set()
+    seen_members: set[tuple] = set()
+    for gen in spec.generators:
+        subuniverse_key = _subuniverse_key(gen)
+        for mask in all_subuniverses(gen):
+            carrier = sorted(mask)
+            key = subuniverse_key(carrier)
+            if key in seen_subs:
+                continue
+            seen_subs.add(key)
+            sub, _ = _subalgebra(gen, carrier)
+            for flt in all_deductive_filters(sub):
+                c = _least(sub, flt.members)
+                if not _join_irreducible(sub.meet, sub.join, c):
+                    continue
+                candidate, _ = quotient(sub, flt)
+                if not is_fsi(candidate):
+                    raise VerificationFailure(f"quotient by ↑{c} is not FSI")
+                key = canonical_form(candidate)
+                if key in seen_members:
+                    continue
+                seen_members.add(key)
                 members.append(replace(candidate, name=f"fsi{len(members)}"))
     return tuple(members)
 

@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 
 import pytest
 from oracles import (
@@ -15,7 +16,7 @@ from srlkit import cones, duality
 from srlkit.catalog import (
     brouwerian_chain, brouwerian_diamond, c4, crystal, heyting_chain, sugihara,
 )
-from srlkit.cones import all_subuniverses, subuniverse_closure
+from srlkit.cones import _close, _generated, all_subuniverses, subuniverse_closure
 from srlkit.core import _bits, _members, classify, closed_sets, direct_product
 from srlkit.duality import all_up_sets, dual_space
 from srlkit.enumeration import _down_sets, enumerate_posets
@@ -55,10 +56,30 @@ def test_closed_sets_keeps_only_canonical_closures():
 
 def test_closed_sets_rejects_a_closure_that_is_not_extensive():
     with pytest.raises(VerificationFailure, match=r"extend\(\[\], 0\) misses \[0\]"):
-        closed_sets(3, 0, lambda s, a: s)
-    # drops s: the stack takes {2} and then {1}, and extend({1}, 2) = {2}
-    with pytest.raises(VerificationFailure, match=r"extend\(\[1\], 2\) misses \[1\]"):
-        closed_sets(3, 0, lambda s, a: 1 << a)
+        list(closed_sets(3, 0, lambda s, a: s))
+    # drops s: the heap pops {0} after the empty set, and extend({0}, 1) = {1}
+    with pytest.raises(VerificationFailure, match=r"extend\(\[0\], 1\) misses \[0\]"):
+        list(closed_sets(3, 0, lambda s, a: 1 << a))
+
+
+def test_closed_sets_makes_only_what_a_consumer_takes():
+    # the first k masks taken are the k least closed sets, and the nodes
+    # past them are not extended (chain(4)², 130 subuniverses)
+    algebra = products()[2]
+    calls = []
+
+    def extend(s, a):
+        calls.append(s)
+        return _close(algebra, s, (a,), ((1 << a) - 1) & ~s)
+
+    full = list(closed_sets(algebra.size, _generated(algebra, ()), extend))
+    assert full == sorted(full) and len(full) > 20
+    whole = len(calls)
+    for k in (1, 5, 20):
+        calls.clear()
+        taken = list(islice(closed_sets(algebra.size, _generated(algebra, ()), extend), k))
+        assert taken == full[:k]
+        assert len(calls) < whole
 
 
 def test_each_closed_set_is_reached_once(monkeypatch, suite):
@@ -71,7 +92,7 @@ def test_each_closed_set_is_reached_once(monkeypatch, suite):
             kept[-1] += t is not None
             return t
         kept.append(0)
-        result = closed_sets(size, least, counted)
+        result = list(closed_sets(size, least, counted))
         assert kept[-1] == len(result) - 1
         return result
 

@@ -8,17 +8,18 @@ import sys
 import weakref
 
 import pytest
-from answers import moved
+from answers import benchmark_varieties, moved
 from oracles import (
     decide_es_per_mask,
     epic_refutation_scan,
+    fsi_spectrum_loop,
     fsi_spectrum_pairwise,
     refute_epic_public,
     relabel,
     relabelling,
 )
 
-from srlkit import duality, varieties
+from srlkit import cli, duality, varieties
 from srlkit.catalog import brouwerian_chain, brouwerian_diamond, c4, crystal, sugihara, trivial
 from srlkit.cones import all_subuniverses, is_negatively_generated
 from srlkit.core import (
@@ -32,7 +33,7 @@ from srlkit.core import (
 )
 from srlkit.duality import depth
 from srlkit.enumeration import canonical_form
-from srlkit.errors import HypothesesNotMet
+from srlkit.errors import HypothesesNotMet, VerificationFailure
 from srlkit.filters import (
     all_congruences,
     all_deductive_filters,
@@ -107,6 +108,102 @@ def test_fsi_spectrum_matches_pairwise_oracle(suite):
         members, expected = fsi_spectrum(spec).algebras, fsi_spectrum_pairwise(spec)
         assert members == expected
         assert [m.name for m in members] == [m.name for m in expected]
+
+
+def _spectrum_oracle_specs(pairs, seed):
+    # each spec as given, then with its generators relabelled
+    rng = random.Random(seed)
+    for name, generators in pairs:
+        yield name, VarietySpec(tuple(generators))
+        yield f"{name}, relabelled", VarietySpec(tuple(relabel(g, rng) for g in generators))
+
+
+def _assert_the_stopped_build_is_the_full_one(name, spec):
+    members, expected = fsi_spectrum(spec).algebras, fsi_spectrum_loop(spec)
+    assert members == expected, name
+    assert [m.name for m in members] == [m.name for m in expected], name
+    wanted = varieties._key_set(spec.generators)
+    if wanted is None:
+        assert all(is_fsi(g) for g in spec.generators), name
+    else:
+        assert wanted == {canonical_form(m) for m in expected}, name
+
+
+def test_spectrum_stopped_at_the_key_set_matches_the_full_build():
+    # the members, tables, names and order of the build that stops once the
+    # key set of the top SI quotients is met are those of the full loop, and
+    # the key set is the full loop's
+    pairs = [(name, generators) for _, name, generators in benchmark_varieties()]
+    pairs += [
+        ("crystal^2", (direct_product(crystal(), crystal()),)),
+        ("c4*sugihara(3)", (direct_product(c4(), sugihara(3)),)),
+        ("sugihara(5)^2", (direct_product(sugihara(5), sugihara(5)),)),
+        ("crystal+c4*sugihara(3)", (crystal(), direct_product(c4(), sugihara(3)))),
+    ]
+    for name, spec in _spectrum_oracle_specs(pairs, 20261020):
+        _assert_the_stopped_build_is_the_full_one(name, spec)
+
+
+@pytest.mark.slow
+def test_spectrum_stopped_at_the_key_set_matches_the_full_build_on_large_squares():
+    pairs = [(f"sugihara({n})^2", (direct_product(sugihara(n), sugihara(n)),)) for n in (7, 9)]
+    for name, spec in _spectrum_oracle_specs(pairs, 20261021):
+        _assert_the_stopped_build_is_the_full_one(name, spec)
+
+
+def _with_key_set(monkeypatch, change):
+    real = varieties._key_set
+    monkeypatch.setattr(varieties, "_key_set", lambda generators: change(real(generators), real))
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda keys, _: keys | {("no such key",)}, "ended with 1 of the 3 keys"),
+        (lambda keys, _: keys - {canonical_form(c4())}, "met a 4-element member outside"),
+        (
+            lambda keys, key_set: keys | key_set((direct_product(crystal(), c4()),)),
+            "ended with 2 of the 4 keys",
+        ),
+    ],
+    ids=["an extra key", "a missing key met before the stop", "the keys of a larger variety"],
+)
+def test_spectrum_build_refuses_a_wrong_key_set(monkeypatch, change, message):
+    # V(c4×sugihara(3)) has two members, c4 and then sugihara(3).  A key set
+    # that is too large leaves keys unmet; one that lacks c4's key meets c4
+    # before it can stop.  (One that lacks only the last member's key would
+    # stop before meeting it, which is why the full loop stays the oracle.)
+    spec = spec_of(direct_product(c4(), sugihara(3)))
+    assert [m.size for m in fsi_spectrum_loop(spec)] == [4, 3]
+    _with_key_set(monkeypatch, change)
+    with pytest.raises(VerificationFailure, match=message):
+        fsi_spectrum(spec)
+
+
+def test_es_decide_exits_3_on_a_key_set_left_unmet(monkeypatch, capsys):
+    _with_key_set(monkeypatch, lambda keys, _: keys | {("no such key",)})
+    code = cli.main(["es-decide", "--variety", "catalog:brouwerian_diamond"])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert code == 3
+    assert report["kind"] == "VerificationFailure"
+    assert "unmet" in report["error"]
+    assert "verdicts" not in report and "witness" not in report
+    assert "VerificationFailure" in captured.err
+
+
+def test_spectra_match_the_recorded_family():
+    # recorded before the build stopped at the key set of the top SI
+    # quotients; `pytest -m slow` checks every group, `decide` and the
+    # enumerated models included
+    changed = moved("spectra", groups=("catalog", "products", "sugihara(7)^2"))
+    assert not changed, f"{len(changed)} spectra moved, the first at {changed[0]}"
+
+
+@pytest.mark.slow
+def test_every_spectrum_matches_the_recorded_family():
+    changed = moved("spectra")
+    assert not changed, f"{len(changed)} spectra moved, the first at {changed[0]}"
 
 
 def test_quotient_is_fsi_iff_cone_join_irreducible(suite):
