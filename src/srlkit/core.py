@@ -14,6 +14,9 @@ reports the first, `derive_order` and `derived_laws` raise on it, and
 which compares whole table rows in C (as `bytes`, up to 256 elements) and
 decides whether any row fails.  Only then does its cell scan run, to find
 the first witness; the tuple tables stay the one source of truth.
+`validate` joins one private check per axiom group, so that a caller which
+makes the tables a layer at a time can run each group once, at its layer.
+`residual_from_fusion` finds each maximum witness on int bitmasks.
 """
 
 from __future__ import annotations
@@ -230,17 +233,7 @@ def _check_shape(algebra: FiniteAlgebra) -> None:
     n = algebra.size
     if n < 1:
         raise MalformedTable("size must be positive")
-    labels = ("meet", "join", "fusion", "residual")
-    tables = (algebra.meet, algebra.join, algebra.fusion, algebra.residual)
-    for label, table in zip(labels, tables):
-        if len(table) != n or set(map(len, table)) != {n}:
-            raise MalformedTable(f"{label} table is not {n}x{n}")
-    entries = tuple(chain.from_iterable(chain(*tables)))
-    i = _first_non_element(n, entries)
-    if i is not None:
-        label = labels[i // (n * n)]
-        raise _entry_error(entries[i], f"{label} table row {i // n % n} column {i % n}",
-                           f"{label} table has an out-of-range entry")
+    _check_tables(n, ("meet", "join", "fusion", "residual"), _binary_tables(algebra))
     if not _is_element(n, algebra.e):
         raise _entry_error(algebra.e, "identity element", "identity element out of range")
     if algebra.signature.has_involution != (algebra.neg is not None):
@@ -248,13 +241,32 @@ def _check_shape(algebra: FiniteAlgebra) -> None:
     if algebra.signature.has_bottom != (algebra.bottom is not None):
         raise MalformedTable("signature and bottom marker disagree")
     if algebra.neg is not None:
-        if len(algebra.neg) != n:
-            raise MalformedTable("involution table malformed")
-        a = _first_non_element(n, algebra.neg)
-        if a is not None:
-            raise _entry_error(algebra.neg[a], f"involution entry {a}", "involution table malformed")
+        _check_neg(n, algebra.neg)
     if algebra.bottom is not None and not _is_element(n, algebra.bottom):
         raise _entry_error(algebra.bottom, "bottom element", "bottom element out of range")
+
+
+def _check_tables(n: int, labels: Sequence[str], tables: Sequence[Table]) -> None:
+    """MalformedTable, naming the first table that is not n x n, else the
+    first entry (by table, then row-major) that is not an element."""
+    for label, table in zip(labels, tables):
+        if len(table) != n or set(map(len, table)) != {n}:
+            raise MalformedTable(f"{label} table is not {n}x{n}")
+    if all(_first_non_element(n, row) is None for table in tables for row in table):
+        return  # row by row: a tuple of every entry, made per call, fragments the heap
+    entries = tuple(chain.from_iterable(chain(*tables)))
+    i = _first_non_element(n, entries)
+    label = labels[i // (n * n)]
+    raise _entry_error(entries[i], f"{label} table row {i // n % n} column {i % n}",
+                       f"{label} table has an out-of-range entry")
+
+
+def _check_neg(n: int, neg: Sequence[int]) -> None:
+    if len(neg) != n:
+        raise MalformedTable("involution table malformed")
+    a = _first_non_element(n, neg)
+    if a is not None:
+        raise _entry_error(neg[a], f"involution entry {a}", "involution table malformed")
 
 
 def _idempotent(t: Table, rng: range):
@@ -383,23 +395,15 @@ def derive_order(algebra: FiniteAlgebra) -> frozenset[tuple[int, int]]:
     """
     _check_shape(algebra)
     meet, rng = algebra.meet, algebra.elements
-    failure = _first_failure([
+    verdict = _verdict("semilattice", [
         ("idempotent", _idempotent(meet, rng)),
         ("commutative", _commutative(meet, rng)),
         ("associative", _associative(meet, rng)),
     ])
-    if failure is not None:
-        law, witness = failure
-        raise MalformedTable(f"meet not {law} at {witness[0] if len(witness) == 1 else witness}")
+    if not verdict.passed:
+        witness = verdict.witness
+        raise MalformedTable(f"meet not {verdict.law} at {witness[0] if len(witness) == 1 else witness}")
     return frozenset((a, b) for a in rng for b in rng if meet[a][b] == a)
-
-
-def _first_failure(checks) -> Optional[tuple[str, tuple[int, ...]]]:
-    """Run (law, witness-iterator) pairs; return the first failing witness."""
-    for law, witnesses in checks:
-        for w in witnesses:
-            return (law, w)
-    return None
 
 
 def _residuation_failures(algebra: FiniteAlgebra):
@@ -428,68 +432,73 @@ def _residuation_scan(algebra: FiniteAlgebra):
 
 def validate(algebra: FiniteAlgebra) -> AxiomReport:
     """Check every defining axiom; shape and range violations raise
-    MalformedTable, axiom violations are reported with witnesses."""
+    MalformedTable, axiom violations are reported with witnesses, one
+    verdict per axiom group."""
     _check_shape(algebra)
-    rng = algebra.elements
-    meet, join = algebra.meet, algebra.join
-    fus, res = algebra.fusion, algebra.residual
-    e = algebra.e
-    leq = lambda a, b: meet[a][b] == a
-
-    verdicts = []
-
-    def add(axiom: str, checks) -> None:
-        failure = _first_failure(checks)
-        if failure is None:
-            verdicts.append(AxiomVerdict(axiom, True))
-        else:
-            law, witness = failure
-            verdicts.append(AxiomVerdict(axiom, False, law, witness))
-
-    add(
-        "lattice",
-        [
-            ("meet idempotent", _idempotent(meet, rng)),
-            ("join idempotent", _idempotent(join, rng)),
-            ("meet commutative", _commutative(meet, rng)),
-            ("join commutative", _commutative(join, rng)),
-            ("meet associative", _associative(meet, rng)),
-            ("join associative", _associative(join, rng)),
-            ("absorption meet-join", _absorbs(meet, join, rng)),
-            ("absorption join-meet", _absorbs(join, meet, rng)),
-        ],
-    )
-    add(
-        "monoid",
-        [
-            ("fusion commutative", _commutative(fus, rng)),
-            ("fusion associative", _associative(fus, rng)),
-            ("identity neutral", ((a,) for a in rng if fus[e][a] != a)),
-        ],
-    )
-    add("residuation", [("a*b <= c iff a <= b->c", _residuation_failures(algebra))])
-    add(
-        "subidempotence",
-        [
-            ("a <= e implies a*a = a", ((a,) for a in rng if leq(a, e) and fus[a][a] != a)),
-        ],
-    )
+    groups = [_monoid_laws, _residuation_laws, _subidempotence_laws]
     if algebra.neg is not None:
-        neg = algebra.neg
-        add(
-            "involution",
-            [
-                ("neg involutive", ((a,) for a in rng if neg[neg[a]] != a)),
-                (
-                    "contraposition a->~b = b->~a",
-                    ((a, b) for a in rng for b in rng if res[a][neg[b]] != res[b][neg[a]]),
-                ),
-            ],
-        )
+        groups.append(_involution_laws)
     if algebra.bottom is not None:
-        bot = algebra.bottom
-        add("bound", [("bottom least", ((a,) for a in rng if not leq(bot, a)))])
-    return AxiomReport(tuple(verdicts))
+        groups.append(_bound_laws)
+    return AxiomReport((_lattice_laws(algebra.meet, algebra.join), *(g(algebra) for g in groups)))
+
+
+def _verdict(axiom: str, checks) -> AxiomVerdict:
+    """The group's verdict on (law, witness-iterator) pairs: failing at the
+    first law with a witness, and its first witness."""
+    for law, witnesses in checks:
+        for witness in witnesses:
+            return AxiomVerdict(axiom, False, law, witness)
+    return AxiomVerdict(axiom, True)
+
+
+def _lattice_laws(meet: Table, join: Table) -> AxiomVerdict:
+    rng = range(len(meet))
+    return _verdict("lattice", [
+        ("meet idempotent", _idempotent(meet, rng)),
+        ("join idempotent", _idempotent(join, rng)),
+        ("meet commutative", _commutative(meet, rng)),
+        ("join commutative", _commutative(join, rng)),
+        ("meet associative", _associative(meet, rng)),
+        ("join associative", _associative(join, rng)),
+        ("absorption meet-join", _absorbs(meet, join, rng)),
+        ("absorption join-meet", _absorbs(join, meet, rng)),
+    ])
+
+
+def _monoid_laws(algebra: FiniteAlgebra) -> AxiomVerdict:
+    fus, e, rng = algebra.fusion, algebra.e, algebra.elements
+    return _verdict("monoid", [
+        ("fusion commutative", _commutative(fus, rng)),
+        ("fusion associative", _associative(fus, rng)),
+        ("identity neutral", ((a,) for a in rng if fus[e][a] != a)),
+    ])
+
+
+def _residuation_laws(algebra: FiniteAlgebra) -> AxiomVerdict:
+    return _verdict("residuation", [("a*b <= c iff a <= b->c", _residuation_failures(algebra))])
+
+
+def _subidempotence_laws(algebra: FiniteAlgebra) -> AxiomVerdict:
+    meet, fus, e = algebra.meet, algebra.fusion, algebra.e
+    return _verdict("subidempotence", [(
+        "a <= e implies a*a = a",
+        ((a,) for a in algebra.elements if meet[a][e] == a and fus[a][a] != a),
+    )])
+
+
+def _involution_laws(algebra: FiniteAlgebra) -> AxiomVerdict:
+    neg, res, rng = algebra.neg, algebra.residual, algebra.elements
+    return _verdict("involution", [
+        ("neg involutive", ((a,) for a in rng if neg[neg[a]] != a)),
+        ("contraposition a->~b = b->~a",
+         ((a, b) for a in rng for b in rng if res[a][neg[b]] != res[b][neg[a]])),
+    ])
+
+
+def _bound_laws(algebra: FiniteAlgebra) -> AxiomVerdict:
+    meet, bot = algebra.meet, algebra.bottom
+    return _verdict("bound", [("bottom least", ((a,) for a in algebra.elements if meet[bot][a] != bot))])
 
 
 def derived_laws(algebra: FiniteAlgebra) -> AxiomReport:
@@ -530,30 +539,41 @@ def derived_laws(algebra: FiniteAlgebra) -> AxiomReport:
              if leq(a, e) and leq(b, e) and meet[a][b] != fus[a][b]),
         ),
     ]
-    failure = _first_failure(checks)
-    if failure is not None:
-        law, witness = failure
-        raise DerivedLawFailure(f"derived law failed: {law} at {witness}")
+    verdict = _verdict("derived laws", checks)
+    if not verdict.passed:
+        raise DerivedLawFailure(f"derived law failed: {verdict.law} at {verdict.witness}")
     return AxiomReport(tuple(AxiomVerdict(law, True) for law, _ in checks))
 
 
 def residual_from_fusion(size: int, meet: Table, fusion: Table) -> Table:
     """Derive the residual table: residual(b, c) is the maximum a with
     fusion(a, b) <= c.  Raises NotResiduated at the first pair (row-major)
-    with no maximum witness."""
+    with no maximum witness.
+
+    On bitmasks whose bits hold the elements by ascending down-set size, so
+    that an element's bit lies above those of the elements below it: the
+    candidates for b->c are the union over v <= c of `making[v]`, the a with
+    a*b = v, and the maximum, if any, is the highest candidate."""
     rng = range(size)
+    below = [[a for a in rng if meet[a][c] == a] for c in rng]
+    order = sorted(rng, key=lambda c: len(below[c]))
+    bit = [1 << order.index(a) for a in rng]
+    down = [sum(map(bit.__getitem__, below_c)) for below_c in below]
     rows = []
     for b in rng:
-        products = [fusion[a][b] for a in rng]
+        making = [0] * size
+        for a in rng:
+            making[fusion[a][b]] |= bit[a]
         row = []
-        for c in rng:
-            candidates = [a for a in rng if meet[products[a]][c] == products[a]]
-            best = None
-            for a in candidates:  # the maximum, when there is one, ends here
-                if best is None or meet[best][a] == best:
-                    best = a
-            if best is None or not all(meet[a][best] == a for a in candidates):
-                raise NotResiduated(b, c)
+        for below_c in below:
+            candidates = 0
+            for v in below_c:
+                candidates |= making[v]
+            best = order[candidates.bit_length() - 1]
+            if not candidates or candidates & ~down[best]:  # off a partial order, try them all
+                best = next((a for a in rng if candidates & bit[a] and not candidates & ~down[a]), None)
+                if best is None:
+                    raise NotResiduated(b, len(row))
             row.append(best)
         rows.append(tuple(row))
     return tuple(rows)

@@ -22,7 +22,10 @@ into the negation of the identity).  Canonical forms are the least
 relabelled tables over the leaves of one colour-refinement and
 individualisation search, shared by algebras and posets; an algebra's search
 runs on a carrier inside its tables, so a subuniverse is keyed without its
-subalgebra being built.
+subalgebra being built.  Each group of `core.validate`'s checks runs once,
+at the layer that makes its tables: the lattice's once per lattice, the
+monoid, residuation and subidempotence groups once per fusion table, and
+the involution's once per SIRL candidate.
 """
 
 from __future__ import annotations
@@ -32,8 +35,9 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .core import (
-    FiniteAlgebra, Signature, _join_irreducible, _map_search, brouwerian_reduct,
-    residual_from_fusion, validate,
+    FiniteAlgebra, Signature, _check_neg, _check_tables, _involution_laws, _join_irreducible,
+    _lattice_laws, _map_search, _monoid_laws, _residuation_laws, _subidempotence_laws,
+    brouwerian_reduct, residual_from_fusion,
 )
 from .duality import PointedPoset, all_up_sets, dual_algebra
 from .errors import BoundExceeded, NotResiduated, VerificationFailure
@@ -472,11 +476,17 @@ def _enumerate_srl(max_size: int) -> list[FiniteAlgebra]:
     orbit under the automorphisms that fix e.  So an e that an automorphism
     sends lower is not searched, and a table is skipped only when an
     automorphism fixing e sends it to a lesser table of the same search.
-    A key met twice means the reduction is wrong: VerificationFailure."""
+    A key met twice means the reduction is wrong: VerificationFailure, as
+    is a lattice or a table that fails a group of `validate`'s checks."""
     found: dict[tuple, FiniteAlgebra] = {}
     for n in range(1, max_size + 1):
         for leq in _lattices(n):
             meet, join = _lattice_tables(leq)
+            _check_tables(n, ("meet", "join"), (meet, join))
+            lattice = _lattice_laws(meet, join)
+            if not lattice.passed:
+                raise VerificationFailure(
+                    f"lattice {leq} on {n} elements fails {lattice.law} at {lattice.witness}")
             automorphisms = _automorphisms(meet, join)
             for e in range(n):
                 if any(s[e] < e for s in automorphisms):
@@ -503,10 +513,11 @@ def _enumerate_srl(max_size: int) -> list[FiniteAlgebra]:
                         size=n, meet=meet, join=join, fusion=fusion,
                         residual=residual, e=e, name=f"srl#{n}",
                     )
-                    report = validate(algebra)
-                    if not report.ok:
-                        first = report.failures()[0]
-                        raise _search_failure(fusion, e, f"fails {first.law} at {first.witness}")
+                    _check_tables(n, ("fusion", "residual"), (fusion, residual))
+                    for laws in (_monoid_laws, _residuation_laws, _subidempotence_laws):
+                        verdict = laws(algebra)
+                        if not verdict.passed:
+                            raise _search_failure(fusion, e, f"fails {verdict.law} at {verdict.witness}")
                     kept = found.setdefault(canonical_form(algebra), algebra)
                     if kept is not algebra:
                         raise _search_failure(
@@ -517,6 +528,9 @@ def _enumerate_srl(max_size: int) -> list[FiniteAlgebra]:
 
 
 def _enumerate_sirl(max_size: int) -> list[FiniteAlgebra]:
+    """Every SIRL of at most `max_size` elements up to isomorphism: each SRL
+    with each involution x -> x->f.  The SRL has passed every other group of
+    `validate`, so a candidate is checked only for its involution."""
     found: dict[tuple, FiniteAlgebra] = {}
     for base in _enumerate_cached("srl", max_size):
         n = base.size
@@ -529,7 +543,8 @@ def _enumerate_sirl(max_size: int) -> list[FiniteAlgebra]:
                 residual=base.residual, e=base.e, neg=neg,
                 signature=Signature(True, False), name=f"sirl#{n}",
             )
-            if validate(algebra).ok:
+            _check_neg(n, neg)
+            if _involution_laws(algebra).passed:
                 found.setdefault(canonical_form(algebra), algebra)
     return [found[k] for k in sorted(found)]
 

@@ -13,6 +13,7 @@ reference, before its source changes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import random
@@ -30,14 +31,23 @@ from srlkit.catalog import (
 from oracles import relabel
 
 from srlkit.cones import all_subuniverses, is_negatively_generated
-from srlkit.core import _subalgebra, direct_product
+from srlkit.core import _subalgebra, classify, derive_order, derived_laws, direct_product, validate
 from srlkit.documents import save
 from srlkit.enumeration import canonical_form, enumerate_models
-from srlkit.errors import HypothesesNotMet
+from srlkit.errors import HypothesesNotMet, SrlkitError
 from srlkit.filters import is_fsi
 from srlkit.varieties import VarietySpec, decide_es, refute_epic
 
 RECORDS = Path(__file__).parent / "answers"
+
+
+def catalog_algebras():
+    """The eleven catalog algebras of the standing verification suite."""
+    return [
+        trivial(), brouwerian_chain(2), brouwerian_chain(3), brouwerian_chain(4),
+        brouwerian_diamond(), c4(), crystal(), sugihara(3), sugihara(5),
+        heyting_chain(2), heyting_chain(4),
+    ]
 
 
 def canonical_keys():
@@ -109,17 +119,67 @@ def certificates(sizes=(("brouwerian", 9), ("srl", 6), ("sirl", 6))):
                 ]
 
 
+def law_checks():
+    """`validate`, `derive_order`, `derived_laws` and `classify` on each
+    algebra of the standing suite (the catalog, Brouwerian <= 6, SRL <= 5
+    and SIRL <= 5) and on seeded corruptions of it, each answer being the
+    result's repr or the exception's type and message.  A corruption
+    rewires one cell of one table, then that cell and its mirror image,
+    moves the identity or the bottom, or rewires one entry of the
+    involution.  The id is the algebra's position in the suite, its name,
+    and the corruption."""
+
+    def answer(ask):
+        try:
+            return repr(ask())
+        except SrlkitError as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    suite = catalog_algebras() + [
+        m for kind, size in (("brouwerian", 6), ("srl", 5), ("sirl", 5))
+        for m in enumerate_models(kind, size)
+    ]
+    rng = random.Random(17)
+    other = lambda n, value: rng.choice([x for x in range(n) if x != value])
+    for index, algebra in enumerate(suite):
+        n, head = algebra.size, f"suite#{index} {algebra.name}"
+        cases = [("given", algebra)]
+        if n > 1:
+            for name in ("meet", "join", "fusion", "residual"):
+                i, j = rng.randrange(n), rng.randrange(n)
+                rows = [list(row) for row in getattr(algebra, name)]
+                value = other(n, rows[i][j])
+                rows[i][j] = value
+                cell = f"{name}[{i}][{j}]={value}"
+                cases.append((cell, dataclasses.replace(algebra, **{name: tuple(map(tuple, rows))})))
+                rows[j][i] = value
+                cases.append((f"{cell} mirrored",
+                              dataclasses.replace(algebra, **{name: tuple(map(tuple, rows))})))
+            value = other(n, algebra.e)
+            cases.append((f"e={value}", dataclasses.replace(algebra, e=value)))
+            if algebra.bottom is not None:
+                value = other(n, algebra.bottom)
+                cases.append((f"bottom={value}", dataclasses.replace(algebra, bottom=value)))
+            if algebra.neg is not None:
+                neg = list(algebra.neg)
+                a = rng.randrange(n)
+                neg[a] = other(n, neg[a])
+                cases.append((f"neg[{a}]={neg[a]}", dataclasses.replace(algebra, neg=tuple(neg))))
+        for variant, case in cases:
+            yield f"{head}|{variant}", [
+                answer(lambda: validate(case)),
+                answer(lambda: sorted(derive_order(case))),
+                answer(lambda: derived_laws(case)),
+                answer(lambda: classify(case)),
+            ]
+
+
 def spectrum_specs():
     """The 756 generator tuples of the `spectra` family, as (group, name,
     generators): the catalog algebras, the models of Brouwerian <= 8, SRL
     <= 6 and SIRL <= 6, and sugihara(7)^2, each alone; then
     `benchmark_varieties`."""
-    catalog = (
-        trivial(), brouwerian_chain(2), brouwerian_chain(3), brouwerian_chain(4),
-        brouwerian_diamond(), c4(), crystal(), sugihara(3), sugihara(5),
-        heyting_chain(2), heyting_chain(4),
-    )
-    specs = [("catalog", a.name, (a,)) for a in catalog]
+    specs = [("catalog", a.name, (a,)) for a in catalog_algebras()]
     for kind, size in (("brouwerian", 8), ("srl", 6), ("sirl", 6)):
         specs += [(f"{kind}{size}", None, (m,)) for m in enumerate_models(kind, size, bound=size)]
     specs.append(("sugihara(7)^2", None, (direct_product(sugihara(7), sugihara(7)),)))
@@ -182,6 +242,7 @@ FAMILIES = {
     "enumerated_models": enumerated_models,
     "certificates": certificates,
     "spectra": spectra,
+    "law_checks": law_checks,
 }
 
 

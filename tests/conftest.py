@@ -1,32 +1,12 @@
+import answers
 import pytest
 
-from srlkit.catalog import (
-    brouwerian_chain,
-    brouwerian_diamond,
-    c4,
-    crystal,
-    heyting_chain,
-    sugihara,
-    trivial,
-)
 from srlkit.enumeration import enumerate_models
 
 
 @pytest.fixture(scope="session")
 def catalog_algebras():
-    return [
-        trivial(),
-        brouwerian_chain(2),
-        brouwerian_chain(3),
-        brouwerian_chain(4),
-        brouwerian_diamond(),
-        c4(),
-        crystal(),
-        sugihara(3),
-        sugihara(5),
-        heyting_chain(2),
-        heyting_chain(4),
-    ]
+    return answers.catalog_algebras()
 
 
 @pytest.fixture(scope="session")

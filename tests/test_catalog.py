@@ -496,6 +496,38 @@ def test_srl_enumeration_matches_the_unreduced_oracle(monkeypatch):
     assert [(m, m.name) for m in models] == [(m, m.name) for m in enumerate_srl_unreduced(5)]
 
 
+@pytest.mark.parametrize("kind", ["srl", "sirl"])
+def test_enumerated_models_pass_the_full_validate(kind):
+    # the enumeration runs each group of checks once, at the layer that
+    # makes its tables; the full `validate` is the oracle for that split
+    for model in enumerate_models(kind, 6):
+        assert validate(model).ok, (kind, model.fusion, model.e, model.neg)
+
+
+@pytest.mark.slow
+def test_enumerated_models_through_size_7_pass_the_full_validate():
+    for kind in ("srl", "sirl"):
+        for model in enumerate_models(kind, 7, bound=7):
+            assert validate(model).ok, (kind, model.fusion, model.e, model.neg)
+
+
+def test_srl_enumeration_raises_on_a_lattice_that_is_no_lattice(monkeypatch):
+    # on three elements the join becomes "the third element": idempotent and
+    # commutative, but not associative, which the once-per-lattice check
+    # names with its first witness
+    from srlkit import enumeration
+
+    def tables(leq):
+        meet, join = _lattice_tables(leq)
+        return meet, ((0, 2, 1), (2, 1, 0), (1, 0, 2)) if len(leq) == 3 else join
+
+    monkeypatch.setattr(enumeration, "_lattice_tables", tables)
+    with pytest.raises(
+        VerificationFailure, match=r"on 3 elements fails join associative at \(0, 0, 1\)$"
+    ):
+        enumeration._enumerate_srl(3)
+
+
 def test_lattices_are_pairwise_non_isomorphic_with_the_scanned_automorphisms():
     # the two premises of the reduction: an isomorphism between SRLs found on
     # different lattices is impossible, and every automorphism is listed

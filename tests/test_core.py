@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from answers import law_checks, moved
 from oracles import (
     greatest,
     least,
@@ -29,8 +30,9 @@ from srlkit.core import (
     subalgebra,
     validate,
 )
+from srlkit.enumeration import enumerate_models
 from srlkit.errors import (
-    DerivedLawFailure, MalformedTable, NotResiduated, SrlkitError, VerificationFailure,
+    DerivedLawFailure, MalformedTable, NotResiduated, VerificationFailure,
 )
 from srlkit.reflection import reflect
 
@@ -162,54 +164,12 @@ def test_derive_order_names_the_first_failing_semilattice_law(cells, message):
     assert str(exc.value) == message
 
 
-def _law_lines(suite):
-    """One line per law-check answer, as the result or as the exception's
-    type and message: `validate`, `derive_order`, `derived_laws` and
-    `classify` on each suite algebra and on seeded corruptions of it.  A
-    corruption rewires one cell of one table, or that cell and its mirror
-    image, moves the identity or the bottom, or rewires one entry of the
-    involution."""
-
-    def answer(ask):
-        try:
-            return repr(ask())
-        except SrlkitError as exc:
-            return f"{type(exc).__name__}: {exc}"
-
-    rng = random.Random(17)
-    other = lambda n, value: rng.choice([x for x in range(n) if x != value])
-    cases = []
-    for algebra in suite:
-        n = algebra.size
-        cases.append(algebra)
-        if n == 1:
-            continue
-        for name in ("meet", "join", "fusion", "residual"):
-            i, j = rng.randrange(n), rng.randrange(n)
-            rows = [list(row) for row in getattr(algebra, name)]
-            value = other(n, rows[i][j])
-            rows[i][j] = value
-            cases.append(dataclasses.replace(algebra, **{name: tuple(map(tuple, rows))}))
-            rows[j][i] = value
-            cases.append(dataclasses.replace(algebra, **{name: tuple(map(tuple, rows))}))
-        cases.append(dataclasses.replace(algebra, e=other(n, algebra.e)))
-        if algebra.bottom is not None:
-            cases.append(dataclasses.replace(algebra, bottom=other(n, algebra.bottom)))
-        if algebra.neg is not None:
-            neg = list(algebra.neg)
-            a = rng.randrange(n)
-            neg[a] = other(n, neg[a])
-            cases.append(dataclasses.replace(algebra, neg=tuple(neg)))
-    for algebra in cases:
-        yield answer(lambda: validate(algebra))
-        yield answer(lambda: sorted(derive_order(algebra)))
-        yield answer(lambda: derived_laws(algebra))
-        yield answer(lambda: classify(algebra))
-
-
-def test_law_checks_match_the_recorded_digest(suite):
-    # recorded from the law checks that wrote out each law's loop in place
-    lines = list(_law_lines(suite))
+def test_law_checks_match_the_recorded_digest():
+    # recorded from the law checks that wrote out each law's loop in place;
+    # the family names the inputs whose answers moved
+    changed = moved("law_checks")
+    assert not changed, f"{len(changed)} law-check answers moved, the first at {changed[0]}"
+    lines = [line for _, answers in law_checks() for line in answers]
     assert len(lines) == 4 * 1245
     assert sum(line.startswith("MalformedTable") for line in lines) == 220
     assert sum(line.startswith("DerivedLawFailure") for line in lines) == 1048
@@ -258,9 +218,11 @@ def test_residual_from_fusion_failure():
     assert (exc.value.b, exc.value.c) == (1, 0)
 
 
-def test_residual_from_fusion_matches_the_pairwise_oracle(srl5):
-    # the SRL tables, and seeded random tables on the same lattices, most of
-    # them not residuated: the same residual or the same first failing pair
+def test_residual_from_fusion_matches_the_pairwise_oracle():
+    # the SRL tables through 6 elements, seeded random tables on the same
+    # lattices, most of them not residuated, and random tables on random
+    # commutative meet tables, most of them no order: the same residual or
+    # the same first failing pair
     def outcome(derive, n, meet, fusion):
         try:
             return ("residual", derive(n, meet, fusion))
@@ -268,10 +230,15 @@ def test_residual_from_fusion_matches_the_pairwise_oracle(srl5):
             return ("not residuated", exc.b, exc.c)
 
     rng = random.Random(20)
-    cases = [(a.size, a.meet, a.fusion) for a in srl5]
+    random_table = lambda n: tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n))
+    cases = [(a.size, a.meet, a.fusion) for a in enumerate_models("srl", 6)]
     for n, meet, _ in rng.choices(cases, k=1000):
-        fusion = tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n))
-        cases.append((n, meet, fusion))
+        cases.append((n, meet, random_table(n)))
+    for n in rng.choices(range(1, 7), k=300):
+        meet = [[a if a == b else -1 for b in range(n)] for a in range(n)]
+        for a, b in itertools.combinations(range(n), 2):
+            meet[a][b] = meet[b][a] = rng.choice((a, b, rng.randrange(n)))
+        cases.append((n, tuple(map(tuple, meet)), random_table(n)))
     failures = 0
     for n, meet, fusion in cases:
         expected = outcome(residual_from_fusion_pairwise, n, meet, fusion)
