@@ -435,12 +435,13 @@ def validate(algebra: FiniteAlgebra) -> AxiomReport:
     MalformedTable, axiom violations are reported with witnesses, one
     verdict per axiom group."""
     _check_shape(algebra)
-    groups = [_monoid_laws, _residuation_laws, _subidempotence_laws]
+    verdicts = [_lattice_laws(algebra.meet, algebra.join),
+                *(g(algebra) for g in (_monoid_laws, _residuation_laws, _subidempotence_laws))]
     if algebra.neg is not None:
-        groups.append(_involution_laws)
+        verdicts.append(_involution_laws(algebra.neg, algebra.residual))
     if algebra.bottom is not None:
-        groups.append(_bound_laws)
-    return AxiomReport((_lattice_laws(algebra.meet, algebra.join), *(g(algebra) for g in groups)))
+        verdicts.append(_bound_laws(algebra))
+    return AxiomReport(tuple(verdicts))
 
 
 def _verdict(axiom: str, checks) -> AxiomVerdict:
@@ -487,8 +488,8 @@ def _subidempotence_laws(algebra: FiniteAlgebra) -> AxiomVerdict:
     )])
 
 
-def _involution_laws(algebra: FiniteAlgebra) -> AxiomVerdict:
-    neg, res, rng = algebra.neg, algebra.residual, algebra.elements
+def _involution_laws(neg: Sequence[int], res: Table) -> AxiomVerdict:
+    rng = range(len(neg))
     return _verdict("involution", [
         ("neg involutive", ((a,) for a in rng if neg[neg[a]] != a)),
         ("contraposition a->~b = b->~a",
@@ -548,7 +549,8 @@ def derived_laws(algebra: FiniteAlgebra) -> AxiomReport:
 def residual_from_fusion(size: int, meet: Table, fusion: Table) -> Table:
     """Derive the residual table: residual(b, c) is the maximum a with
     fusion(a, b) <= c.  Raises NotResiduated at the first pair (row-major)
-    with no maximum witness.
+    with no maximum witness.  `meet` is a lattice's and `fusion`'s entries
+    are elements, as `validate` checks.
 
     On bitmasks whose bits hold the elements by ascending down-set size, so
     that an element's bit lies above those of the elements below it: the
@@ -570,10 +572,8 @@ def residual_from_fusion(size: int, meet: Table, fusion: Table) -> Table:
             for v in below_c:
                 candidates |= making[v]
             best = order[candidates.bit_length() - 1]
-            if not candidates or candidates & ~down[best]:  # off a partial order, try them all
-                best = next((a for a in rng if candidates & bit[a] and not candidates & ~down[a]), None)
-                if best is None:
-                    raise NotResiduated(b, len(row))
+            if not candidates or candidates & ~down[best]:
+                raise NotResiduated(b, len(row))
             row.append(best)
         rows.append(tuple(row))
     return tuple(rows)

@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 
 from .core import (
-    AxiomReport, AxiomVerdict, FiniteAlgebra, _covers, residual_from_fusion, validate,
+    AxiomReport, AxiomVerdict, FiniteAlgebra, _check_tables, _covers, _lattice_laws,
+    residual_from_fusion, validate,
 )
 from .duality import PointedPoset
 from .errors import MalformedTable, NotResiduated, ParseError, ValidationError
@@ -94,12 +95,18 @@ def load(text: str) -> FiniteAlgebra:
     flags = [_typed(sig.get(k, False), bool, f"signature.{k}") for k in ("involution", "bottom")]
     if sig and flags != [neg is not None, bottom is not None]:
         raise ParseError("signature flags disagree with the present fields")
-    if residual is None:
+    if residual is None:  # derived from tables that pass validate's checks on them
         try:
-            meet_t = tuple(tuple(int(x) for x in row) for row in meet)
-            fusion_t = tuple(tuple(int(x) for x in row) for row in fusion)
+            meet_t, join_t, fusion_t = (
+                tuple(tuple(int(x) for x in row) for row in t) for t in (meet, join, fusion))
+            if size < 1:
+                raise MalformedTable("size must be positive")
+            _check_tables(size, ("meet", "join", "fusion"), (meet_t, join_t, fusion_t))
+            lattice = _lattice_laws(meet_t, join_t)
+            if not lattice.passed:
+                raise ValidationError(AxiomReport((lattice,)))
             residual = residual_from_fusion(size, meet_t, fusion_t)
-        except (MalformedTable, IndexError, TypeError, ValueError) as exc:
+        except (MalformedTable, TypeError, ValueError) as exc:
             raise ParseError(str(exc)) from exc
         except NotResiduated as exc:
             report = AxiomReport(

@@ -536,16 +536,15 @@ def _enumerate_sirl(max_size: int) -> list[FiniteAlgebra]:
         n = base.size
         for f0 in range(n):
             neg = tuple(base.residual[x][f0] for x in range(n))
-            if any(neg[neg[x]] != x for x in range(n)):
+            _check_neg(n, neg)
+            if not _involution_laws(neg, base.residual).passed:
                 continue
             algebra = FiniteAlgebra(
                 size=n, meet=base.meet, join=base.join, fusion=base.fusion,
                 residual=base.residual, e=base.e, neg=neg,
                 signature=Signature(True, False), name=f"sirl#{n}",
             )
-            _check_neg(n, neg)
-            if _involution_laws(algebra).passed:
-                found.setdefault(canonical_form(algebra), algebra)
+            found.setdefault(canonical_form(algebra), algebra)
     return [found[k] for k in sorted(found)]
 
 

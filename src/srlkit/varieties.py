@@ -44,11 +44,10 @@ The spectrum build rests on three more facts.
   in H(A), and V(A) and V(top quotients) have the same FSI spectrum up to
   isomorphism.  An FSI A has e as its one maximal join-irreducible, so it
   stands for itself.  The build first learns the spectrum's key set from
-  the full build on the top quotients, which are small, one of each
-  isomorphism type; the build on the generators then stops as soon as it
-  has met every key of that set.  The full build would meet no key
-  outside it, so what the stopped build has emitted by then, members,
-  order and names, is what the full build emits.
+  the full build on the top quotients, which are small; the build on the
+  generators then stops as soon as it has met every key of that set.  The
+  full build would meet no key outside it, so what the stopped build has
+  emitted by then, members, order and names, is what the full build emits.
   A key outside the set, or a set left partly unmet, raises
   VerificationFailure.  When every generator is FSI, there is nothing to
   learn, and the build runs once, to its end.
@@ -203,16 +202,11 @@ def _build_spectrum_members(spec: VarietySpec) -> tuple[FiniteAlgebra, ...]:
 def _key_set(generators: tuple[FiniteAlgebra, ...]) -> Optional[set[tuple]]:
     """The `canonical_form` keys of the FSI spectrum, from the full build on
     the generators' top SI quotients, an FSI generator standing for itself;
-    None when every generator is FSI, when that build is the build itself.
-    Isomorphic top quotients have one spectrum, so only the first of each
-    isomorphism type is scanned."""
+    None when every generator is FSI, when that build is the build itself."""
     if all(map(is_fsi, generators)):
         return None
-    tops = {}
-    for gen in generators:
-        for q in _top_si_quotients(gen):
-            tops.setdefault(canonical_form(q), q)
-    return {key for key, _ in _spectrum_scan(tops.values())}
+    tops = [q for gen in generators for q in _top_si_quotients(gen)]
+    return {key for key, _ in _spectrum_scan(tops)}
 
 
 def _top_si_quotients(algebra: FiniteAlgebra) -> list[FiniteAlgebra]:

@@ -251,16 +251,18 @@ def short_hash(answer) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _lines(family: str, **options) -> list[str]:
-    return [f"{id_}\t{short_hash(answer)}" for id_, answer in FAMILIES[family](**options)]
+def _lines(family: str, rows=None, **options) -> list[str]:
+    rows = FAMILIES[family](**options) if rows is None else rows
+    return [f"{id_}\t{short_hash(answer)}" for id_, answer in rows]
 
 
-def moved(family: str, sizes=None, groups=None) -> list[str]:
+def moved(family: str, sizes=None, groups=None, rows=None) -> list[str]:
     """The ids whose answers differ from the record, in record order, plus
     any input that was added to or dropped from the family.  `sizes`, given
     to a family that takes it, checks only the recorded ids of models of
     those (class, largest size) pairs; `groups` likewise checks only the
-    recorded ids of those groups."""
+    recorded ids of those groups; `rows`, given, are the whole family's
+    (id, answer) pairs, already computed."""
     recorded = (RECORDS / f"{family}.txt").read_text().splitlines()
     if sizes is not None:
         heads = {f"{kind}{n}" for kind, top in sizes for n in range(top + 1)}
@@ -270,7 +272,7 @@ def moved(family: str, sizes=None, groups=None) -> list[str]:
         recorded = [line for line in recorded if line.split("#")[0] in groups]
         current = _lines(family, groups=groups)
     else:
-        current = _lines(family)
+        current = _lines(family, rows)
     changed = [line.split("\t")[0] for line, now in zip(recorded, current) if line != now]
     extra = recorded[len(current):] + current[len(recorded):]
     return changed + [line.split("\t")[0] for line in extra]

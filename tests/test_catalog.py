@@ -16,6 +16,7 @@ from oracles import (
 from srlkit.catalog import (
     CATALOG,
     brouwerian_chain,
+    brouwerian_diamond,
     builtin,
     c4,
     crystal,
@@ -229,6 +230,36 @@ def test_document_load_derives_missing_residual():
         del doc["tables"]["residual"]
         again = load(json.dumps(doc))
         assert again.residual == algebra.residual
+
+
+@pytest.mark.parametrize(
+    "algebra, table, cell, value, error, message",
+    [
+        (brouwerian_diamond, "fusion", (2, 2), -3, ParseError, "fusion table has an out-of-range entry"),
+        (c4, "fusion", (1, 2), 7, ParseError, "fusion table has an out-of-range entry"),
+        (c4, "join", (0, 3), -1, ParseError, "join table has an out-of-range entry"),
+        (c4, "meet", (0, 1), 1, ValidationError, "meet commutative"),
+    ],
+    ids=["diamond-negative-fusion", "c4-fusion-above", "c4-join-negative", "c4-meet-no-lattice"],
+)
+def test_document_load_checks_the_tables_it_derives_the_residual_from(
+    algebra, table, cell, value, error, message
+):
+    # the meet, join and fusion tables are checked as validate checks them
+    # before the residual is derived: a bad entry is named, and a meet that
+    # is no lattice's is reported as the lattice group's failure
+    import json
+
+    doc = json.loads(save(algebra()))
+    del doc["tables"]["residual"]
+    r, c = cell
+    doc["tables"][table][r][c] = value
+    with pytest.raises(error) as exc:
+        load(json.dumps(doc))
+    if error is ParseError:
+        assert str(exc.value) == message
+    else:
+        assert [v.law for v in exc.value.report.failures()] == [message]
 
 
 def test_export_dot_two_chain():

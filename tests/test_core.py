@@ -167,9 +167,10 @@ def test_derive_order_names_the_first_failing_semilattice_law(cells, message):
 def test_law_checks_match_the_recorded_digest():
     # recorded from the law checks that wrote out each law's loop in place;
     # the family names the inputs whose answers moved
-    changed = moved("law_checks")
+    rows = list(law_checks())
+    changed = moved("law_checks", rows=rows)
     assert not changed, f"{len(changed)} law-check answers moved, the first at {changed[0]}"
-    lines = [line for _, answers in law_checks() for line in answers]
+    lines = [line for _, answers in rows for line in answers]
     assert len(lines) == 4 * 1245
     assert sum(line.startswith("MalformedTable") for line in lines) == 220
     assert sum(line.startswith("DerivedLawFailure") for line in lines) == 1048
@@ -219,10 +220,9 @@ def test_residual_from_fusion_failure():
 
 
 def test_residual_from_fusion_matches_the_pairwise_oracle():
-    # the SRL tables through 6 elements, seeded random tables on the same
-    # lattices, most of them not residuated, and random tables on random
-    # commutative meet tables, most of them no order: the same residual or
-    # the same first failing pair
+    # the SRL tables through 6 elements, and seeded random tables on the
+    # same lattices, most of them not residuated: the same residual or the
+    # same first failing pair
     def outcome(derive, n, meet, fusion):
         try:
             return ("residual", derive(n, meet, fusion))
@@ -234,11 +234,6 @@ def test_residual_from_fusion_matches_the_pairwise_oracle():
     cases = [(a.size, a.meet, a.fusion) for a in enumerate_models("srl", 6)]
     for n, meet, _ in rng.choices(cases, k=1000):
         cases.append((n, meet, random_table(n)))
-    for n in rng.choices(range(1, 7), k=300):
-        meet = [[a if a == b else -1 for b in range(n)] for a in range(n)]
-        for a, b in itertools.combinations(range(n), 2):
-            meet[a][b] = meet[b][a] = rng.choice((a, b, rng.randrange(n)))
-        cases.append((n, tuple(map(tuple, meet)), random_table(n)))
     failures = 0
     for n, meet, fusion in cases:
         expected = outcome(residual_from_fusion_pairwise, n, meet, fusion)

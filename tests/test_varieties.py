@@ -151,26 +151,6 @@ def test_spectrum_stopped_at_the_key_set_matches_the_full_build_on_large_squares
         _assert_the_stopped_build_is_the_full_one(name, spec)
 
 
-def test_key_set_scans_one_top_quotient_of_each_type(monkeypatch):
-    # a square's two top SI quotients are both the factor, so the key-set
-    # pass scans the factor once, then the stopped build scans the square:
-    # (size, masks taken) per scan
-    real = varieties._subuniverse_masks
-    scans = []
-
-    def counting(algebra):
-        scans.append([algebra.size, 0])
-        for mask in real(algebra):
-            scans[-1][1] += 1
-            yield mask
-
-    monkeypatch.setattr(varieties, "_subuniverse_masks", counting)
-    for n, expected in ((7, [[7, 8], [49, 8]]), (9, [[9, 16], [81, 16]])):
-        scans.clear()
-        fsi_spectrum(spec_of(direct_product(sugihara(n), sugihara(n))))
-        assert scans == expected, n
-
-
 def _with_key_set(monkeypatch, change):
     real = varieties._key_set
     monkeypatch.setattr(varieties, "_key_set", lambda generators: change(real(generators), real))
