@@ -252,8 +252,9 @@ def _check_tables(n: int, labels: Sequence[str], tables: Sequence[Table]) -> Non
     for label, table in zip(labels, tables):
         if len(table) != n or set(map(len, table)) != {n}:
             raise MalformedTable(f"{label} table is not {n}x{n}")
-    if all(_first_non_element(n, row) is None for table in tables for row in table):
-        return  # row by row: a tuple of every entry, made per call, fragments the heap
+    if all(set(map(type, chain.from_iterable(t))) <= {int} and 0 <= min(map(min, t))
+           and max(map(max, t)) < n for t in tables):
+        return  # no tuple of every entry: made per call, it fragments the heap
     entries = tuple(chain.from_iterable(chain(*tables)))
     i = _first_non_element(n, entries)
     label = labels[i // (n * n)]
