@@ -252,10 +252,10 @@ def _check_tables(n: int, labels: Sequence[str], tables: Sequence[Table]) -> Non
     for label, table in zip(labels, tables):
         if len(table) != n or set(map(len, table)) != {n}:
             raise MalformedTable(f"{label} table is not {n}x{n}")
-    if all(set(map(type, chain.from_iterable(t))) <= {int} and 0 <= min(map(min, t))
-           and max(map(max, t)) < n for t in tables):
-        return  # no tuple of every entry: made per call, it fragments the heap
-    entries = tuple(chain.from_iterable(chain(*tables)))
+    every = lambda: chain.from_iterable(chain(*tables))
+    if set(map(type, every())) <= {int} and 0 <= min(every()) and max(every()) < n:
+        return  # three passes, no tuple of every entry: made per call, it fragments the heap
+    entries = tuple(every())
     i = _first_non_element(n, entries)
     label = labels[i // (n * n)]
     raise _entry_error(entries[i], f"{label} table row {i // n % n} column {i % n}",
