@@ -435,80 +435,111 @@ class EpiAnalysis:
     embedding: Homomorphism
 
 
-def _cone_prime_data(algebra: FiniteAlgebra):
-    """The unbounded cone, its carrier injection, its prime filters (in
-    dual-space point order) both by their least elements in the cone and as
-    sets of parent indices, and its dual space."""
-    cone, carrier = negative_cone(algebra)
-    cone = brouwerian_reduct(cone)
-    least, cone_primes, space = _prime_space(cone, "pointed")
-    primes = tuple(frozenset(carrier[i] for i in f) for f in cone_primes)
-    return cone, carrier, least, primes, space
+class _Cone:
+    """An algebra's unbounded negative cone and what the retract square reads
+    off it: the carrier injection, the index of each cone element by element
+    of the algebra, the prime filters (in dual-space point order) both by
+    their least elements in the cone and as sets of the algebra's indices,
+    the dual space, and the e-subspaces built and verified so far, by
+    cone-filter members.  Each e-subspace's up-set algebra is taken from, or
+    added to, `up_sets`."""
 
-
-class _ParentSide:
-    """What `epi_analysis` derives from the parent algebra alone: whether it
-    is FSI and then whether it is negatively generated; when both hold, the
-    `_cone_prime_data`, the index of each cone element by parent element,
-    the depth of each dual point, the e-subspaces already built and verified
-    on the cone, by cone-filter members, and the `_KernelSide` of each
-    kernel already met, by its members.  `up_sets` holds the pointed
-    up-set algebra, with its index, of each e-subspace poset met so far on
-    the parent's cone or a subalgebra's, by poset; it is a pure function of
-    the poset, and every map onto it is still checked on every call."""
-
-    def __init__(self, algebra: FiniteAlgebra):
-        self.fsi = is_fsi(algebra)
-        self.negatively_generated = self.fsi and is_negatively_generated(algebra)
-        if self.negatively_generated:
-            data = _cone_prime_data(algebra)
-            self.cone, self.carrier, self.cone_least, self.primes, self.space = data
-            self.cone_local = {x: i for i, x in enumerate(self.carrier)}
-            self.depths = tuple(_point_depths(self.space))
+    def __init__(self, algebra: FiniteAlgebra, up_sets: dict):
+        cone, self.carrier = negative_cone(algebra)
+        self.cone = brouwerian_reduct(cone)
+        self.least, cone_primes, self.space = _prime_space(self.cone, "pointed")
+        self.primes = tuple(frozenset(self.carrier[i] for i in f) for f in cone_primes)
+        self.local = {x: i for i, x in enumerate(self.carrier)}
+        self._up_sets = up_sets
         self._subspaces: dict[frozenset[int], ESubspace] = {}
-        self._kernels: dict[frozenset[int], _KernelSide] = {}
-        self.up_sets: dict = {}
 
     def subspace(self, members: frozenset[int]) -> ESubspace:
         found = self._subspaces.get(members)
         if found is None:
             flt = DeductiveFilter(self.cone, members)
-            found = _e_subspace(self.cone, self.cone_least, self.space, flt, self.up_sets)
+            found = _e_subspace(self.cone, self.least, self.space, flt, self._up_sets)
             self._subspaces[members] = found
         return found
+
+
+class _ParentSide:
+    """What `epi_analysis` derives from the parent algebra alone: whether it
+    is FSI and then whether it is negatively generated; when both hold, its
+    `_Cone` and the depth of each dual point.  It also keeps the
+    `_KernelSide` of each kernel already met, by its members, and the
+    `_Cone` of each subalgebra already met, by the subalgebra's value, whose
+    e-subspaces are kept by the first filter's trace on its cone.  `up_sets`
+    holds the pointed up-set algebra, with its index, of each e-subspace
+    poset met so far on any of these cones, by poset.  Each is a pure
+    function of its key, and every map that depends on how a subalgebra sits
+    in the parent is still built and checked on every call."""
+
+    def __init__(self, algebra: FiniteAlgebra):
+        self.fsi = is_fsi(algebra)
+        self.negatively_generated = self.fsi and is_negatively_generated(algebra)
+        self.up_sets: dict = {}
+        if self.negatively_generated:
+            self.cone = _Cone(algebra, self.up_sets)
+            self.depths = tuple(_point_depths(self.cone.space))
+        self._kernels: dict[frozenset[int], _KernelSide] = {}
+        self._sub_cones: dict[FiniteAlgebra, _Cone] = {}
 
     def kernel_side(self, algebra: FiniteAlgebra, kernel: frozenset[int]) -> _KernelSide:
         found = self._kernels.get(kernel)
         if found is None:
-            found = _KernelSide(algebra, self, kernel)
+            found = _KernelSide(algebra, self.cone, kernel)
             self._kernels[kernel] = found
+        return found
+
+    def sub_cone(self, sub: FiniteAlgebra) -> _Cone:
+        # keyed by value: `FiniteAlgebra` equality ignores the name, and
+        # equal subalgebras of different masks have the same cone
+        found = self._sub_cones.get(sub)
+        if found is None:
+            found = _Cone(sub, self.up_sets)
+            self._sub_cones[sub] = found
         return found
 
 
 class _KernelSide:
-    """What `epi_analysis` derives from the parent and a kernel alone, the
-    meet of the two chosen prime filters: θ, generated by the kernel, the
-    members of θ's filter, A/θ with its quotient map, the kernel's
-    e-subspace `sub_x`, and the verified identification `i1` of A/θ's cone
-    with `sub_x`'s quotient, by element of A/θ."""
+    """What `epi_analysis` and `refute_epic` derive from the parent and a
+    kernel alone, the meet of the two chosen prime filters: θ, generated by
+    the kernel, the members of θ's filter, A/θ with its quotient map, the
+    kernel's e-subspace `sub_x`, the verified identification `i1` of A/θ's
+    cone with `sub_x`'s quotient, by element of A/θ, and the certificate's
+    first maps built so far, by (target subuniverse, pivot)."""
 
-    def __init__(self, algebra: FiniteAlgebra, parent: _ParentSide, kernel: frozenset[int]):
+    def __init__(self, algebra: FiniteAlgebra, cone: _Cone, kernel: frozenset[int]):
         self.theta = leibniz_congruence(generated_filter(algebra, kernel))
         self.filter_members = congruence_filter(self.theta).members
         self.quotient = quotient_by_congruence(algebra, self.theta)
-        self.sub_x = parent.subspace(frozenset(parent.cone_local[x] for x in kernel))
+        self.sub_x = cone.subspace(frozenset(cone.local[x] for x in kernel))
         _, q_carrier, i1 = _identify_cones(
-            self.quotient[1], parent.cone_local, self.sub_x.quotient_map,
+            self.quotient[1], cone.local, self.sub_x.quotient_map,
             "cone of the quotient does not match the cone quotient",
             "cone identification is not a homomorphism",
         )
         self.i1 = dict(zip(q_carrier, i1))
+        self._first_maps: dict[tuple[frozenset[int], int], Homomorphism] = {}
+
+    def first_map(self, target_sub: frozenset[int], pivot: int) -> Homomorphism:
+        """The separating retraction of A/θ onto `target_sub` that moves
+        `pivot`, after the quotient map."""
+        key = (target_sub, pivot)
+        found = self._first_maps.get(key)
+        if found is None:
+            quot, q_map = self.quotient
+            target_neg = frozenset(u for u in target_sub if quot.leq(u, quot.e))
+            retraction = _separating_retraction(quot, target_sub, target_neg, pivot)
+            found = compose(retraction, q_map)
+            self._first_maps[key] = found
+        return found
 
 
 # The parent side of the latest `epi_analysis` call, as (algebra, side).  One
 # entry, matched by identity, keeps at most one algebra alive and serves a
-# sweep over one algebra's subuniverses; the subalgebra side changes with
-# every call, so it is never kept.
+# sweep over one algebra's subuniverses; every store of the sweep hangs off
+# it, so a call on another algebra frees them all.
 _last_parent: Optional[tuple[FiniteAlgebra, _ParentSide]] = None
 
 
@@ -534,12 +565,19 @@ def epi_analysis(algebra: FiniteAlgebra, members: Iterable[int]) -> EpiAnalysis:
     on the algebra and the kernel (the meet of the two chosen filters)
     alone, by kernel: the congruence θ it generates, A/θ with its quotient
     map, the kernel's e-subspace and the identification of A/θ's cone with
-    that subspace's quotient.  That is sound because an algebra is
-    immutable and these are functions of it and of the filter, kernel or
-    poset: every check still runs once on each distinct input, and a build
-    that fails its checks raises before it is stored.  Every check on the
-    subalgebra side runs on every call, the isomorphism onto a kept up-set
-    algebra included.  A call on another algebra replaces them all.
+    that subspace's quotient.  On the subalgebra side they reuse the cone
+    of each subalgebra, with its prime filters and dual space, by the
+    subalgebra's value, and the e-subspace above the first filter's trace
+    on that cone, by subalgebra and trace.  That is sound because an
+    algebra is immutable and these are functions of it and of the filter,
+    kernel, subalgebra, trace or poset: every check still runs once on each
+    distinct input, and a build that fails its checks raises before it is
+    stored.  So the checks on the subalgebra side run once per distinct
+    subalgebra and trace, the isomorphism onto a kept up-set algebra
+    included; what depends on how the subalgebra sits in the algebra (the
+    trace map on dual points, the subcone identification, the tower and
+    the outer square) is checked on every call.  A call on another algebra
+    replaces them all.
 
     `refute_epic` relies on the gap and cover checks here when it takes its
     retraction from `_separating_retraction`, which skips re-proving them."""
@@ -557,7 +595,7 @@ def epi_analysis(algebra: FiniteAlgebra, members: Iterable[int]) -> EpiAnalysis:
     if subuniverse_closure(algebra, sub_neg) != sub_mask:
         raise HypothesesNotMet("B is not negatively generated")
 
-    primes, depths = parent.primes, parent.depths
+    primes, depths = parent.cone.primes, parent.depths
 
     traces = [p & sub_neg for p in primes]
     pairs = [
@@ -636,23 +674,22 @@ def _verify_retract_square(parent, side, traces, first, qe):
     """Compose the retract square elementwise: going through the subalgebra
     quotient, its cone quotient, and the subspace isomorphisms agrees with
     going through the full quotient.  The kernel's subspace and the cone
-    identification on A/θ come from the kernel side; everything on the
-    subalgebra side is built and checked here."""
-    sub_y = parent.subspace(frozenset(parent.cone_local[x] for x in first))
+    identification on A/θ come from the kernel side, and the subalgebra's
+    cone and its e-subspace above the first filter's trace from the parent
+    side; every map between the two sides is built and checked here."""
+    cone = parent.cone
+    sub_y = cone.subspace(frozenset(cone.local[x] for x in first))
 
     inclusion = qe.inclusion
-    b_cone, b_carrier, b_least, b_primes_sub, b_space = _cone_prime_data(qe.sub_algebra)
-    trace_local = frozenset(
-        i for i, x in enumerate(b_carrier)
+    b_cone = parent.sub_cone(qe.sub_algebra)
+    sub_z = b_cone.subspace(frozenset(
+        i for i, x in enumerate(b_cone.carrier)
         if inclusion.mapping[x] in first
-    )
-    sub_z = _e_subspace(
-        b_cone, b_least, b_space, DeductiveFilter(b_cone, trace_local), parent.up_sets
-    )
+    ))
 
     # i_* on dual points: intersect with the subalgebra's cone; B's primes
     # are distinct sets, so a trace matches at most one of them
-    b_index = {frozenset(inclusion.mapping[x] for x in p): i for i, p in enumerate(b_primes_sub)}
+    b_index = {frozenset(inclusion.mapping[x] for x in p): i for i, p in enumerate(b_cone.primes)}
     istar = _lookup(b_index, traces, "prime trace is not a unique prime of the subcone")
 
     restricted = [istar[p] for p in sub_y.points]
@@ -660,9 +697,8 @@ def _verify_retract_square(parent, side, traces, first, qe):
         raise VerificationFailure("trace map is not a bijection on the subspace")
 
     # the subcone identification; A/θ's is the kernel side's `i1`
-    b_local = {x: i for i, x in enumerate(b_carrier)}
     _, bq_carrier, i2 = _identify_cones(
-        qe.sub_quotient_map, b_local, sub_z.quotient_map,
+        qe.sub_quotient_map, b_cone.local, sub_z.quotient_map,
         "subcone of the quotient does not match its cone quotient",
         "subcone identification is not a homomorphism",
     )
@@ -744,24 +780,28 @@ def refute_epic(algebra: FiniteAlgebra, members: Iterable[int]) -> EpiCertificat
     """Produce a certificate that the subalgebra is not epic in the algebra
     relative to any variety containing the quotient (in particular the one
     the algebra generates).  The retraction comes from
-    `_separating_retraction`, whose hypotheses `epi_analysis` has checked;
-    the built map is checked again."""
+    `_separating_retraction`, whose hypotheses `epi_analysis` has checked,
+    and the built map is checked there; the first map, the retraction after
+    the quotient map, is kept on the kernel side by target subuniverse and
+    pivot.  The maps' agreement on the subalgebra and their difference at
+    the witness are checked on every call."""
     analysis = epi_analysis(algebra, members)
     quot = analysis.quotient
     q_map = analysis.quotient_map
     image = frozenset(analysis.embedding.mapping)
     a1q = q_map.mapping[analysis.first_witness]
     a2q = q_map.mapping[analysis.second_witness]
-    negative = lambda carrier: frozenset(u for u in carrier if quot.leq(u, quot.e))
 
-    target_sub, target_neg, pivot = image, negative(image), a1q
+    target_sub, pivot = image, a1q
     if analysis.case == "incomparable":
-        closure = subuniverse_closure(quot, target_neg | {a1q})
+        image_neg = frozenset(u for u in image if quot.leq(u, quot.e))
+        closure = subuniverse_closure(quot, image_neg | {a1q})
         if a2q not in closure:
-            target_sub, target_neg, pivot = closure, negative(closure), a2q
+            target_sub, pivot = closure, a2q
 
-    retraction = _separating_retraction(quot, target_sub, target_neg, pivot)
-    g = compose(retraction, q_map)
+    kernel = analysis.first_filter & analysis.second_filter
+    side = _parent_side(algebra).kernel_side(algebra, kernel)
+    g = side.first_map(target_sub, pivot)
     h = q_map
     witness = q_map.mapping.index(pivot)
     ok = (
@@ -778,9 +818,15 @@ def refute_epic(algebra: FiniteAlgebra, members: Iterable[int]) -> EpiCertificat
 
 def verify_certificate(cert: EpiCertificate, members: Iterable[int]) -> bool:
     """Independent check: both maps are homomorphisms to the target, they
-    agree on the subalgebra, and they differ at the witness."""
+    agree on the subalgebra, and they differ at the witness, which must be
+    an element of their source.  A member that is not an element of the
+    source raises ValueError."""
     sub = frozenset(members)
     g, h = cert.first_map, cert.second_map
+    n = g.source.size
+    for x in sub:
+        if not _is_element(n, x):
+            raise ValueError(f"subalgebra member must be an integer in 0..{n - 1}, got {x!r}")
     return (
         g.source == h.source
         and g.target == cert.target
@@ -788,5 +834,6 @@ def verify_certificate(cert: EpiCertificate, members: Iterable[int]) -> bool:
         and is_homomorphism(g.source, g.target, g.mapping)
         and is_homomorphism(h.source, h.target, h.mapping)
         and all(g.mapping[x] == h.mapping[x] for x in sub)
+        and _is_element(n, cert.witness)
         and g.mapping[cert.witness] != h.mapping[cert.witness]
     )

@@ -1,9 +1,11 @@
+import collections
 import dataclasses
 import gc
 import hashlib
 import itertools
 import json
 import random
+import re
 import sys
 import weakref
 
@@ -25,6 +27,7 @@ from srlkit.cones import all_subuniverses, is_negatively_generated
 from srlkit.core import (
     FiniteAlgebra,
     classify,
+    compose,
     direct_product,
     find_isomorphism,
     homomorphisms,
@@ -339,9 +342,9 @@ def test_epi_analysis_four_chain_worked_example():
     assert ((1, 2, 3), (2, 3)) in pairs and ((2, 3), (1, 2, 3)) in pairs
 
 
-def test_epi_analysis_incomparable_case():
-    # diamond with a stem above: 0 < 1,2 < 3 < 4(=e); the subalgebra {0, 4}
-    # traces both middle prime filters to the same set
+def _stemmed_diamond():
+    """The Brouwerian algebra on a diamond with a stem above:
+    0 < 1,2 < 3 < 4(=e)."""
     meet = (
         (0, 0, 0, 0, 0),
         (0, 1, 0, 1, 1),
@@ -363,7 +366,12 @@ def test_epi_analysis_incomparable_case():
     from srlkit.core import residual_from_fusion, validate
 
     residual = residual_from_fusion(5, meet, meet)
-    algebra = FiniteAlgebra.build(5, meet, join, meet, residual, 4)
+    return FiniteAlgebra.build(5, meet, join, meet, residual, 4)
+
+
+def test_epi_analysis_incomparable_case():
+    # the subalgebra {0, 4} traces both middle prime filters to the same set
+    algebra = _stemmed_diamond()
     assert validate(algebra).ok
     analysis = epi_analysis(algebra, {0, 4})
     assert analysis.case == "incomparable"
@@ -534,6 +542,20 @@ def _suite_certificates(algebras):
                 continue
 
 
+def test_verify_certificate_rejects_cells_that_are_not_elements():
+    # a negative index, or True, would read a cell of the maps; the size is
+    # past their end
+    algebra, members = brouwerian_chain(4), {0, 2, 3}
+    n = algebra.size
+    cert = refute_epic(algebra, members)
+    assert verify_certificate(cert, members)
+    for witness in (cert.witness - n, n, True):
+        assert not verify_certificate(dataclasses.replace(cert, witness=witness), members)
+    for member in (-1, n, "1"):
+        with pytest.raises(ValueError, match=re.escape(f"got {member!r}")):
+            verify_certificate(cert, {member})
+
+
 def test_certificates_match_the_recorded_digest(suite):
     # recorded before the kernel side was kept per (algebra, kernel)
     lines = [
@@ -608,6 +630,60 @@ def test_epi_answers_do_not_depend_on_earlier_calls(suite):
     assert (len(pairs), refused) == (950, 578)
 
 
+def test_kept_first_maps_answer_by_their_whole_key():
+    # the kernel side keeps each first map by (target subuniverse, pivot).
+    # The stemmed diamond's quotient by {0, 4}'s kernel is the four-element
+    # Boolean lattice, where two targets share each coatom as pivot; each
+    # must get its own map, on its first call and from the store
+    algebra = _stemmed_diamond()
+    analysis = refute_epic(algebra, {0, 4}).analysis
+    kernel = analysis.first_filter & analysis.second_filter
+    side = varieties._last_parent[1].kernel_side(algebra, kernel)
+    quot, q_map = side.quotient
+    for _ in range(2):
+        targets = collections.Counter()
+        for target in all_subuniverses(quot):
+            for pivot in quot.elements:
+                try:
+                    retraction, _ = separating_retraction(quot, target, pivot)
+                except HypothesesNotMet:
+                    continue
+                assert side.first_map(target, pivot) == compose(retraction, q_map)
+                targets[pivot] += 1
+        assert sorted(targets.values()) == [2, 2]
+
+
+@pytest.mark.parametrize(
+    "build, earlier, mask",
+    [
+        # brouwerian_chain(4): after {3} and {0, 3}, {1, 3} builds only the
+        # e-subspace on its subalgebra's cone; {0, 3} builds its retraction
+        # last, after the kernel side and subalgebra cone that it keeps
+        ("_e_subspace", [{3}, {0, 3}], {1, 3}),
+        ("_separating_retraction", [{3}], {0, 3}),
+    ],
+)
+def test_a_build_that_fails_is_not_kept(monkeypatch, build, earlier, mask):
+    algebra = brouwerian_chain(4)
+    fresh = _refutation_answer(dataclasses.replace(algebra), mask)
+    for done in earlier:
+        refute_epic(algebra, done)
+    calls = []
+
+    def failing(*args):
+        calls.append(args)
+        raise VerificationFailure(f"{build} failed its checks")
+
+    real = getattr(varieties, build)
+    monkeypatch.setattr(varieties, build, failing)
+    for attempt in (1, 2):
+        with pytest.raises(VerificationFailure, match=build):
+            refute_epic(algebra, mask)
+        assert len(calls) == attempt
+    monkeypatch.setattr(varieties, build, real)
+    assert _refutation_answer(algebra, mask) == fresh
+
+
 def test_epi_analysis_gives_each_parent_its_own_verdict():
     # the FSI and negative-generation verdicts are kept with the latest
     # parent: a non-FSI algebra, an FSI one, then the non-FSI one again
@@ -659,7 +735,10 @@ def test_kept_up_set_algebras_match_fresh_builds(suite, monkeypatch):
             except HypothesesNotMet:
                 continue
             calls += 1
-    assert (len(parents), calls, len(reused)) == (8, 130, 132)
+    # 124, not 132, since each subalgebra's e-subspace is kept by
+    # (subalgebra, trace): 8 repeat builds, each of which took its up-set
+    # algebra from the store, are no longer made
+    assert (len(parents), calls, len(reused)) == (8, 130, 124)
 
     assert varieties._last_parent[1].up_sets
     with pytest.raises(HypothesesNotMet, match="A is not negatively generated"):
@@ -668,13 +747,19 @@ def test_kept_up_set_algebras_match_fresh_builds(suite, monkeypatch):
 
 
 def test_epi_analysis_keeps_no_algebra_but_the_latest():
+    # the parent, a kept subalgebra cone and a kept first map all go when a
+    # call on another algebra replaces the parent side
     first, second = brouwerian_chain(4), brouwerian_chain(3)
     refute_epic(first, {0, 2, 3})
-    alive = weakref.ref(first)
-    del first
+    parent = varieties._last_parent[1]
+    (sub_cone,) = parent._sub_cones.values()
+    (kernel_side,) = parent._kernels.values()
+    (first_map,) = kernel_side._first_maps.values()
+    alive = [weakref.ref(kept) for kept in (first, sub_cone, first_map)]
+    del first, parent, sub_cone, kernel_side, first_map
     refute_epic(second, {0, 2})
     gc.collect()
-    assert alive() is None
+    assert [ref() for ref in alive] == [None, None, None]
 
 
 def test_variety_spec_rejects_mixed_signatures():
