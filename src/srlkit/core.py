@@ -688,99 +688,184 @@ def _extend(source: FiniteAlgebra, target: FiniteAlgebra, values: dict[int, int]
     return None if -1 in mapping else tuple(mapping)
 
 
-def _constraint_schedule(source: FiniteAlgebra, pinned: frozenset[int]) -> tuple:
-    """The constraints of a map out of `source`, filed for `_map_search`.
+def _closure_order(source: FiniteAlgebra, pinned: frozenset[int]) -> tuple[list, list]:
+    """`_map_search`'s assignment order of the unpinned elements, and for
+    each the constraint `(t, a, b)` that forces its value from earlier ones,
+    or None at a branch position.  The closure grows breadth first; each
+    element it takes in is read, against itself and every element taken in
+    before it, in meet, join and fusion once, since they commute, in the
+    residual both ways, and in the involution."""
+    n = source.size
+    meet, join, fus, res = _binary_tables(source)
+    col = tuple(zip(*res))
+    done, forces, cells = sorted(pinned), [], []
+    seen, q, least = set(done), 0, 0
+    while True:
+        while q < len(done):
+            x = done[q]
+            q += 1
+            row = meet[x] + join[x] + fus[x] + res[x] + col[x] + (source.neg or ())
+            cells += range(x, len(row), n)  # x's place in each read
+            if seen.issuperset(map(row.__getitem__, cells)):
+                continue
+            for i in cells:
+                r = row[i]
+                if r not in seen:  # name the filed one of a commuted pair
+                    k, y = divmod(i, n)
+                    twin = k == 4 or k < 3 and y < x and (meet, join, fus)[k][y][x] == r
+                    seen.add(r)
+                    done.append(r)
+                    forces.append((4, y, y) if k == 5 else (min(k, 3), y, x) if twin else (k, x, y))
+        while least in seen:
+            least += 1
+        if least == n:
+            return done[len(pinned):], forces
+        seen.add(least)
+        done.append(least)
+        forces.append(None)
 
-    A constraint is `(t, a, b, r)` with `r = table_t[a][b]` for each of the
-    four binary tables (t indexes `_binary_tables`), or `(a, neg[a])` for the
-    involution.  Each is filed under the largest unpinned element it
-    mentions, or in the pre-check when all of its elements are pinned.
-    Returns `(pre, slots)`: `pre` and each `slots[x]` is a pair (table
-    constraints, involution constraints).  Built once per pinned set and
-    kept on the source."""
+
+def _constraint_schedule(source: FiniteAlgebra, pinned: frozenset[int]) -> tuple:
+    """The assignment order of a map out of `source` and its constraints,
+    filed for `_map_search`.
+
+    The order (`_closure_order`) is the closure of the pinned set, then the
+    least element not yet assigned (a branch position) followed at once by
+    all that the closure gains from it (each a forced position), and so on.
+    A forced position holds the constraint that gives its value.
+
+    A constraint is `(t, a, b, r)` with `r = table_t[a][b]`, t indexing the
+    four binary tables of `_binary_tables` and, as t = 4, the involution
+    read as the table whose every row is `neg`, at (a, a).  Each is filed at
+    the position of its latest element, or in the pre-check when all of its
+    elements are pinned; a forced position's own constraint is met by its
+    value and not filed.  One is dropped when the target's laws imply it
+    from one filed at the same position, checked on the source cell:
+    - (t, a, b), b < a, in meet, join or fusion when that table commutes:
+      the target's commutes too;
+    - (meet, a, a) = a: meet is idempotent;
+    - (join, a, b) when meet[a][b] is a and the join b, or the other way
+      round: x ∧ y = x iff x ∨ y = y, as (meet, a, b) says (a = b is the
+      join's idempotent diagonal);
+    - (fusion, a, b), a <= b both below a pinned e, when the cell is
+      meet[a][b]: their images lie below the target's e, where
+      subidempotence makes fusion the meet: x·y <= x ∧ y = (x ∧ y)² <= x·y.
+    So both algebras must pass `validate`, and a pin on e send it to the
+    target's e.
+
+    Returns `(pre, head, segments)`: the pre-check, the forced positions
+    `(x, t, a, b, checks)` of the pinned set's closure, and per branch
+    position `(x, checks, forced positions after it, their elements and
+    x)`.  Built once per pinned set and kept on the source."""
     schedule = source._schedules.get(pinned)
     if schedule is not None:
         return schedule
     n = source.size
-    rank = [-1 if y in pinned else y for y in range(n)]
-    checks = [[] for _ in range(n + 1)]  # index -1, the last, is the pre-check
-    negs = [[] for _ in range(n + 1)]
+    order, forces = _closure_order(source, pinned)
+    rank = [-1] * n
+    for p, x in enumerate(order):
+        rank[x] = p
+    checks = [[] for _ in range(len(order) + 1)]  # index -1, the last, is the pre-check
     tables = _binary_tables(source)
+    meet = tables[0]
+    below = set(source.below_e) if source.e in pinned else set()
     for t in (3, 2, 1, 0):  # residual first: it rejects a partial map most often
         table = tables[t]
+        half = t < 3 and table == tuple(zip(*table))  # so each (t, a, b), b < a, has its twin
         for a in range(n):
-            row, rank_a = table[a], rank[a]
-            for b in range(n):
+            row, rank_a, meet_row = table[a], rank[a], meet[a]
+            low = t == 2 and a in below
+            for b in range(a if half else 0, n):
                 r = row[b]
+                if t == 0 and r == a == b or low and b in below and r == meet_row[b]:
+                    continue
+                if t == 1 and (meet_row[b] == a and r == b or meet_row[b] == b and r == a):
+                    continue
                 checks[max(rank_a, rank[b], rank[r])].append((t, a, b, r))
-    if source.neg is not None:
-        for a, na in enumerate(source.neg):
-            negs[max(rank[a], rank[na])].append((a, na))
-    slots = [(tuple(c), tuple(v)) for c, v in zip(checks, negs)]
-    schedule = source._schedules[pinned] = (slots.pop(), slots)
+    for a, na in enumerate(source.neg or ()):
+        checks[max(rank[a], rank[na])].append((4, a, a, na))
+    head, segments = [], []
+    for x, force, c in zip(order, forces, checks):
+        if force:
+            c.remove((*force, x))
+            (segments[-1][2] if segments else head).append((x, *force, tuple(c)))
+        else:
+            segments.append((x, tuple(c), []))
+    segments = [(x, c, tuple(run), (x, *(f[0] for f in run))) for x, c, run in segments]
+    schedule = source._schedules[pinned] = (tuple(checks[-1]), tuple(head), segments)
     return schedule
 
 
 def _map_search(source, target, pins, injective):
     """Every map source -> target that sends each pinned element to its pin
     (no value used twice when `injective`) and preserves every operation, in
-    lexicographic order by map array.
+    lexicographic order by map array, for algebras that pass `validate` and
+    a pin on e, if any, to the target's e.
 
-    The unpinned elements are assigned in ascending order, so every
-    constraint becomes fully assigned at one known element: the largest
-    unpinned element it mentions.  `_constraint_schedule` files each
-    constraint there, and a search node checks only the constraints of the
-    element it has just assigned.  Constraints among pinned elements alone
-    are checked once, before the search.  Every constraint is thus checked
-    exactly once on every path, as soon as all of its elements have values."""
+    Elements are assigned in `_constraint_schedule`'s order: a branch
+    position tries every value in ascending order, a forced position the
+    one value its constraint gives.  A search node checks only the
+    constraints filed at its position, and those among pinned elements are
+    checked once, before the search, so each constraint is checked once on
+    every path, as soon as all of its elements have values.
+
+    The order is lexicographic because each branch element is the least one
+    outside the closure of the positions before it: every element of lower
+    index is a function of the earlier branch values, so two maps first
+    differ at a branch element, where values ascend."""
     mapping = [-1] * source.size
     for k, v in pins.items():
         mapping[k] = v
-    pre, slots = _constraint_schedule(source, frozenset(pins))
-    tables = _binary_tables(target)
-    tneg = target.neg
-    values = target.elements
-    free = [a for a in source.elements if mapping[a] < 0]
+    pre, head, segments = _constraint_schedule(source, frozenset(pins))
+    tables = (*_binary_tables(target), (target.neg,) * target.size)
 
-    def holds(slot) -> bool:
-        checks, negs = slot
+    def holds(checks) -> bool:
         for t, a, b, r in checks:
             if tables[t][mapping[a]][mapping[b]] != mapping[r]:
                 return False
-        for a, na in negs:
-            if tneg[mapping[a]] != mapping[na]:
+        return True
+
+    def settle(run) -> bool:
+        """Assign each forced position of `run`: False at the first whose
+        value is taken (when `injective`) or fails its checks."""
+        for x, t, a, b, checks in run:
+            mapping[x] = v = tables[t][mapping[a]][mapping[b]]
+            if injective and mapping.count(v) > 1 or not holds(checks):
                 return False
         return True
 
-    if not holds(pre):
+    if not (holds(pre) and settle(head)):
         return
-    if not free:
+    if not segments:
         yield Homomorphism(source, target, tuple(mapping))
         return
-    # Depth-first, one candidate iterator per assigned level.  A loop, not
+    # Depth-first, one candidate iterator per branch position.  A loop, not
     # recursion: a self-referencing closure would be a reference cycle that
     # keeps the source, and its schedules, alive until the next collection.
-    levels = [iter(values)]
+    # Only an injective search reads unassigned elements (as -1), so only
+    # it clears a segment's elements, before each candidate and on leaving.
+    levels = [iter(target.elements)]
     while levels:
         i = len(levels) - 1
-        x = free[i]
+        x, checks, run, members = segments[i]
         for v in levels[i]:
-            if injective and v in mapping:
-                continue
+            if injective:
+                for y in members:
+                    mapping[y] = -1
+                if v in mapping:
+                    continue
             mapping[x] = v
-            if holds(slots[x]):
+            if holds(checks) and (not run or settle(run)):
                 break
-            mapping[x] = -1
         else:  # level i is exhausted: go on with level i - 1's next candidate
             levels.pop()
-            if i:
-                mapping[free[i - 1]] = -1
+            for y in members if injective else ():
+                mapping[y] = -1
             continue
-        if i + 1 < len(free):
-            levels.append(iter(values))
+        if i + 1 < len(segments):
+            levels.append(iter(target.elements))
         else:
             yield Homomorphism(source, target, tuple(mapping))
-            mapping[x] = -1
 
 
 def _homomorphism_search(source, target, partial=None, injective=False):
@@ -809,7 +894,8 @@ def homomorphisms(
     injective: bool = False,
 ) -> list[Homomorphism]:
     """All total homomorphisms extending `partial`, in lexicographic order by
-    map array.  Backtracking prunes on every operation table."""
+    map array.  Backtracking prunes on every operation table.  Both algebras
+    must pass `validate`: the search leaves out checks that the laws imply."""
     return list(_homomorphism_search(source, target, partial, injective))
 
 

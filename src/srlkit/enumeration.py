@@ -455,7 +455,9 @@ def _automorphisms(meet, join) -> list[tuple[int, ...]]:
     """Every automorphism of the lattice, in lexicographic order by map
     array, so the identity comes first: the injective maps of the lattice to
     itself that `_map_search` finds, reading the lattice as an algebra whose
-    fusion is its meet and whose residual is its join."""
+    fusion is its meet and whose residual is its join.  That algebra need not
+    pass `validate`, but the laws the search relies on hold in it: its meet,
+    join and fusion are lattice operations, and no pin is on its e."""
     lattice = FiniteAlgebra(
         size=len(meet), meet=meet, join=join, fusion=meet, residual=join, e=0
     )

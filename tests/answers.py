@@ -31,12 +31,16 @@ from srlkit.catalog import (
 from oracles import relabel
 
 from srlkit.cones import all_subuniverses, is_negatively_generated
-from srlkit.core import _subalgebra, classify, derive_order, derived_laws, direct_product, validate
+from srlkit.core import (
+    _subalgebra, classify, derive_order, derived_laws, direct_product, homomorphisms, validate,
+)
 from srlkit.documents import save
-from srlkit.enumeration import canonical_form, enumerate_models
+from srlkit.enumeration import (
+    _automorphisms, _lattice_tables, _lattices, canonical_form, enumerate_models,
+)
 from srlkit.errors import HypothesesNotMet, SrlkitError
 from srlkit.filters import is_fsi
-from srlkit.varieties import VarietySpec, decide_es, refute_epic
+from srlkit.varieties import VarietySpec, decide_es, fsi_spectrum, refute_epic
 
 RECORDS = Path(__file__).parent / "answers"
 
@@ -237,12 +241,43 @@ def spectra(groups=None):
             }
 
 
+def hom_sets(groups=None):
+    """The map arrays, in order, of Hom(M, C) for each ordered pair (M, C)
+    of FSI spectrum members of each spec of `benchmark_varieties`, first as
+    given, then with its generators relabelled by one shared
+    `random.Random(f"hom_sets:{index}")`; then `_automorphisms` of each
+    lattice of at most 6 elements, in `_lattices` order.  The id is the
+    group, the position in the group, the name and variant, and the pair's
+    member positions; `groups` keeps only the specs of those groups
+    (`lattices` being the automorphisms' group)."""
+    counts: dict = {}
+    for index, (group, name, generators) in enumerate(benchmark_varieties()):
+        k = counts[group] = counts.get(group, -1) + 1
+        if groups is not None and group not in groups:
+            continue
+        rng = random.Random(f"hom_sets:{index}")
+        for variant, gens in (("given", generators), ("relabelled", [relabel(g, rng) for g in generators])):
+            members = fsi_spectrum(VarietySpec(tuple(gens))).algebras
+            for i, source in enumerate(members):
+                for j, target in enumerate(members):
+                    yield f"{group}#{k} {name}|{variant}|{i}>{j}", [
+                        h.mapping for h in homomorphisms(source, target)
+                    ]
+    if groups is None or "lattices" in groups:
+        index = 0
+        for n in range(1, 7):
+            for leq in _lattices(n):
+                yield f"lattices#{index} size {n}", _automorphisms(*_lattice_tables(leq))
+                index += 1
+
+
 FAMILIES = {
     "canonical_keys": canonical_keys,
     "enumerated_models": enumerated_models,
     "certificates": certificates,
     "spectra": spectra,
     "law_checks": law_checks,
+    "hom_sets": hom_sets,
 }
 
 
