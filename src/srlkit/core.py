@@ -647,54 +647,17 @@ def compose(outer: Homomorphism, inner: Homomorphism) -> Homomorphism:
     )
 
 
-def _extend(source: FiniteAlgebra, target: FiniteAlgebra, values: dict[int, int]):
-    """The homomorphism source -> target that extends `values`, as a map
-    array, or None when there is none: when two values forced on one element
-    differ, or when `values` and the constants do not generate the source.
-
-    A homomorphism is fixed by its values on a generating set, so this is
-    the closure of those values through the operations.  Each round applies
-    them to the pairs that involve an element valued in the round before:
-    (a, b) with a fresh, and (b, a) with b valued in an earlier round, so
-    every ordered pair of valued elements is checked exactly once."""
-    mapping = [-1] * source.size
-    fresh = {source.e: target.e}
-    if source.bottom is not None:
-        fresh[source.bottom] = target.bottom
-    for a, v in values.items():
-        if fresh.setdefault(a, v) != v:
-            return None
-    tables = tuple(zip(_binary_tables(source), _binary_tables(target)))
-    valued = []
-    while fresh:
-        for a, v in fresh.items():
-            mapping[a] = v
-        older, valued = valued, valued + list(fresh)
-        forced = []  # (element, the value the operations force on it)
-        if source.neg is not None:
-            forced += [(source.neg[a], target.neg[v]) for a, v in fresh.items()]
-        for s, t in tables:
-            for a, ha in fresh.items():
-                s_row, t_row = s[a], t[ha]
-                forced += [(s_row[b], t_row[mapping[b]]) for b in valued]
-                forced += [(s[b][a], t[mapping[b]][ha]) for b in older]
-        fresh = {}
-        for r, w in forced:
-            known = mapping[r]
-            if known < 0:
-                known = fresh.setdefault(r, w)
-            if known != w:
-                return None
-    return None if -1 in mapping else tuple(mapping)
-
-
 def _closure_order(source: FiniteAlgebra, pinned: frozenset[int]) -> tuple[list, list]:
-    """`_map_search`'s assignment order of the unpinned elements, and for
-    each the constraint `(t, a, b)` that forces its value from earlier ones,
-    or None at a branch position.  The closure grows breadth first; each
-    element it takes in is read, against itself and every element taken in
-    before it, in meet, join and fusion once, since they commute, in the
-    residual both ways, and in the involution."""
+    """The assignment order of the unpinned elements of a map out of
+    `source`, and for each the constraint `(t, a, b)` that forces its value
+    from earlier ones, or None at a branch position.  The closure grows
+    breadth first; each element it takes in is read, against itself and
+    every element taken in before it, in meet, join and fusion once, since
+    they commute, in the residual both ways, and in the involution.
+
+    `_map_search` branches at the None positions.  `_forced_map` relies on
+    there being none when the pinned set generates the source: a branch
+    position is the least element outside the closure so far."""
     n = source.size
     meet, join, fus, res = _binary_tables(source)
     col = tuple(zip(*res))
@@ -723,6 +686,28 @@ def _closure_order(source: FiniteAlgebra, pinned: frozenset[int]) -> tuple[list,
         seen.add(least)
         done.append(least)
         forces.append(None)
+
+
+def _forced_map(source: FiniteAlgebra, target: FiniteAlgebra, values: dict[int, int]):
+    """The map source -> target that `values` and the constants force
+    through `_closure_order`'s constraints, as a map array, or None when
+    they do not generate the source.  Conflicts are not checked: the map is
+    a homomorphism exactly when one extends `values`, as `is_homomorphism`
+    decides."""
+    pins = {source.e: target.e}
+    if source.bottom is not None:
+        pins[source.bottom] = target.bottom
+    pins |= values
+    order, forces = _closure_order(source, frozenset(pins))
+    if None in forces:
+        return None
+    mapping = [-1] * source.size
+    for k, v in pins.items():
+        mapping[k] = v
+    tables = (*_binary_tables(target), (target.neg,) * target.size)
+    for x, (t, a, b) in zip(order, forces):
+        mapping[x] = tables[t][mapping[a]][mapping[b]]
+    return tuple(mapping)
 
 
 def _constraint_schedule(source: FiniteAlgebra, pinned: frozenset[int]) -> tuple:

@@ -74,7 +74,7 @@ from .core import (
     Homomorphism,
     _bits,
     _covers,
-    _extend,
+    _forced_map,
     _is_element,
     _join_irreducible,
     _subalgebra,
@@ -723,7 +723,8 @@ def separating_retraction(
     """The endomorphism extending the identity on C⁻ and c ↦ e, paired with
     the identity map, where C is the subalgebra on `members` and c the
     distinguished element `coatom`.  It fixes C, moves c, which the identity
-    covers, into C, and lands inside C."""
+    covers, into C, and lands inside C.  As C⁻ and c generate, these values
+    force the map (`core._forced_map`); `is_homomorphism` then checks it."""
     sub_mask = frozenset(members)
     if not is_subuniverse(algebra, sub_mask):
         raise HypothesesNotMet("C is not a subalgebra")
@@ -750,9 +751,12 @@ def _separating_retraction(
 ) -> Homomorphism:
     """`separating_retraction`'s endomorphism without its hypothesis checks,
     given C, its negative cone and c, for a caller that has already
-    established them.  The built map is still checked; a failure there,
-    hypotheses included, raises `VerificationFailure`."""
-    mapping = _extend(algebra, algebra, {x: x for x in sub_neg} | {coatom: algebra.e})
+    established them.  The map that the identity on C⁻ and c ↦ e force is
+    built with no conflict check; `is_homomorphism` is that check.  When
+    these values do not generate the algebra, so force no map, or the map
+    they force is not a homomorphism that fixes C and moves c into C, this
+    raises `VerificationFailure`."""
+    mapping = _forced_map(algebra, algebra, {x: x for x in sub_neg} | {coatom: algebra.e})
     ok = mapping is not None and (
         is_homomorphism(algebra, algebra, mapping)
         and all(mapping[c] == c for c in sub_mask)
@@ -781,10 +785,10 @@ def refute_epic(algebra: FiniteAlgebra, members: Iterable[int]) -> EpiCertificat
     relative to any variety containing the quotient (in particular the one
     the algebra generates).  The retraction comes from
     `_separating_retraction`, whose hypotheses `epi_analysis` has checked,
-    and the built map is checked there; the first map, the retraction after
-    the quotient map, is kept on the kernel side by target subuniverse and
-    pivot.  The maps' agreement on the subalgebra and their difference at
-    the witness are checked on every call."""
+    and `is_homomorphism` checks the map there; the first map, the
+    retraction after the quotient map, is kept on the kernel side by target
+    subuniverse and pivot.  The maps' agreement on the subalgebra and their
+    difference at the witness are checked on every call."""
     analysis = epi_analysis(algebra, members)
     quot = analysis.quotient
     q_map = analysis.quotient_map

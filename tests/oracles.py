@@ -832,7 +832,7 @@ def refute_epic_public(algebra: FiniteAlgebra, mask) -> EpiCertificate:
 
 
 # Witness terms: the term route to the separating retraction, the oracle for
-# `core._extend`.  Witnesses are minimal-size and first-found in a
+# `core._forced_map`.  Witnesses are minimal-size and first-found in a
 # deterministic closure order; ties break by operation order
 # meet < join < fusion < residual < neg.  Generators always receive
 # bare-variable witnesses.

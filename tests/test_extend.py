@@ -1,7 +1,9 @@
-"""`core._extend`, the homomorphism fixed by its values on a generating set,
-against two oracles: the map search, and the witness terms of
-`oracles.generate_subalgebra` evaluated with the distinguished generator
-sent to the identity."""
+"""`core._forced_map`, the map that its values on a generating set force
+through `core._closure_order`'s constraints, which with `is_homomorphism`
+builds the separating retraction.  It is checked against three oracles: the
+map search, the witness terms of `oracles.generate_subalgebra` evaluated
+with the distinguished generator sent to the identity, and the identity on
+a generating set."""
 
 import random
 from itertools import combinations
@@ -9,7 +11,7 @@ from itertools import combinations
 from oracles import eval_term, generate_subalgebra, relabel
 
 from srlkit.cones import all_subuniverses, is_negatively_generated, subuniverse_closure
-from srlkit.core import _covers, _extend, homomorphisms
+from srlkit.core import _covers, _forced_map, homomorphisms, is_homomorphism
 from srlkit.enumeration import enumerate_models
 from srlkit.filters import is_fsi
 from srlkit.varieties import separating_retraction
@@ -22,7 +24,8 @@ def _given_and_relabelled(suite):
 
 def test_extend_matches_the_map_search(suite):
     # the identity on the negative cone with one element x sent to v: a
-    # homomorphism when the cone generates, and then the only one
+    # homomorphism when the cone generates, and then the only one; the
+    # forced map is kept when `is_homomorphism` accepts it
     cases = refused = 0
     for algebra in _given_and_relabelled(suite):
         cone = algebra.below_e
@@ -30,13 +33,15 @@ def test_extend_matches_the_map_search(suite):
         for x in cone:
             for v in algebra.elements:
                 values = {y: y for y in cone} | {x: v}
-                extended = _extend(algebra, algebra, values)
+                forced = _forced_map(algebra, algebra, values)
+                ok = forced is not None and is_homomorphism(algebra, algebra, forced)
+                extended = forced if ok else None
                 if generated:
                     homs = [h.mapping for h in homomorphisms(algebra, algebra, partial=values)]
                     assert len(homs) <= 1
                     assert extended == (homs[0] if homs else None)
                 else:
-                    assert extended is None
+                    assert forced is None
                 cases += 1
                 refused += extended is None
     assert (cases, refused) == (3092, 2710)
@@ -66,7 +71,7 @@ def test_extend_matches_the_witness_terms(suite):
                     eval_term(algebra, generated.witnesses[a], assignment)
                     for a in algebra.elements
                 )
-                assert _extend(algebra, algebra, {x: x for x in sub_neg} | {c: e}) == by_terms
+                assert _forced_map(algebra, algebra, {x: x for x in sub_neg} | {c: e}) == by_terms
                 assert separating_retraction(algebra, sub, c)[0].mapping == by_terms
                 cases += 1
     assert cases == 48
@@ -74,8 +79,8 @@ def test_extend_matches_the_witness_terms(suite):
 
 def test_extend_of_the_identity_on_a_generating_set_is_the_identity():
     # the residual is not commutative: some elements are reached from these
-    # generators only as b -> a with b valued in a round before a, so a
-    # closure that skips those pairs stops short of the whole carrier
+    # generators only as b -> a with b taken in before a, so a closure that
+    # reads the residual one way only stops short of the whole carrier
     cases = 0
     for algebra in enumerate_models("brouwerian", 7, bound=7):
         everything = frozenset(algebra.elements)
@@ -83,7 +88,7 @@ def test_extend_of_the_identity_on_a_generating_set_is_the_identity():
             for generators in combinations(algebra.elements, k):
                 if subuniverse_closure(algebra, generators) != everything:
                     continue
-                identity = _extend(algebra, algebra, {g: g for g in generators})
+                identity = _forced_map(algebra, algebra, {g: g for g in generators})
                 assert identity == tuple(algebra.elements), (algebra, generators)
                 cases += 1
     assert cases == 67

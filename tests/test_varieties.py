@@ -26,6 +26,7 @@ from srlkit.catalog import brouwerian_chain, brouwerian_diamond, c4, crystal, su
 from srlkit.cones import all_subuniverses, is_negatively_generated
 from srlkit.core import (
     FiniteAlgebra,
+    _forced_map,
     classify,
     compose,
     direct_product,
@@ -453,6 +454,28 @@ def test_separating_retraction_refusals(algebra, members, element, message):
     with pytest.raises(HypothesesNotMet) as exc:
         separating_retraction(algebra, members, element)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "members, coatom, forced",
+    [
+        # C's cone and c = 2 leave 0 out of the closure: no map is forced
+        ({1, 3}, 2, None),
+        # C's cone and c = 1, which the identity does not cover, pin all of
+        # A, and send 1 -> 3 above 2 -> 2, which breaks the order 1 <= 2
+        ({0, 2, 3}, 1, (0, 3, 2, 3)),
+    ],
+)
+def test_a_failed_retraction_construction_yields_no_map(members, coatom, forced):
+    # the private body skips the hypothesis checks, so the built map's check
+    # is all that stands between broken hypotheses and a wrong retraction
+    algebra = brouwerian_chain(4)
+    sub = frozenset(members)
+    values = {x: x for x in sub} | {coatom: algebra.e}
+    assert _forced_map(algebra, algebra, values) == forced
+    with pytest.raises(VerificationFailure, match="retraction construction failed its checks"):
+        varieties._separating_retraction(algebra, sub, sub, coatom)
+    assert "_schedules" not in vars(algebra)
 
 
 def test_refute_epic_four_chain():
