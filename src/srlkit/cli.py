@@ -22,7 +22,7 @@ from .core import (
 )
 from .documents import export_dot, load, save
 from .duality import _prime_space, canonical_iso, depth
-from .enumeration import enumerate_models
+from .enumeration import _require_size, enumerate_models
 from .errors import (
     BadParams,
     BoundExceeded,
@@ -47,26 +47,43 @@ from .varieties import (
 
 _CATALOG_NAME = re.compile(r"(?:catalog:)?([a-z_0-9]+)(?:\((\d+)\))?")
 
+# The largest input algebra accepted without `--bound`.  Up to 256 elements
+# the table checks compare whole rows as bytes; above it they scan cells.
+DEFAULT_SIZE_BOUND = 256
 
-def _catalog_algebra(name: str) -> FiniteAlgebra:
+
+def _size_limit(bound: Optional[int]) -> int:
+    return DEFAULT_SIZE_BOUND if bound is None else _require_size("bound", bound)
+
+
+def _catalog_algebra(name: str, bound: Optional[int]) -> FiniteAlgebra:
     """The catalog algebra `name` or `name(n)`, with or without the
-    `catalog:` prefix."""
+    `catalog:` prefix.  Every catalog entry with a parameter has that many
+    elements, so n is checked against the size bound before any table is
+    built."""
     m = _CATALOG_NAME.fullmatch(name)
     if m is None:
         raise UnknownName(f"cannot parse catalog name {name!r}")
     params = () if m.group(2) is None else (int(m.group(2)),)
+    limit = _size_limit(bound)
+    if params and params[0] > limit:
+        raise BoundExceeded(
+            f"{m.group(1)}({params[0]}) has {params[0]} elements, above the size bound "
+            f"{limit}; pass --bound to raise it"
+        )
     return catalog_mod.builtin(m.group(1), *params)
 
 
-def _resolve(token: str) -> FiniteAlgebra:
-    """A `catalog:` URI or a document path."""
+def _resolve(token: str, bound: Optional[int]) -> FiniteAlgebra:
+    """A `catalog:` URI or a document path, of at most `bound` elements
+    (`DEFAULT_SIZE_BOUND` when None)."""
     if token.startswith("catalog:"):
-        return _catalog_algebra(token)
+        return _catalog_algebra(token, bound)
     with open(token, "r", encoding="utf-8") as fh:
-        return load(fh.read())
+        return load(fh.read(), max_size=_size_limit(bound))
 
 
-def _resolve_sub(algebra: FiniteAlgebra, token: str) -> frozenset[int]:
+def _resolve_sub(algebra: FiniteAlgebra, token: str, bound: Optional[int]) -> frozenset[int]:
     """Comma-separated element indices naming a subuniverse, or an algebra
     to embed."""
     if not token.strip():
@@ -80,7 +97,7 @@ def _resolve_sub(algebra: FiniteAlgebra, token: str) -> frozenset[int]:
         if not is_subuniverse(algebra, members):
             raise NotASubalgebra(f"{sorted(members)} is not a subuniverse")
         return members
-    sub = _resolve(token)
+    sub = _resolve(token, bound)
     embedding = next(_homomorphism_search(sub, algebra, injective=True), None)
     if embedding is None:
         raise NotASubalgebra(f"{token} does not embed into the main algebra")
@@ -88,7 +105,7 @@ def _resolve_sub(algebra: FiniteAlgebra, token: str) -> frozenset[int]:
 
 
 def _spec(args) -> VarietySpec:
-    return VarietySpec(tuple(_resolve(t) for t in args.variety))
+    return VarietySpec(tuple(_resolve(t, args.bound) for t in args.variety))
 
 
 def _algebra_summary(algebra: FiniteAlgebra) -> dict:
@@ -100,7 +117,7 @@ def _algebra_summary(algebra: FiniteAlgebra) -> dict:
 
 
 def _cmd_check(args) -> tuple[dict, int]:
-    algebra = _resolve(args.file)
+    algebra = _resolve(args.file, args.bound)
     report_v = validate(algebra)
     out = {"verdicts": {"validate": report_v.ok}, "axioms": report_v.as_dict()}
     if report_v.ok:
@@ -110,7 +127,7 @@ def _cmd_check(args) -> tuple[dict, int]:
 
 
 def _cmd_dual(args) -> tuple[dict, int]:
-    algebra = _resolve(args.file)
+    algebra = _resolve(args.file, args.bound)
     _, primes, space = _prime_space(algebra, args.mode)
     iso = canonical_iso(algebra, args.mode)
     out = {
@@ -125,11 +142,11 @@ def _cmd_dual(args) -> tuple[dict, int]:
 
 
 def _cmd_depth(args) -> tuple[dict, int]:
-    return {"depth": depth(_resolve(args.file))}, 0
+    return {"depth": depth(_resolve(args.file, args.bound))}, 0
 
 
 def _cmd_filters(args) -> tuple[dict, int]:
-    algebra = _resolve(args.file)
+    algebra = _resolve(args.file, args.bound)
     rows = []
     for f in all_deductive_filters(algebra):
         prime = is_prime_filter(algebra, f.members)
@@ -142,7 +159,7 @@ def _cmd_filters(args) -> tuple[dict, int]:
 
 
 def _cmd_reflect(args) -> tuple[dict, int]:
-    refl = reflect(_resolve(args.file))
+    refl = reflect(_resolve(args.file, args.bound))
     document = save(refl.algebra)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(document)
@@ -150,8 +167,8 @@ def _cmd_reflect(args) -> tuple[dict, int]:
 
 
 def _cmd_epic(args) -> tuple[dict, int]:
-    algebra = _resolve(args.file)
-    sub = _resolve_sub(algebra, args.sub)
+    algebra = _resolve(args.file, args.bound)
+    sub = _resolve_sub(algebra, args.sub, args.bound)
     refutation: list = []
     verdict = is_epic_subalgebra(algebra, sub, _spec(args), refutation=refutation)
     out = {"subalgebra": sorted(sub), "verdicts": {"epic": verdict}}
@@ -166,8 +183,8 @@ def _cmd_epic(args) -> tuple[dict, int]:
 
 
 def _cmd_refute_epic(args) -> tuple[dict, int]:
-    algebra = _resolve(args.file)
-    sub = _resolve_sub(algebra, args.sub)
+    algebra = _resolve(args.file, args.bound)
+    sub = _resolve_sub(algebra, args.sub, args.bound)
     out = {"subalgebra": sorted(sub)}
     try:
         cert = refute_epic(algebra, sub)
@@ -241,8 +258,15 @@ def _cmd_enumerate(args) -> tuple[dict, int]:
 
 def _cmd_catalog(args) -> tuple[None, int]:
     """Writes the raw document, not a report."""
-    sys.stdout.write(save(_catalog_algebra(args.name)))
+    sys.stdout.write(save(_catalog_algebra(args.name, args.bound)))
     return None, 0
+
+
+def _add_size_bound(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--bound", type=int, default=None,
+        help=f"largest input algebra accepted, in elements (default {DEFAULT_SIZE_BOUND})",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -254,45 +278,54 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="validate, derived laws, classification")
     p.add_argument("file")
+    _add_size_bound(p)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("dual", help="dual space and round-trip verdict")
     p.add_argument("file")
     p.add_argument("--mode", choices=("pointed", "proper"), default="pointed")
     p.add_argument("--dot", action="store_true")
+    _add_size_bound(p)
     p.set_defaults(func=_cmd_dual)
 
     p = sub.add_parser("depth", help="depth of the algebra (cone-based)")
     p.add_argument("file")
+    _add_size_bound(p)
     p.set_defaults(func=_cmd_depth)
 
     p = sub.add_parser("filters", help="deductive filter lattice")
     p.add_argument("file")
     p.add_argument("--prime", action="store_true")
+    _add_size_bound(p)
     p.set_defaults(func=_cmd_filters)
 
     p = sub.add_parser("reflect", help="write the reflection as a document")
     p.add_argument("file")
     p.add_argument("-o", "--output", required=True)
+    _add_size_bound(p)
     p.set_defaults(func=_cmd_reflect)
 
     p = sub.add_parser("epic", help="is the subalgebra epic in the variety?")
     p.add_argument("file")
     p.add_argument("--sub", required=True, help="indices i,j,... or a document to embed")
     p.add_argument("--variety", nargs="+", required=True)
+    _add_size_bound(p)
     p.set_defaults(func=_cmd_epic)
 
     p = sub.add_parser("refute-epic", help="produce a non-epicity certificate")
     p.add_argument("file")
     p.add_argument("--sub", required=True)
+    _add_size_bound(p)
     p.set_defaults(func=_cmd_refute_epic)
 
     p = sub.add_parser("es-decide", help="decide epimorphism surjectivity")
     p.add_argument("--variety", nargs="+", required=True)
+    _add_size_bound(p)
     p.set_defaults(func=_cmd_es_decide)
 
     p = sub.add_parser("gate", help="hypotheses report for the main theorem")
     p.add_argument("--variety", nargs="+", required=True)
+    _add_size_bound(p)
     p.set_defaults(func=_cmd_gate)
 
     p = sub.add_parser("enumerate", help="enumerate models up to isomorphism")
@@ -304,6 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("catalog", help="emit a builtin algebra as a document")
     p.add_argument("name")
+    _add_size_bound(p)
     p.set_defaults(func=_cmd_catalog)
 
     return parser

@@ -735,6 +735,13 @@ def _constraint_schedule(source: FiniteAlgebra, pinned: frozenset[int]) -> tuple
     - (fusion, a, b), a <= b both below a pinned e, when the cell is
       meet[a][b]: their images lie below the target's e, where
       subidempotence makes fusion the meet: x·y <= x ∧ y = (x ∧ y)² <= x·y.
+    In an involutive source every residual and join constraint is dropped,
+    but for a forced position's own.  Contraposition at b = e gives
+    ¬a = a->f, so ¬ reverses the order, x ∨ y = ¬(¬x ∧ ¬y), and
+    z <= x->y iff x·z·¬y <= f, so x->y = ¬(x·¬y): a map that keeps neg,
+    meet and fusion keeps join and residual.  Their implying constraints
+    may be filed at a later position, so a partial map may go on further
+    before it fails; the maps found and their order stay the same.
     So both algebras must pass `validate`, and a pin on e send it to the
     target's e.
 
@@ -754,7 +761,10 @@ def _constraint_schedule(source: FiniteAlgebra, pinned: frozenset[int]) -> tuple
     tables = _binary_tables(source)
     meet = tables[0]
     below = set(source.below_e) if source.e in pinned else set()
+    dropped = (1, 3) if source.neg is not None else ()
     for t in (3, 2, 1, 0):  # residual first: it rejects a partial map most often
+        if t in dropped:
+            continue
         table = tables[t]
         half = t < 3 and table == tuple(zip(*table))  # so each (t, a, b), b < a, has its twin
         for a in range(n):
@@ -772,7 +782,8 @@ def _constraint_schedule(source: FiniteAlgebra, pinned: frozenset[int]) -> tuple
     head, segments = [], []
     for x, force, c in zip(order, forces, checks):
         if force:
-            c.remove((*force, x))
+            if force[0] not in dropped:
+                c.remove((*force, x))
             (segments[-1][2] if segments else head).append((x, *force, tuple(c)))
         else:
             segments.append((x, tuple(c), []))

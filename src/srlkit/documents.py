@@ -10,13 +10,14 @@ load/save round-trips are byte-identical on normalized documents.
 from __future__ import annotations
 
 import json
+from typing import Optional
 
 from .core import (
     AxiomReport, AxiomVerdict, FiniteAlgebra, _check_tables, _covers, _lattice_laws,
     residual_from_fusion, validate,
 )
 from .duality import PointedPoset
-from .errors import MalformedTable, NotResiduated, ParseError, ValidationError
+from .errors import BoundExceeded, MalformedTable, NotResiduated, ParseError, ValidationError
 
 
 def save(algebra: FiniteAlgebra) -> str:
@@ -54,13 +55,15 @@ def _typed(value, kind: type, field: str):
     return value
 
 
-def load(text: str) -> FiniteAlgebra:
+def load(text: str, max_size: Optional[int] = None) -> FiniteAlgebra:
     """Parse, derive a missing residual table, and validate.
 
     Raises ParseError for structural problems, including a size, e, bottom,
     neg entry or table entry that is not a JSON integer, a name that is not a
     string, and a signature that is not an object of booleans; ValidationError
-    (carrying the axiom report) when the described algebra breaks an axiom.
+    (carrying the axiom report) when the described algebra breaks an axiom;
+    BoundExceeded when the size is above `max_size`, checked before any
+    table is read.
     """
     try:
         doc = json.loads(text)
@@ -70,6 +73,11 @@ def load(text: str) -> FiniteAlgebra:
         raise ParseError("document must be a JSON object")
     try:
         size = _typed(doc["size"], int, "size")
+        if max_size is not None and size > max_size:
+            raise BoundExceeded(
+                f"the document's size {size} is above the size bound {max_size}; "
+                "pass --bound to raise it"
+            )
         e = _typed(doc["e"], int, "e")
         tables = doc["tables"]
         meet = tables["meet"]

@@ -22,10 +22,11 @@ into the negation of the identity).  Canonical forms are the least
 relabelled tables over the leaves of one colour-refinement and
 individualisation search, shared by algebras and posets; an algebra's search
 runs on a carrier inside its tables, so a subuniverse is keyed without its
-subalgebra being built.  Each group of `core.validate`'s checks runs once,
-at the layer that makes its tables: the lattice's once per lattice, the
-monoid, residuation and subidempotence groups once per fusion table, and
-the involution's once per SIRL candidate.
+subalgebra being built, and, read through the value map x ↦ c·x, so is a
+quotient B/↑c, on the one element c·x of each class.  Each group of
+`core.validate`'s checks runs once, at the layer that makes its tables: the
+lattice's once per lattice, the monoid, residuation and subidempotence
+groups once per fusion table, and the involution's once per SIRL candidate.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .core import (
-    FiniteAlgebra, Signature, _check_neg, _check_tables, _involution_laws, _join_irreducible,
-    _lattice_laws, _map_search, _monoid_laws, _residuation_laws, _subidempotence_laws,
-    brouwerian_reduct, residual_from_fusion,
+    FiniteAlgebra, Signature, _binary_tables, _check_neg, _check_tables, _involution_laws,
+    _join_irreducible, _lattice_laws, _map_search, _monoid_laws, _residuation_laws,
+    _subidempotence_laws, brouwerian_reduct, residual_from_fusion,
 )
 from .duality import PointedPoset, all_up_sets, dual_algebra
 from .errors import BoundExceeded, NotResiduated, VerificationFailure
@@ -231,33 +232,22 @@ def _lattice_tables(leq: LeqMatrix) -> Optional[tuple[tuple, tuple]]:
 # canonical forms for algebras
 
 
-def _iso_invariant(algebra: FiniteAlgebra, a: int, below: int, above: int) -> tuple:
+def _iso_invariant(
+    algebra: FiniteAlgebra, a: int, below: int, above: int, e: int, neg: Optional[Sequence[int]]
+) -> tuple:
     """The label-free facts that seed the labelling search, given the
-    numbers of elements below and above `a`: is it e, is it the bottom, the
-    two counts, is it idempotent, is it fixed by `neg`."""
+    numbers of elements below and above `a`, the identity `e` and the
+    negation `neg` (the algebra's own, or a quotient's, as
+    `_subuniverse_key` reads it): is it e, is it the bottom, the two counts,
+    is it idempotent, is it fixed by `neg`."""
     return (
-        a == algebra.e,
+        a == e,
         algebra.bottom is not None and a == algebra.bottom,
         below,
         above,
         algebra.fusion[a][a] == a,
-        algebra.neg is not None and algebra.neg[a] == a,
+        neg is not None and neg[a] == a,
     )
-
-
-def _labelled_key(algebra: FiniteAlgebra, at: list[int], label: Sequence[int]) -> tuple:
-    """The tables on the elements `at`, element `at[i]` read as `label[at[i]]
-    == i`: meet, join, fusion, residual, then neg, e and bottom."""
-    parts = [
-        tuple([label[t[a][b]] for a in at for b in at])
-        for t in (algebra.meet, algebra.join, algebra.fusion, algebra.residual)
-    ]
-    if algebra.neg is not None:
-        parts.append(tuple(label[algebra.neg[a]] for a in at))
-    parts.append((label[algebra.e],))
-    if algebra.bottom is not None:
-        parts.append((label[algebra.bottom],))
-    return tuple(parts)
 
 
 def canonical_form(algebra: FiniteAlgebra) -> tuple:
@@ -266,23 +256,56 @@ def canonical_form(algebra: FiniteAlgebra) -> tuple:
     return _subuniverse_key(algebra)(algebra.elements)
 
 
-def _subuniverse_key(algebra: FiniteAlgebra):
-    """`key(carrier)`: the `canonical_form` of the subalgebra on the
-    ascending subuniverse `carrier`, found in place on `algebra`'s tables.
+def _subuniverse_key(algebra: FiniteAlgebra, full: bool = True):
+    """`key(carrier, value=None)`: the `canonical_form` of the subalgebra on
+    the ascending subuniverse `carrier`, found in place on `algebra`'s
+    tables; with `value`, the row fusion[c] of an element c <= e of the
+    carrier, that of its quotient by the filter ↑c.
 
     Position i of the carrier stands for the subalgebra's element i: the
     invariants are counted inside the carrier, and the labelling search
     reads `algebra`'s rows with each value's colour or label kept at the
-    value itself, so the key is the built subalgebra's, byte for byte."""
+    value itself, so the key is the built subalgebra's, byte for byte.
+
+    A quotient B/↑c is read on R = {c·x : x in B}.  As c·c = c, x -> c·x is
+    idempotent, and its kernel is the congruence of ↑c
+    (`filters.leibniz_congruence`), so each class holds exactly one element
+    of R, c·x for the class of x; the classes come in their order of first
+    occurrence over the carrier, as `filters.quotient` numbers them.  The
+    order of R is the quotient's: for x, y in R, c·(x∧y) = x gives
+    x <= x∧y, as c <= e, and x <= y gives c·(x∧y) = c·x = x.  So the order
+    tests read `algebra`'s meet on R as they stand, and every element of B
+    takes its class's colour or label, so that an operation's value in B
+    reads as its class.  Only the invariants read through the value map,
+    and only e, which sits at c·e = c, and the negations: for x in R,
+    c·(x·y) = (c·x)·y = x·y, so squares stay in R, as does c·⊥ = ⊥.
+
+    With `full` false the labelled tables are meet and fusion alone, with
+    neg and the constants.  Meet fixes the order and so the join, and meet
+    and fusion fix the residual, x->y being the largest z with z·x <= y;
+    so these keys too are equal exactly for isomorphic subalgebras, though
+    they are not `canonical_form`'s."""
     meet, fusion, neg = algebra.meet, algebra.fusion, algebra.neg
+    tables = _binary_tables(algebra) if full else (meet, fusion)
     head = (algebra.signature.has_involution, algebra.signature.has_bottom)
     painted = [0] * algebra.size  # painted[x]: the colour or label of x's position
 
-    def key(carrier: Sequence[int]) -> tuple:
+    def key(carrier: Sequence[int], value: Optional[Sequence[int]] = None) -> tuple:
+        e, negation = algebra.e, neg
+        spill: Sequence[tuple[int, int]] = ()  # (x, r): x takes r's colour or label
+        if value is not None:
+            spill = [(x, value[x]) for x in carrier if value[x] != x]
+            carrier = list(dict.fromkeys(map(value.__getitem__, carrier)))
+            e = value[e]
+            if neg is not None:
+                negation = {x: value[neg[x]] for x in carrier}
+
         def signatures(colour: list[int]) -> list[tuple]:
             # order and fusion determine join and residual
             for x, c in zip(carrier, colour):
                 painted[x] = c
+            for x, r in spill:
+                painted[x] = painted[r]
             rows = []
             for x in carrier:
                 meet_x, fusion_x = meet[x], fusion[x]
@@ -297,8 +320,16 @@ def _subuniverse_key(algebra: FiniteAlgebra):
             # perm[i] is position i's label, so the element labelled i comes i-th
             for x, c in zip(carrier, perm):
                 painted[x] = c
+            for x, r in spill:
+                painted[x] = painted[r]
             at = [carrier[i] for i in sorted(range(len(carrier)), key=perm.__getitem__)]
-            return _labelled_key(algebra, at, painted)
+            parts = [tuple([painted[t[a][b]] for a in at for b in at]) for t in tables]
+            if neg is not None:
+                parts.append(tuple(painted[neg[a]] for a in at))
+            parts.append((painted[algebra.e],))
+            if algebra.bottom is not None:
+                parts.append((painted[algebra.bottom],))
+            return tuple(parts)
 
         invariants = []
         for x in carrier:
@@ -308,7 +339,7 @@ def _subuniverse_key(algebra: FiniteAlgebra):
                 m = meet_x[y]
                 below += m == y
                 above += m == x
-            invariants.append(_iso_invariant(algebra, x, below, above))
+            invariants.append(_iso_invariant(algebra, x, below, above, e, negation))
         return (len(carrier), *head, _canonical_labelling(invariants, signatures, key_of))
 
     return key

@@ -10,15 +10,24 @@ subdirectly irreducible (hence FSI) factor, so epicity only needs checking
 against the spectrum.  `_refutation` makes that check for both
 `is_epic_subalgebra` and `decide_es`.
 
-The spectrum build rests on three more facts.
+The spectrum build rests on four more facts.
 
 - Isomorphic subalgebras have isomorphic quotients.  An isomorphism
   h: B -> B' carries each filter ↑c of B onto the filter ↑h(c) of B', and
   the congruences they determine correspond under h, so h induces
   B/↑c ≅ B'/↑h(c).  Only the first subalgebra of each isomorphism type needs
-  its quotients taken, so each subuniverse is keyed first, in place on the
-  generator's own tables by `enumeration._subuniverse_key`, and built only
-  when its key is new.
+  its quotients taken, so each subuniverse is keyed, in place on the
+  generator's own tables by `enumeration._subuniverse_key`, and its
+  quotients are taken only when its key is new.  That key reads meet,
+  fusion, neg and the constants alone: meet fixes the order and so the
+  join, and x->y is the largest z with z·x <= y.
+- B/↑c is read on B's own elements.  For c <= e, c·c = c, so x ↦ c·x is
+  idempotent; its kernel is the congruence of ↑c (`leibniz_congruence`),
+  so each class of B/↑c holds exactly one element c·x of
+  R = {c·x : x in B}, and each operation of the quotient reads as
+  x, y ↦ c·op(x, y) on R.  So the quotient is keyed in place, with the
+  value map fusion[c], and built, straight from the generator's tables,
+  only when its key is new.
 - A/↑c is FSI iff c is join-irreducible in the negative cone A⁻.  Negative
   elements are idempotent, so ↑d is closed under fusion for every d in A⁻;
   and a filter of a finite algebra is the up-set of its least element, which
@@ -56,10 +65,10 @@ The spectrum build rests on three more facts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import permutations
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .cones import (
     _identify_cones,
@@ -75,6 +84,7 @@ from .core import (
     _bits,
     _covers,
     _forced_map,
+    _induced,
     _is_element,
     _join_irreducible,
     _subalgebra,
@@ -87,7 +97,7 @@ from .core import (
     validate,
 )
 from .duality import ESubspace, _e_subspace, _lookup, _point_depths, _prime_space, _tower, depth
-from .enumeration import _subuniverse_key, canonical_form
+from .enumeration import _subuniverse_key
 from .errors import (
     HypothesesNotMet,
     NotASubalgebra,
@@ -153,18 +163,25 @@ def fsi_spectrum(spec: VarietySpec) -> FsiSpectrum:
     order.  The first quotient of each isomorphism type is the member, named
     `fsi0`, `fsi1`, ... in that order.  Built once per spec and kept on it.
 
-    Two facts (proved in the module docstring) cut the work without changing
-    the members.  Isomorphic subalgebras have isomorphic quotients, since an
-    isomorphism h carries ↑c to ↑h(c); so a subalgebra isomorphic to an
-    earlier one, of any generator, is skipped.  B/↑c is FSI iff c is
+    Three facts (proved in the module docstring) cut the work without
+    changing the members.  Isomorphic subalgebras have isomorphic quotients,
+    since an isomorphism h carries ↑c to ↑h(c); so a subalgebra isomorphic
+    to an earlier one, of any generator, is skipped.  B/↑c is FSI iff c is
     join-irreducible in B⁻, since the filters above ↑c are the ↑d with
-    d ≤ c and ↑a ∩ ↑b = ↑(a∨b); so only those quotients are built.
-    Both dedupes compare `canonical_form` keys; neither searches for an
-    isomorphism.  A subuniverse is keyed before it is built, in place on the
-    generator's tables by `_subuniverse_key`, so only the subalgebras of new
-    isomorphism types are built.
+    d ≤ c and ↑a ∩ ↑b = ↑(a∨b); so only those quotients are keyed.  And
+    x ↦ c·x picks one element of each class of B/↑c, so the quotient is
+    read on those elements, in place on the generator's tables.  Neither
+    dedupe searches for an isomorphism.  Subalgebras compare keys that
+    read meet, fusion, neg and the constants, which fix the rest;
+    quotients compare `canonical_form` keys, found in place by
+    `_subuniverse_key`.  No subalgebra is built, and a quotient is built,
+    from the generator's tables, only when its key is new: only the
+    members are built.  The FSI check still runs, in place, on every
+    quotient keyed: the build keeps quotients on the strength of the
+    join-irreducibility fact and of the in-place reading, and the check is
+    what would catch a fault in either before a wrong member is kept.
 
-    A third fact, Jónsson's lemma, stops the build early.  The generators'
+    A fourth fact, Jónsson's lemma, stops the build early.  The generators'
     top SI quotients, A/↑c with c maximal among the join-irreducibles of
     A⁻ (an FSI generator standing for itself), generate the same variety;
     the key set of their spectrum is learned first, and the build above
@@ -179,23 +196,23 @@ def _build_spectrum_members(spec: VarietySpec) -> tuple[FiniteAlgebra, ...]:
     wanted = _key_set(spec.generators)
     found = _spectrum_scan(spec.generators)
     if wanted is None:
-        return tuple(replace(m, name=f"fsi{i}") for i, (_, m) in enumerate(found))
+        return tuple(replace(_subquotient(*at), name=f"fsi{i}") for i, (_, at) in enumerate(found))
     members: list[FiniteAlgebra] = []
     unmet = set(wanted)
     while unmet:
-        key, candidate = next(found, (None, None))
-        if candidate is None:
+        key, at = next(found, (None, None))
+        if at is None:
             raise VerificationFailure(
                 f"the spectrum build ended with {len(unmet)} of the {len(wanted)} keys "
                 "of the generators' top SI quotients unmet"
             )
         if key not in unmet:
             raise VerificationFailure(
-                f"the spectrum build met a {candidate.size}-element member outside the "
+                f"the spectrum build met a {key[0]}-element member outside the "
                 "key set of the generators' top SI quotients"
             )
         unmet.remove(key)
-        members.append(replace(candidate, name=f"fsi{len(members)}"))
+        members.append(replace(_subquotient(*at), name=f"fsi{len(members)}"))
     return tuple(members)
 
 
@@ -227,35 +244,72 @@ def _top_si_quotients(algebra: FiniteAlgebra) -> list[FiniteAlgebra]:
 
 def _spectrum_scan(
     generators: Iterable[FiniteAlgebra],
-) -> Iterator[tuple[tuple, FiniteAlgebra]]:
-    """(key, quotient) for the first FSI quotient of each isomorphism type,
-    unnamed, in spectrum order, each made only when the one before it has
-    been taken."""
+) -> Iterator[tuple[tuple, tuple[FiniteAlgebra, list[int], Sequence[int]]]]:
+    """(key, (generator, carrier, fusion[c])) for the first FSI quotient
+    B/↑c of each isomorphism type, in spectrum order, each found only when
+    the one before it has been taken; `_subquotient` builds it from the
+    three.  Nothing is built here: the subuniverse's meet-and-fusion key,
+    its filters ↑c, the join-irreducibility of c, the FSI check on the
+    quotient and the quotient's key all run in place on the generator's
+    tables."""
     seen_subs: set[tuple] = set()
     seen_members: set[tuple] = set()
     for gen in generators:
-        subuniverse_key = _subuniverse_key(gen)
+        subuniverse_key, quotient_key = _subuniverse_key(gen, full=False), _subuniverse_key(gen)
+        meet, join, fusion, e, identity = gen.meet, gen.join, gen.fusion, gen.e, gen.elements
         for mask in _subuniverse_masks(gen):
             carrier = _bits(mask)
             key = subuniverse_key(carrier)
             if key in seen_subs:
                 continue
             seen_subs.add(key)
-            sub, _ = _subalgebra(gen, carrier)
-            for flt in all_deductive_filters(sub):
-                c = _least(sub, flt.members)
-                if not _join_irreducible(sub.meet, sub.join, c):
+            # the filters ↑c, c in B⁻, in `all_deductive_filters` order: the
+            # carrier ascends, so its members sort as the subalgebra's would
+            ups = sorted(
+                ([y for y in carrier if meet[c][y] == c], c) for c in carrier if meet[c][e] == c
+            )
+            for _, c in ups:
+                if not _join_irreducible_among(carrier, c, meet, join, identity):
                     continue
-                candidate, _ = quotient(sub, flt)
-                if not is_fsi(candidate):
+                value = fusion[c]
+                classes = set(map(value.__getitem__, carrier))  # R, one element per class
+                if not _join_irreducible_among(classes, c, meet, join, value):
                     raise VerificationFailure(
-                        f"quotient by ↑{c} of a {sub.size}-element subalgebra is not FSI, "
+                        f"quotient by ↑{c} of a {len(carrier)}-element subalgebra is not FSI, "
                         f"though {c} is join-irreducible in the negative cone"
                     )
-                key = canonical_form(candidate)
+                key = quotient_key(carrier, value)
                 if key not in seen_members:
                     seen_members.add(key)
-                    yield key, candidate
+                    yield key, (gen, carrier, value)
+
+
+def _join_irreducible_among(elements: Iterable[int], c: int, meet, join, value) -> bool:
+    """c is join-irreducible in the order `meet` gives `elements`, whose join
+    of x and y is value[join[x][y]]: some element lies strictly below c, and
+    their join is still below c.  Read on R = {c·x : x in B} with value
+    fusion[c], that is e's class join-irreducible in B/↑c, whose e sits at
+    c·e = c and whose join sends x, y to c·(x∨y)."""
+    meet_c = meet[c]
+    below = [a for a in elements if meet_c[a] == a != c]
+    return bool(below) and reduce(lambda a, b: value[join[a][b]], below) != c
+
+
+def _subquotient(gen: FiniteAlgebra, carrier: list[int], value: Sequence[int]) -> FiniteAlgebra:
+    """B/↑c, built straight from the generator's tables, for the ascending
+    subuniverse `carrier` of B and `value` = fusion[c]: the classes are
+    the values' first occurrences over the carrier, and each class stands
+    at its first carrier element, as `filters.quotient` numbers them on the
+    built subalgebra, so the tables are the same."""
+    classes: dict[int, int] = {}  # by element of B
+    first: dict[int, int] = {}  # the class of each value
+    reps = []
+    for x in carrier:
+        k = first.setdefault(value[x], len(reps))
+        if k == len(reps):
+            reps.append(x)
+        classes[x] = k
+    return _induced(gen, reps, classes, f"|{carrier}/θ")
 
 
 def variety_depth(spec: VarietySpec) -> int:

@@ -753,6 +753,8 @@ def test_subuniverse_key_is_the_built_subalgebras_canonical_form(suite):
                         a,
                         sum(sub.leq(b, a) for b in sub.elements),
                         sum(sub.leq(a, b) for b in sub.elements),
+                        sub.e,
+                        sub.neg,
                     )
                     for a in sub.elements
                 }

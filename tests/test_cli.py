@@ -342,6 +342,40 @@ def test_catalog_command_emits_loadable_document(capsys):
     assert code == 0 and load(out).size == 5
 
 
+@pytest.mark.parametrize("command", ["catalog", "depth", "check"])
+def test_an_oversized_catalog_name_exits_2_before_building(capsys, command):
+    # 10^10 cells at 100,000 elements: the guard reads the parameter first
+    code, report = run_json(capsys, command, "catalog:brouwerian_chain(100000)")
+    assert code == 2 and report["kind"] == "BoundExceeded"
+    assert report["error"] == (
+        "brouwerian_chain(100000) has 100000 elements, above the size bound 256; "
+        "pass --bound to raise it"
+    )
+
+
+def test_an_oversized_document_exits_2_before_its_tables_are_read(tmp_path, capsys):
+    doc = tmp_path / "large.json"
+    text = json.loads(run(capsys, "catalog", "c4")[1])
+    text["size"] = 100000  # the tables are c4's, so only the size is checked
+    doc.write_text(json.dumps(text))
+    code, report = run_json(capsys, "check", str(doc))
+    assert code == 2 and report["kind"] == "BoundExceeded"
+    assert report["error"] == (
+        "the document's size 100000 is above the size bound 256; pass --bound to raise it"
+    )
+    # past the bound the tables are read, and they do not fit the size
+    code, report = run_json(capsys, "check", str(doc), "--bound", "100000")
+    assert code == 2 and report["kind"] != "BoundExceeded"
+
+
+def test_bound_overrides_the_size_guard(capsys):
+    code, report = run_json(capsys, "depth", "catalog:sugihara(5)", "--bound", "4")
+    assert code == 2 and report["kind"] == "BoundExceeded" and "size bound 4" in report["error"]
+    assert run_json(capsys, "depth", "catalog:sugihara(5)", "--bound", "5")[0] == 0
+    code, report = run_json(capsys, "es-decide", "--variety", "catalog:c4", "--bound", "-1")
+    assert code == 2 and report["error"] == "bound must not be negative, got -1"
+
+
 def test_catalog_unknown(capsys):
     code, report = run_json(capsys, "catalog", "unknown_thing")
     assert code == 2 and report["kind"] == "UnknownName"

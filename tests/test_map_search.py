@@ -146,8 +146,17 @@ def _drop_rule(algebra, pinned, constraint):
     the constraint that implies it there (None when a law of the target
     does), or None when no rule applies."""
     t, a, b, r = constraint
-    meet = algebra.meet
+    meet, neg = algebra.meet, algebra.neg
     below = lambda x: meet[x][algebra.e] == x
+    if neg is not None and t in (1, 3):
+        # x->y = ¬(x·¬y) and x ∨ y = ¬(¬x ∧ ¬y), read on the source; the
+        # neg, meet and fusion constraints on the right are each filed or
+        # dropped in their own right, at positions that may come later
+        if t == 3:
+            assert r == neg[algebra.fusion[a][neg[b]]], constraint
+        else:
+            assert r == neg[meet[neg[a]][neg[b]]], constraint
+        return "involutive join and residual", None
     if t < 3 and b < a and _binary_tables(algebra)[t][b][a] == r:
         return "commuted twin", (t, b, a, r)
     if t < 2 and a == b == r:
@@ -163,9 +172,11 @@ def test_schedule_files_every_constraint_once():
     # Each table and involution constraint is filed once, at the position of
     # its latest element (a forced position's own constraint counting as
     # filed there), or dropped under one rule whose implying constraint is
-    # filed at the same position.  Each branch element is the least element
-    # outside the closure of the positions before it, and each forced
-    # position's constraint reads only earlier positions.
+    # filed at the same position, or, in an involutive source, a join or a
+    # residual constraint that neg, meet and fusion imply.  Each branch
+    # element is the least element outside the closure of the positions
+    # before it, and each forced position's constraint reads only earlier
+    # positions.
     algebras = [
         brouwerian_chain(5),
         crystal(),
@@ -229,4 +240,7 @@ def test_schedule_files_every_constraint_once():
                     rules[rule[0]] += 1
                     implied = rule[1]
                 assert implied is None or filed_at[implied] == p, constraint
-    assert set(rules) == {"commuted twin", "idempotent diagonal", "comparable join", "fusion below e"}
+    assert set(rules) == {
+        "commuted twin", "idempotent diagonal", "comparable join", "fusion below e",
+        "involutive join and residual",
+    }

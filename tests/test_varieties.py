@@ -27,6 +27,7 @@ from srlkit.cones import all_subuniverses, is_negatively_generated
 from srlkit.core import (
     FiniteAlgebra,
     _forced_map,
+    _subalgebra,
     classify,
     compose,
     direct_product,
@@ -36,7 +37,7 @@ from srlkit.core import (
     validate,
 )
 from srlkit.duality import depth
-from srlkit.enumeration import canonical_form
+from srlkit.enumeration import _subuniverse_key, canonical_form
 from srlkit.errors import HypothesesNotMet, VerificationFailure
 from srlkit.filters import (
     all_congruences,
@@ -153,6 +154,36 @@ def test_spectrum_stopped_at_the_key_set_matches_the_full_build_on_large_squares
     pairs = [(f"sugihara({n})^2", (direct_product(sugihara(n), sugihara(n)),)) for n in (7, 9)]
     for name, spec in _spectrum_oracle_specs(pairs, 20261021):
         _assert_the_stopped_build_is_the_full_one(name, spec)
+
+
+def test_spectrum_keys_and_members_in_place_match_the_built_algebras(suite):
+    # On every subuniverse B of every suite algebra, as given and relabelled:
+    # - for every c in B⁻, join-irreducible or not, B/↑c keyed in place on
+    #   the generator's tables has the `canonical_form` of the quotient of
+    #   the built subalgebra, and B/↑c built from the generator's tables is
+    #   that quotient;
+    # - the subalgebra dedupe's keys, which read meet, fusion, neg and the
+    #   constants alone, split the subuniverses into the classes that
+    #   `canonical_form` does.  B/↑e is B, so its key is B's.
+    rng = random.Random(20261022)
+    classes = collections.defaultdict(set)
+    for algebra in suite:
+        for gen in (algebra, relabel(algebra, rng)):
+            key, dedupe_key = _subuniverse_key(gen), _subuniverse_key(gen, full=False)
+            for carrier in map(sorted, all_subuniverses(gen)):
+                sub, _ = _subalgebra(gen, carrier)
+                for i in sub.below_e:
+                    expected, _ = quotient(sub, generated_filter(sub, [i]))
+                    value = gen.fusion[carrier[i]]
+                    expected_key = canonical_form(expected)
+                    assert key(carrier, value) == expected_key, (gen.name, carrier, i)
+                    assert varieties._subquotient(gen, carrier, value) == expected
+                    if i == sub.e:
+                        assert expected == sub
+                        classes[expected_key].add(dedupe_key(carrier))
+    assert all(len(keys) == 1 for keys in classes.values())
+    dedupe_keys = [key for keys in classes.values() for key in keys]
+    assert len(dedupe_keys) == len(set(dedupe_keys))
 
 
 def _with_key_set(monkeypatch, change):
@@ -842,9 +873,10 @@ def test_bounded_involutive_variety():
 
 
 def test_spectrum_is_built_once_per_spec(monkeypatch):
+    # the scan builds each member, and only members, with `_induced`
     built = []
-    real = varieties.quotient
-    monkeypatch.setattr(varieties, "quotient", lambda *args: built.append(1) or real(*args))
+    real = varieties._induced
+    monkeypatch.setattr(varieties, "_induced", lambda *args: built.append(1) or real(*args))
     spec = spec_of(crystal())
     gate = hypotheses_gate(spec)
     one_build = len(built)
